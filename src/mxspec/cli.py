@@ -30,33 +30,6 @@ from .operators import build_dynamic, build_supra, load_coupling, reduce_indivis
 from .spectral import Partition, eig_sym, fiedler_bipartition, spectral_kway
 from .cuts import cut_cost, decompose_dynamic, decompose_supra, quadratic_form
 
-DEFAULT_SEED = xp.DEFAULT_SEED
-
-_DESK_GRIDS = {
-    "er": dict(p=[0.05, 0.15, 0.25, 0.35, 0.45], k=[2, 3, 5]),
-    "fixed-sbm": dict(p=[round(0.1 * i, 1) for i in range(11)], w=[0.1, 1.0, 2.0, 5.0], k=[2, 6]),
-    "overlap": dict(p=[0.05, 0.1, 0.5, 0.9], q=[0.05, 0.1, 0.5, 0.9]),
-    "overlap-supra": dict(w=[0.5, 1.0, 2.0, 3.0, 5.0]),
-    "overlap-kway": dict(w=[2.0, 5.0, 30.0], p=[0.3, 0.5, 0.7], q=[0.3, 0.5, 0.7]),
-}
-
-_FULL_GRIDS = {
-    "er": dict(p=[round(0.05 + 0.01 * i, 2) for i in range(46)], k=list(range(2, 11))),
-    "fixed-sbm": dict(
-        p=[round(0.1 * i, 1) for i in range(11)],
-        w=[round(0.1 * i, 1) for i in range(51)],
-        k=list(range(2, 11)),
-    ),
-    "overlap": dict(
-        p=[round(0.05 * i, 2) for i in range(1, 20)],
-        q=[round(0.05 * i, 2) for i in range(1, 20)],
-    ),
-    "overlap-supra": dict(w=[round(0.1 * i, 1) for i in range(1, 51)]),
-    "overlap-kway": dict(w=[round(0.5 * i, 1) for i in range(1, 61)],
-                         p=[0.3, 0.5, 0.7], q=[0.3, 0.5, 0.7]),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract wants 1."""
 
@@ -83,7 +56,7 @@ def _resolve_seed(args) -> int:
             return int(env, 0)
         except ValueError:
             raise ParseError(f"MXSPEC_SEED is not an integer: {env!r}")
-    return DEFAULT_SEED
+    return xp.DEFAULT_SEED
 
 
 def _build_parser() -> _Parser:
@@ -118,7 +91,7 @@ def _build_parser() -> _Parser:
                      help="also print the layer/coupling decomposition terms")
 
     exp = sub.add_parser("experiment", help="run a seeded parameter sweep")
-    exp.add_argument("name", choices=["er", "fixed-sbm", "overlap", "overlap-supra", "overlap-kway"])
+    exp.add_argument("name", choices=list(xp.EXPERIMENTS))
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--instances", type=int, default=20)
     exp.add_argument("--n", type=int, default=100)
@@ -152,7 +125,7 @@ def _build_parser() -> _Parser:
 
 def _model_flags(parser) -> None:
     parser.add_argument("--model", required=True, choices=["supra", "dynamic", "aggregate"])
-    parser.add_argument("--supra-weight", type=float, default=None,
+    parser.add_argument("--supra-weight", type=float, default=1.0,
                         help="inter-layer weight w (supra model)")
     parser.add_argument("--coupling", default=None,
                         help=".cpl coupling file (dynamic model; default C = I)")
@@ -160,8 +133,7 @@ def _model_flags(parser) -> None:
 
 def _build_operator(args, net):
     if args.model == "supra":
-        w = args.supra_weight if args.supra_weight is not None else 1.0
-        return build_supra(net, w)
+        return build_supra(net, args.supra_weight)
     coupling = (
         load_coupling(args.coupling, net.n, net.k)
         if args.coupling
@@ -262,8 +234,7 @@ def _cmd_cut(args) -> int:
     writer.writerow(["term", "value"])
     if part.c == 2 and args.decompose:
         if args.model == "supra":
-            w = args.supra_weight if args.supra_weight is not None else 1.0
-            report = decompose_supra(net, w, part)
+            report = decompose_supra(net, args.supra_weight, part)
         else:
             report = decompose_dynamic(net, op.coupling, part)
         writer.writerow(["total", repr(report.total)])
@@ -279,35 +250,13 @@ def _cmd_cut(args) -> int:
 
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args)
-    grids = _FULL_GRIDS[args.name] if args.full else _DESK_GRIDS[args.name]
+    spec = xp.EXPERIMENTS[args.name]
     instances = 100 if args.full and args.instances == 20 else args.instances
-    p_grid = args.p_grid if args.p_grid is not None else grids.get("p")
-    q_grid = args.q_grid if args.q_grid is not None else grids.get("q")
-    w_grid = args.w_grid if args.w_grid is not None else grids.get("w")
-    k_grid = args.k_grid if args.k_grid is not None else grids.get("k")
-
-    if args.name == "er":
-        result = xp.run_er_experiment(
-            p_grid, k_grid, instances, model=args.model, seed=seed,
-            n=args.n, w=args.supra_weight, jobs=args.jobs)
-    elif args.name == "fixed-sbm":
-        result = xp.run_fixed_sbm_experiment(
-            p_grid, w_grid, k_grid, instances, model=args.model, seed=seed,
-            n=args.n, jobs=args.jobs)
-    elif args.name == "overlap":
-        result = xp.run_overlap_experiment(
-            p_grid, q_grid, instances, seed=seed, n=args.n,
-            intra=args.intra, inter=args.inter, jobs=args.jobs)
-    elif args.name == "overlap-supra":
-        result = xp.run_overlap_supra_experiment(
-            w_grid, instances, seed=seed, n=args.n,
-            intra=args.intra, inter=args.inter, jobs=args.jobs)
-    else:
-        model = "supra" if args.model == "both" else args.model
-        result = xp.run_overlap_kway(
-            model, instances, seed=seed, w_grid=w_grid, p_grid=p_grid,
-            q_grid=q_grid, n=args.n, intra=args.intra, inter=args.inter,
-            jobs=args.jobs)
+    grids = dict(n=[args.n], w=[args.supra_weight], intra=[args.intra], inter=[args.inter])
+    for name, default in (spec.full if args.full else spec.desk).items():
+        flag = getattr(args, f"{name}_grid")  # every swept parameter has a --<name>-grid flag
+        grids[name] = default if flag is None else flag
+    result = xp.run_experiment(args.name, instances, args.model, seed, args.jobs, **grids)
     xp.write_results_csv(result, args.out)
     if args.aggregate:
         xp.write_aggregate_csv(result, args.aggregate)
@@ -316,14 +265,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     _, rows = xp.read_results_csv(args.results)
-    if args.out:
-        xp.write_heatmap_csv(rows, args.x, args.y, args.metric, args.out)
-    else:
-        x_values, y_values, grid = xp.heatmap_grid(rows, args.x, args.y, args.metric)
-        writer = csv.writer(sys.stdout)
-        writer.writerow([f"{args.y}\\{args.x}"] + list(x_values))
-        for yv, line in zip(y_values, grid):
-            writer.writerow([yv] + line)
+    xp.write_heatmap_csv(rows, args.x, args.y, args.metric, args.out or sys.stdout)
     return 0
 
 

@@ -10,7 +10,8 @@ Instances are independent jobs: with jobs > 1 they run in a process pool,
 but rows are always emitted in deterministic (parameter point, instance)
 order, so the CSV bytes do not depend on the job count.
 
-Experiments:
+Experiments, one :data:`EXPERIMENTS` entry each (parameter columns,
+model columns, default grids and the per-instance function):
 
 * ``er`` - k random layers with no structure; measures how often node
   copies stay grouped under bipartition, for both operator models.
@@ -24,10 +25,12 @@ Experiments:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .core import DynamicCoupling
 from .errors import ExperimentError
 from .generators import (
     RngSeed,
+    canon,
     derive_key,
     gen_er_multiplex,
     gen_fixed_sbm_multiplex,
@@ -180,7 +184,7 @@ class SweepResult:
 
     def metric_values(self, metric: str, **param_filter) -> list:
         """Raw string values of one metric at rows matching the filter."""
-        wanted = {name: _fmt(value) for name, value in param_filter.items()}
+        wanted = {name: canon(value) for name, value in param_filter.items()}
         out = []
         for row in self.rows:
             if row.metric != metric:
@@ -203,16 +207,6 @@ class SweepResult:
         return sum(1 for v in values if v == label) / len(values)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def instance_seed(master_seed: int, experiment: str, params: tuple, instance: int) -> int:
     """64-bit per-instance seed hashed from the master seed, experiment id,
     parameter point, and instance index."""
@@ -226,69 +220,9 @@ def compute_instance(experiment: str, params: dict, seed: int) -> list:
     `params` maps parameter names to their string form exactly as stored
     in the results CSV.  Returns [(metric, value-string), ...].
     """
-    rng = RngSeed(seed)
-    if experiment == "er":
-        n, k = int(params["n"]), int(params["k"])
-        p, w = float(params["p"]), float(params["w"])
-        net = gen_er_multiplex(n, k, p, rng.spawn("net"))
-        if params["model"] == "supra":
-            op = build_supra(net, w)
-        else:
-            op = build_dynamic(net, DynamicCoupling.identity(n, k))
-        part, _, degenerate = fiedler_bipartition(op.laplacian)
-        return [
-            ("frac_copies", _fmt(fraction_copies_together(part, n, k, "all"))),
-            ("frac_copies_pairwise", _fmt(fraction_copies_together(part, n, k, "pairwise"))),
-            ("degenerate", _fmt(degenerate)),
-        ]
-
-    if experiment == "fixed-sbm":
-        n, k, p = int(params["n"]), int(params["k"]), float(params["p"])
-        net, planted = gen_fixed_sbm_multiplex(n, k, p, rng.spawn("net"))
-        if params["model"] == "supra":
-            op = build_supra(net, float(params["w"]))
-        else:
-            op = build_dynamic(net, DynamicCoupling.identity(n, k))
-        part, _, degenerate = fiedler_bipartition(op.laplacian)
-        equal, _ = match_partitions(part, planted)
-        return [("recovered", _fmt(equal)), ("degenerate", _fmt(degenerate))]
-
-    if experiment in ("overlap", "overlap-supra"):
-        n = int(params["n"])
-        intra, inter = float(params["intra"]), float(params["inter"])
-        net, planted1, planted2 = gen_overlap_multiplex(n, intra, inter, rng.spawn("net"))
-        if experiment == "overlap":
-            coupling = overlap_coupling(float(params["p"]), float(params["q"]), n)
-            op = build_dynamic(net, coupling)
-        else:
-            op = build_supra(net, float(params["w"]))
-        part, _, degenerate = fiedler_bipartition(op.laplacian)
-        regime = classify_regime(part, planted1, planted2)
-        return [("regime", regime), ("degenerate", _fmt(degenerate))]
-
-    if experiment == "overlap-kway":
-        n = int(params["n"])
-        intra, inter = float(params["intra"]), float(params["inter"])
-        net, planted1, planted2 = gen_overlap_multiplex(n, intra, inter, rng.spawn("net"))
-        if params["model"] == "supra":
-            op = build_supra(net, float(params["w"]))
-        else:
-            coupling = overlap_coupling(float(params["p"]), float(params["q"]), n)
-            op = build_dynamic(net, coupling)
-        part = spectral_kway(op.laplacian, 4, rng.spawn("cluster"))
-        equal, _ = match_partitions(part, kway_target_partition(n))
-        # used_clusters is always 4 after empty-cluster repair; major_clusters
-        # (>= 5% of elements) is what collapses when the embedding only
-        # supports fewer groups
-        sizes = np.bincount(part.labels, minlength=4)
-        major = int(np.sum(sizes >= max(1, len(part) // 20)))
-        return [
-            ("kway_match", _fmt(equal)),
-            ("effective_clusters", _fmt(part.used_clusters)),
-            ("major_clusters", _fmt(major)),
-        ]
-
-    raise ExperimentError(f"unknown experiment {experiment!r}")
+    if experiment not in EXPERIMENTS:
+        raise ExperimentError(f"unknown experiment {experiment!r}")
+    return EXPERIMENTS[experiment].compute(params, RngSeed(seed))
 
 
 def _run_task(task):
@@ -296,33 +230,161 @@ def _run_task(task):
     return compute_instance(experiment, dict(params), seed)
 
 
-def _execute(experiment: str, param_names: tuple, points: list, instances: int,
-             master_seed: int, jobs: int) -> SweepResult:
-    """Run every (point, instance) task and collect rows in task order."""
+def run_experiment(experiment: str, instances: int, model: str = "both",
+                   seed: int = DEFAULT_SEED, jobs: int = 1, **grids) -> SweepResult:
+    """Run every (point, instance) task of one EXPERIMENTS entry and collect
+    its rows in task order.
+
+    `grids` maps each parameter to its values; a fixed parameter such as n
+    is a one-value list.  `model` is "both", "supra" or "dynamic"; "both"
+    runs the entry's `models`, and entries without a model column ignore
+    it.  Every parameter the selected models use needs a non-empty grid.
+    """
+    spec = EXPERIMENTS[experiment]
+    if model not in ("both", "supra", "dynamic"):
+        raise ExperimentError(f"unknown model {model!r}")
     tasks = []
-    for point in points:
-        params = tuple((name, _fmt(point[name])) for name in param_names)
-        for instance in range(instances):
-            tasks.append((experiment, params, instance,
-                          instance_seed(master_seed, experiment, params, instance)))
+    for current in (spec.models if model == "both" else (model,)) or (None,):
+        axes = []
+        for name in spec.params:
+            if name == "model":
+                values = [current]
+            elif name in spec.empty.get(current, ()):
+                values = [""]
+            else:
+                values = [] if grids.get(name) is None else list(grids[name])
+                if not values:
+                    raise ExperimentError(f"{experiment} sweep needs a non-empty {name} grid")
+            axes.append(values)
+        for point in itertools.product(*axes):
+            params = tuple(zip(spec.params, map(canon, point)))
+            for instance in range(instances):
+                tasks.append((experiment, params, instance,
+                              instance_seed(seed, experiment, params, instance)))
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             metric_lists = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         metric_lists = [_run_task(task) for task in tasks]
-    rows = []
-    for (_, params, instance, seed), metrics in zip(tasks, metric_lists):
-        for metric, value in metrics:
-            rows.append(InstanceRow(experiment, params, instance, seed, metric, value))
-    return SweepResult(experiment=experiment, param_names=param_names, rows=rows)
+    rows = [InstanceRow(experiment, params, instance, task_seed, metric, value)
+            for (_, params, instance, task_seed), metrics in zip(tasks, metric_lists)
+            for metric, value in metrics]
+    return SweepResult(experiment=experiment, param_names=spec.params, rows=rows)
 
 
-def _points(**grids) -> list:
-    names = tuple(grids)
-    out = []
-    for combo in itertools.product(*grids.values()):
-        out.append(dict(zip(names, combo)))
-    return out
+def _operator(net, params: dict):
+    """The instance's operator: supra with weight w, dynamic with the overlap
+    coupling when the point carries the knob q, else dynamic with C = I.
+    A family without a model column is supra exactly when it sweeps w."""
+    model = params.get("model") or ("supra" if "w" in params else "dynamic")
+    if model == "supra":
+        return build_supra(net, float(params["w"]))
+    if "q" in params:
+        return build_dynamic(net, overlap_coupling(float(params["p"]), float(params["q"]), net.n))
+    return build_dynamic(net, DynamicCoupling.identity(net.n, net.k))
+
+
+def _er_instance(params: dict, rng: RngSeed) -> list:
+    n, k = int(params["n"]), int(params["k"])
+    net = gen_er_multiplex(n, k, float(params["p"]), rng.spawn("net"))
+    part, _, degenerate = fiedler_bipartition(_operator(net, params).laplacian)
+    return [
+        ("frac_copies", canon(fraction_copies_together(part, n, k, "all"))),
+        ("frac_copies_pairwise", canon(fraction_copies_together(part, n, k, "pairwise"))),
+        ("degenerate", canon(degenerate)),
+    ]
+
+
+def _fixed_sbm_instance(params: dict, rng: RngSeed) -> list:
+    net, planted = gen_fixed_sbm_multiplex(
+        int(params["n"]), int(params["k"]), float(params["p"]), rng.spawn("net"))
+    part, _, degenerate = fiedler_bipartition(_operator(net, params).laplacian)
+    equal, _ = match_partitions(part, planted)
+    return [("recovered", canon(equal)), ("degenerate", canon(degenerate))]
+
+
+def _regime_instance(params: dict, rng: RngSeed) -> list:
+    net, planted1, planted2 = gen_overlap_multiplex(
+        int(params["n"]), float(params["intra"]), float(params["inter"]), rng.spawn("net"))
+    part, _, degenerate = fiedler_bipartition(_operator(net, params).laplacian)
+    return [("regime", classify_regime(part, planted1, planted2)),
+            ("degenerate", canon(degenerate))]
+
+
+def _kway_instance(params: dict, rng: RngSeed) -> list:
+    net, _, _ = gen_overlap_multiplex(
+        int(params["n"]), float(params["intra"]), float(params["inter"]), rng.spawn("net"))
+    part = spectral_kway(_operator(net, params).laplacian, 4, rng.spawn("cluster"))
+    equal, _ = match_partitions(part, kway_target_partition(net.n))
+    # used_clusters is always 4 after empty-cluster repair; major_clusters
+    # (>= 5% of elements) is what collapses when the embedding only
+    # supports fewer groups
+    sizes = np.bincount(part.labels, minlength=4)
+    major = int(np.sum(sizes >= max(1, len(part) // 20)))
+    return [
+        ("kway_match", canon(equal)),
+        ("effective_clusters", canon(part.used_clusters)),
+        ("major_clusters", canon(major)),
+    ]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One sweep family: its CSV columns, default grids and instance function."""
+
+    params: tuple  # parameter columns in CSV order
+    desk: dict  # default grids of `mxspec experiment`
+    full: dict  # default grids with --full
+    compute: Callable  # (params, RngSeed) -> [(metric, value-string), ...]
+    models: tuple = ()  # model-column values that model "both" runs, in row order
+    empty: dict = field(default_factory=dict)  # model -> parameters it leaves blank
+
+
+EXPERIMENTS = {
+    "er": Experiment(
+        params=("model", "p", "k", "n", "w"),
+        models=("supra", "dynamic"),
+        desk=dict(p=[0.05, 0.15, 0.25, 0.35, 0.45], k=[2, 3, 5]),
+        full=dict(p=[round(0.05 + 0.01 * i, 2) for i in range(46)], k=list(range(2, 11))),
+        compute=_er_instance,
+    ),
+    "fixed-sbm": Experiment(
+        params=("model", "p", "w", "k", "n"),
+        models=("dynamic", "supra"),
+        empty={"dynamic": ("w",)},
+        desk=dict(p=[round(0.1 * i, 1) for i in range(11)], w=[0.1, 1.0, 2.0, 5.0], k=[2, 6]),
+        full=dict(
+            p=[round(0.1 * i, 1) for i in range(11)],
+            w=[round(0.1 * i, 1) for i in range(51)],
+            k=list(range(2, 11)),
+        ),
+        compute=_fixed_sbm_instance,
+    ),
+    "overlap": Experiment(
+        params=("p", "q", "n", "intra", "inter"),
+        desk=dict(p=[0.05, 0.1, 0.5, 0.9], q=[0.05, 0.1, 0.5, 0.9]),
+        full=dict(
+            p=[round(0.05 * i, 2) for i in range(1, 20)],
+            q=[round(0.05 * i, 2) for i in range(1, 20)],
+        ),
+        compute=_regime_instance,
+    ),
+    "overlap-supra": Experiment(
+        params=("w", "n", "intra", "inter"),
+        desk=dict(w=[0.5, 1.0, 2.0, 3.0, 5.0]),
+        full=dict(w=[round(0.1 * i, 1) for i in range(1, 51)]),
+        compute=_regime_instance,
+    ),
+    "overlap-kway": Experiment(
+        params=("model", "w", "p", "q", "n", "intra", "inter"),
+        models=("supra",),
+        empty={"supra": ("p", "q"), "dynamic": ("w",)},
+        desk=dict(w=[2.0, 5.0, 30.0], p=[0.3, 0.5, 0.7], q=[0.3, 0.5, 0.7]),
+        full=dict(w=[round(0.5 * i, 1) for i in range(1, 61)], p=[0.3, 0.5, 0.7],
+                  q=[0.3, 0.5, 0.7]),
+        compute=_kway_instance,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +397,7 @@ def run_er_experiment(
 ) -> SweepResult:
     """Random ER layers, both operator models, fraction of node copies
     grouped together by the Fiedler bipartition."""
-    models = ("supra", "dynamic") if model == "both" else (model,)
-    param_names = ("model", "p", "k", "n", "w")
-    points = _points(model=models, p=list(p_grid), k=list(k_grid), n=[n], w=[w])
-    return _execute("er", param_names, points, instances, seed, jobs)
+    return run_experiment("er", instances, model, seed, jobs, p=p_grid, k=k_grid, n=[n], w=[w])
 
 
 def run_fixed_sbm_experiment(
@@ -348,13 +407,8 @@ def run_fixed_sbm_experiment(
     """Identical planted two-block structure on every layer; exact recovery
     of the planted partition.  The supra model sweeps (p, w, k); the dynamic
     model (C = I) sweeps (p, k) with an empty w column."""
-    param_names = ("model", "p", "w", "k", "n")
-    points = []
-    if model in ("both", "dynamic"):
-        points += _points(model=["dynamic"], p=list(p_grid), w=[""], k=list(k_grid), n=[n])
-    if model in ("both", "supra"):
-        points += _points(model=["supra"], p=list(p_grid), w=list(w_grid), k=list(k_grid), n=[n])
-    return _execute("fixed-sbm", param_names, points, instances, seed, jobs)
+    return run_experiment("fixed-sbm", instances, model, seed, jobs,
+                          p=p_grid, w=w_grid, k=k_grid, n=[n])
 
 
 def run_overlap_experiment(
@@ -363,9 +417,8 @@ def run_overlap_experiment(
 ) -> SweepResult:
     """Two overlapping planted structures, dynamic model over the layer
     relevance knobs (p, q); classifies the regime of each bipartition."""
-    param_names = ("p", "q", "n", "intra", "inter")
-    points = _points(p=list(p_grid), q=list(q_grid), n=[n], intra=[intra], inter=[inter])
-    return _execute("overlap", param_names, points, instances, seed, jobs)
+    return run_experiment("overlap", instances, "both", seed, jobs,
+                          p=p_grid, q=q_grid, n=[n], intra=[intra], inter=[inter])
 
 
 def run_overlap_supra_experiment(
@@ -373,9 +426,8 @@ def run_overlap_supra_experiment(
     n: int = 100, intra: float = 0.9, inter: float = 0.1, jobs: int = 1,
 ) -> SweepResult:
     """Same planted structures under the supra operator, sweeping w."""
-    param_names = ("w", "n", "intra", "inter")
-    points = _points(w=list(w_grid), n=[n], intra=[intra], inter=[inter])
-    return _execute("overlap-supra", param_names, points, instances, seed, jobs)
+    return run_experiment("overlap-supra", instances, "both", seed, jobs,
+                          w=w_grid, n=[n], intra=[intra], inter=[inter])
 
 
 def run_overlap_kway(
@@ -384,22 +436,10 @@ def run_overlap_kway(
     n: int = 100, intra: float = 0.9, inter: float = 0.1, jobs: int = 1,
 ) -> SweepResult:
     """4-way spectral clustering on the overlap nets: match against the
-    layers-times-communities partition and count effective clusters."""
-    param_names = ("model", "w", "p", "q", "n", "intra", "inter")
-    if model == "supra":
-        if not w_grid:
-            raise ExperimentError("supra k-way sweep needs a w grid")
-        points = _points(model=["supra"], w=list(w_grid), p=[""], q=[""],
-                         n=[n], intra=[intra], inter=[inter])
-    elif model == "dynamic":
-        if not p_grid or not q_grid:
-            raise ExperimentError("dynamic k-way sweep needs p and q grids")
-        points = _points(model=["dynamic"], w=[""], p=list(p_grid), q=list(q_grid),
-                         n=[n], intra=[intra], inter=[inter])
-    else:
-        raise ExperimentError(f"unknown model {model!r}")
-    return _execute("overlap-kway", param_names, points, instances, seed, jobs)
-
+    layers-times-communities partition and count effective clusters.  The
+    supra model sweeps w, the dynamic model the overlap knobs (p, q)."""
+    return run_experiment("overlap-kway", instances, model, seed, jobs, w=w_grid,
+                          p=p_grid, q=q_grid, n=[n], intra=[intra], inter=[inter])
 
 # ---------------------------------------------------------------------------
 # CSV emission
@@ -434,7 +474,7 @@ def write_aggregate_csv(result: SweepResult, path) -> None:
             params = dict(agg.params)
             writer.writerow(
                 [agg.experiment] + [params[name] for name in result.param_names]
-                + [agg.metric, _fmt(agg.value)]
+                + [agg.metric, canon(agg.value)]
             )
 
 
@@ -497,7 +537,7 @@ def heatmap_grid(rows, x: str, y: str, metric: str) -> tuple:
                 continue
             try:
                 numeric = [float(v) for v in bucket]
-                line.append(_fmt(sum(numeric) / len(numeric)))
+                line.append(canon(sum(numeric) / len(numeric)))
             except ValueError:
                 counts: dict = {}
                 for v in bucket:
@@ -508,9 +548,12 @@ def heatmap_grid(rows, x: str, y: str, metric: str) -> tuple:
     return x_values, y_values, grid
 
 
-def write_heatmap_csv(rows, x: str, y: str, metric: str, path) -> None:
+def write_heatmap_csv(rows, x: str, y: str, metric: str, out) -> None:
+    """Write heatmap_grid's grid as CSV to `out`, a path or an open text
+    stream (left open)."""
     x_values, y_values, grid = heatmap_grid(rows, x, y, metric)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh)
         writer.writerow([f"{y}\\{x}"] + list(x_values))
         for yv, line in zip(y_values, grid):

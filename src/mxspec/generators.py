@@ -25,8 +25,8 @@ from .errors import GeneratorError
 from .spectral import Partition
 
 
-def _canon(part) -> str:
-    """Canonical text form of one stream-path component."""
+def canon(part) -> str:
+    """Canonical text form of a stream-path component or a CSV value."""
     if isinstance(part, bool):
         return "1" if part else "0"
     if isinstance(part, (int, np.integer)):
@@ -38,7 +38,7 @@ def _canon(part) -> str:
 
 def derive_key(seed: int, stream: tuple) -> int:
     """SHA-256((seed, stream path)) -> 128-bit Philox key."""
-    text = str(int(seed)) + "/" + "|".join(_canon(p) for p in stream)
+    text = str(int(seed)) + "/" + "|".join(canon(p) for p in stream)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
 

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .core import DynamicCoupling, MultiplexNetwork, SupraWeight
 from .errors import OperatorError, ParseError
@@ -105,14 +106,15 @@ def build_supra(net: MultiplexNetwork, w: float | SupraWeight) -> SupraOperator:
         for b in range(k):
             if a != b:
                 adj[a * n : (a + 1) * n, b * n : (b + 1) * n] = eye
-    adj = symmetrize(adj)  # guard against assembly drift
     return SupraOperator(
         model="supra", n=n, k=k, adjacency=adj, laplacian=laplacian(adj), coupling=weight
     )
 
 
-def dynamic_raw(net: MultiplexNetwork, coupling: DynamicCoupling) -> np.ndarray:
-    """The unsymmetrized dynamical block matrix: block (a, b) = C^{a,b} A^b."""
+def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:
+    """Dynamical-coupling operator: assemble block (a, b) = C^{a,b} A^b,
+    then symmetrize, so the copy pair (i on a, j on b) carries half of
+    c^{a,b}_i w^b(i,j) + c^{b,a}_j w^a(j,i)."""
     n, k = net.n, net.k
     if coupling.k != k or coupling.n != n:
         raise OperatorError(
@@ -125,18 +127,11 @@ def dynamic_raw(net: MultiplexNetwork, coupling: DynamicCoupling) -> np.ndarray:
             raw[a * n : (a + 1) * n, b * n : (b + 1) * n] = (
                 coupling.diag[a, b][:, None] * net.layers[b]
             )
-    return raw
-
-
-def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:
-    """Dynamical-coupling operator: assemble block (a, b) = C^{a,b} A^b,
-    then symmetrize, so the copy pair (i on a, j on b) carries half of
-    c^{a,b}_i w^b(i,j) + c^{b,a}_j w^a(j,i)."""
-    adj = symmetrize(dynamic_raw(net, coupling))
+    adj = symmetrize(raw)
     return SupraOperator(
         model="dynamic",
-        n=net.n,
-        k=net.k,
+        n=n,
+        k=k,
         adjacency=adj,
         laplacian=laplacian(adj),
         coupling=coupling,
@@ -173,30 +168,9 @@ def reduce_indivisible(op: SupraOperator) -> ReducedOperator:
 
 def connected_components(adjacency: np.ndarray, atol: float = 0.0) -> np.ndarray:
     """Component label per index of the graph with edges where |A_ij| > atol.
-    Union-find; labels are 0-based in order of first appearance."""
-    m = adjacency.shape[0]
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows, cols = np.nonzero(np.abs(adjacency) > atol)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    labels = np.empty(m, dtype=int)
-    seen: dict[int, int] = {}
-    for i in range(m):
-        root = find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    return labels
+    Labels are 0-based in order of first appearance."""
+    _, labels = csgraph.connected_components(np.abs(adjacency) > atol, directed=False)
+    return labels.astype(int)
 
 
 def load_coupling(path: str | os.PathLike, n: int, k: int) -> DynamicCoupling:

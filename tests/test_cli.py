@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from mxspec import experiments
 from mxspec.cli import main
 from mxspec.core import load_network
 
@@ -182,3 +183,57 @@ def test_cut_rejects_aggregate_model(tmp_path, capsys):
                "--partition", str(net_path))
     assert code == 2
     assert "error[multiplex-core]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("er", "--k-grid"),
+    ("fixed-sbm", "--p-grid"),
+    ("overlap", "--q-grid"),
+    ("overlap-supra", "--w-grid"),
+    ("overlap-kway", "--w-grid"),
+])
+def test_experiment_rejects_empty_grid(tmp_path, capsys, name, flag):
+    out = tmp_path / "r.csv"
+    assert run("experiment", name, flag, ",", "--instances", "1", "--jobs", "1",
+               "--out", str(out)) == 2
+    assert "error[experiments]:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MODELS = ("both", "supra", "dynamic")
+# grid points per --model value of the default grids
+DESK_POINTS = {
+    "er": {"both": 30, "supra": 15, "dynamic": 15},
+    "fixed-sbm": {"both": 110, "supra": 88, "dynamic": 22},
+    "overlap": dict.fromkeys(MODELS, 16),
+    "overlap-supra": dict.fromkeys(MODELS, 5),
+    "overlap-kway": {"both": 3, "supra": 3, "dynamic": 9},
+}
+FULL_POINTS = {
+    "er": {"both": 828, "supra": 414, "dynamic": 414},
+    "fixed-sbm": {"both": 5148, "supra": 5049, "dynamic": 99},
+    "overlap": dict.fromkeys(MODELS, 361),
+    "overlap-supra": dict.fromkeys(MODELS, 50),
+    "overlap-kway": {"both": 60, "supra": 60, "dynamic": 9},
+}
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("name", sorted(DESK_POINTS))
+def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
+    # sweeps reach compute_instance through the module attribute, which is
+    # what tracing and profiling wrap
+    calls = []
+
+    def stub(experiment, params, seed):
+        calls.append((experiment, tuple(sorted(params.items())), seed))
+        return []
+
+    monkeypatch.setattr(experiments, "compute_instance", stub)
+    for model, points in (FULL_POINTS if full else DESK_POINTS)[name].items():
+        calls.clear()
+        argv = ["experiment", name, "--instances", "1", "--model", model,
+                "--jobs", "1", "--out", str(tmp_path / "r.csv")]
+        assert run(*argv, *(["--full"] if full else [])) == 0
+        assert len(calls) == len(set(calls)) == points, model
+        assert {experiment for experiment, _, _ in calls} == {name}

@@ -276,6 +276,31 @@ def test_connected_components_labels():
     assert len(np.unique(labels)) == 3
 
 
+def test_connected_components_first_appearance_order():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = int(rng.integers(1, 30))
+        adj = (rng.random((m, m)) < 0.08) * rng.normal(size=(m, m))
+        adj = adj + adj.T
+        labels = connected_components(adj)
+        # reference: graph search from each unlabeled index in order
+        expected = np.full(m, -1)
+        count = 0
+        for start in range(m):
+            if expected[start] >= 0:
+                continue
+            expected[start] = count
+            queue = [start]
+            while queue:
+                i = queue.pop()
+                for j in np.nonzero(adj[i])[0]:
+                    if expected[j] < 0:
+                        expected[j] = count
+                        queue.append(j)
+            count += 1
+        np.testing.assert_array_equal(labels, expected)
+
+
 def test_load_coupling_file(tmp_path):
     path = tmp_path / "c.cpl"
     path.write_text("% comment\n0 1 0.5\n1 0 0.25\n0 1 2 0.9\n")
