@@ -9,7 +9,6 @@ experiment families as deterministic seeded sweeps.
 from .core import (
     DynamicCoupling,
     MultiplexNetwork,
-    SupraWeight,
     flat_index,
     load_network,
     save_network,

@@ -233,10 +233,8 @@ def _cmd_cut(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["term", "value"])
     if part.c == 2 and args.decompose:
-        if args.model == "supra":
-            report = decompose_supra(net, args.supra_weight, part)
-        else:
-            report = decompose_dynamic(net, op.coupling, part)
+        decompose = decompose_supra if args.model == "supra" else decompose_dynamic
+        report = decompose(net, op.coupling, part)
         writer.writerow(["total", repr(report.total)])
         writer.writerow(["quadratic_form", repr(report.quadratic_form)])
         for name, value in report.terms:

@@ -12,7 +12,8 @@ whitespace-separated::
 
     <layer> <src j> <dst i> <weight>
 
-All indices 0-based.  Unlisted entries are zero.
+All indices 0-based.  Unlisted entries are zero; weights are finite and
+>= 0, and each (layer, src, dst) appears at most once.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError
+
+
+def check_weights(values, what: str) -> np.ndarray:
+    """`values` as a float array; ParseError unless every entry is finite
+    and >= 0 (NaN compares false, so a bare `< 0` test lets it through)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what}: non-finite weight {arr[~np.isfinite(arr)].flat[0]}")
+    if (arr < 0).any():
+        raise ParseError(f"{what}: negative weight {arr[arr < 0].flat[0]}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,7 @@ class MultiplexNetwork:
                 raise ParseError(
                     f"layer {a} has shape {arr.shape}, expected {(self.n, self.n)}"
                 )
-            if np.any(arr < 0):
-                raise ParseError(f"layer {a} contains negative weights")
+            check_weights(arr, f"layer {a}")
             if np.any(np.diag(arr) != 0):
                 raise ParseError(f"layer {a} has non-zero diagonal (self-loop)")
             arr = arr.copy()
@@ -81,18 +92,6 @@ def unflatten(idx: int, n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class SupraWeight:
-    """Coupling for the supra-adjacency model: one scalar weight w >= 0
-    placed on every inter-layer pair of copies of the same node."""
-
-    w: float
-
-    def __post_init__(self):
-        if self.w < 0:
-            raise ParseError(f"supra inter-layer weight must be >= 0, got {self.w}")
-
-
-@dataclass(frozen=True)
 class DynamicCoupling:
     """Coupling for the dynamical model: per layer pair (a, b) a diagonal
     matrix, stored as a length-n vector of its diagonal.
@@ -109,8 +108,7 @@ class DynamicCoupling:
         arr = np.asarray(self.diag, dtype=float)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
             raise ParseError(f"coupling must have shape (k, k, n), got {arr.shape}")
-        if np.any(arr < 0):
-            raise ParseError("coupling coefficients must be >= 0")
+        check_weights(arr, "coupling")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "diag", arr)
@@ -148,11 +146,19 @@ def load_network(path: str | os.PathLike) -> MultiplexNetwork:
     """Parse a .mpx file into a MultiplexNetwork.
 
     Raises ParseError naming the offending line for malformed lines,
-    out-of-range indices, self-loops, and negative weights.
+    out-of-range indices, self-loops, negative or non-finite weights, and
+    repeated edges.
     """
+    # copy the layers once _read_layers' per-edge temporaries are freed, to reuse their memory
+    n, k, mats = _read_layers(path)
+    return MultiplexNetwork(n=n, k=k, layers=tuple(mats))
+
+
+def _read_layers(path) -> tuple[int, int, np.ndarray]:
+    """(n, k, the (k, n, n) layer stack) of a .mpx file, validated as load_network says."""
     n = None
     k = None
-    edges = []  # (layer, src, dst, weight, lineno)
+    layers, srcs, dsts, weights, linenos = [], [], [], [], []  # untracked by the GC, unlike tuples
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -186,23 +192,41 @@ def load_network(path: str | os.PathLike) -> MultiplexNetwork:
             weight = float(parts[3])
         except ValueError:
             raise ParseError(f"line {lineno}: cannot parse edge {line!r}")
-        edges.append((layer, src, dst, weight, lineno))
+        layers.append(layer)
+        srcs.append(src)
+        dsts.append(dst)
+        weights.append(weight)
+        linenos.append(lineno)
 
     if n is None or k is None:
         raise ParseError("missing #nodes or #layers header")
 
     mats = np.zeros((k, n, n))
-    for layer, src, dst, weight, lineno in edges:
-        if not 0 <= layer < k:
-            raise ParseError(f"line {lineno}: layer {layer} out of range [0, {k})")
-        if not (0 <= src < n and 0 <= dst < n):
+    if not linenos:
+        return n, k, mats
+    layer, src, dst, weight = (np.array(col) for col in (layers, srcs, dsts, weights))
+    bad = ((layer < 0) | (layer >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+           | (src == dst) | ~np.isfinite(weight) | (weight < 0))
+    # an edge whose (layer, dst, src) entry an earlier line already set
+    key = (layer * n + dst) * n + src
+    order = np.argsort(key, kind="stable")
+    bad[order[1:]] |= key[order[1:]] == key[order[:-1]]
+    if bad.any():
+        first = int(bad.argmax())
+        a, j, i, w = layers[first], srcs[first], dsts[first], weights[first]
+        lineno = linenos[first]
+        if not 0 <= a < k:
+            raise ParseError(f"line {lineno}: layer {a} out of range [0, {k})")
+        if not (0 <= j < n and 0 <= i < n):
             raise ParseError(f"line {lineno}: node index out of range [0, {n})")
-        if src == dst:
-            raise ParseError(f"line {lineno}: self-loop on node {src}")
-        if weight < 0:
-            raise ParseError(f"line {lineno}: negative weight {weight}")
-        mats[layer, dst, src] = weight
-    return MultiplexNetwork(n=n, k=k, layers=tuple(mats))
+        if j == i:
+            raise ParseError(f"line {lineno}: self-loop on node {j}")
+        check_weights(w, f"line {lineno}")
+        earlier = linenos[int(np.flatnonzero(key[:first] == key[first])[0])]
+        raise ParseError(
+            f"line {lineno}: duplicate edge {a} {j} {i}, first given on line {earlier}")
+    mats[layer, dst, src] = weight
+    return n, k, mats
 
 
 def save_network(net: MultiplexNetwork, path: str | os.PathLike) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DynamicCoupling, MultiplexNetwork
 from .errors import CutError
-from .operators import SupraOperator, build_dynamic, build_supra, laplacian, symmetrize
+from .operators import SupraOperator, build_dynamic, build_supra, laplacian
 from .spectral import Partition
 
 BRUTE_FORCE_LIMIT = 20
@@ -85,12 +85,11 @@ def decompose_supra(net: MultiplexNetwork, w: float, part: Partition) -> CutRepo
     -w sum_{a,b} s_a^T s_b.  The three groups sum to s^T L s exactly."""
     op = build_supra(net, w)
     _check_partition(op, part)
-    n, k = net.n, net.k
+    n, k, w = net.n, net.k, op.coupling
     s = _layer_indicators(part, n, k)
     terms = []
     for a in range(k):
-        lap_a = laplacian(symmetrize(net.layers[a]))
-        terms.append((f"intra_layer_{a}", float(s[a] @ lap_a @ s[a])))
+        terms.append((f"intra_layer_{a}", float(s[a] @ laplacian(op.block(a, a)) @ s[a])))
     terms.append(("coupling_constant", float(k * k * n * w)))
     alignment = float(sum(s[a] @ s[b] for a in range(k) for b in range(k)))
     terms.append(("coupling_alignment", -w * alignment))

@@ -127,7 +127,7 @@ def gen_fixed_sbm_multiplex(
     spec = SbmSpec(blocks=blocks, probs=np.array([[1.0, inter_p], [inter_p, 1.0]]))
     layers = [gen_sbm_layer(spec, seed.spawn("layer", a)) for a in range(k)]
     net = MultiplexNetwork(n=n, k=k, layers=tuple(layers))
-    planted = Partition(labels=np.tile(blocks, k), c=2, domain="copies")
+    planted = Partition(labels=np.tile(blocks, k), c=2)
     return net, planted
 
 
@@ -158,6 +158,6 @@ def gen_overlap_multiplex(
     layer1 = gen_sbm_layer(SbmSpec(blocks1, probs), seed.spawn("layer", 0))
     layer2 = gen_sbm_layer(SbmSpec(blocks2, probs), seed.spawn("layer", 1))
     net = MultiplexNetwork(n=n, k=2, layers=(layer1, layer2))
-    planted1 = Partition(labels=np.tile(blocks1, 2), c=2, domain="copies")
-    planted2 = Partition(labels=np.tile(blocks2, 2), c=2, domain="copies")
+    planted1 = Partition(labels=np.tile(blocks1, 2), c=2)
+    planted2 = Partition(labels=np.tile(blocks2, 2), c=2)
     return net, planted1, planted2

@@ -11,15 +11,13 @@ minus adjacency) are what spectral clustering and cut analysis consume.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 
-from .core import DynamicCoupling, MultiplexNetwork, SupraWeight
+from .core import DynamicCoupling, MultiplexNetwork, check_weights
 from .errors import OperatorError, ParseError
-
-SYMMETRY_RTOL = 1e-12
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -34,7 +32,7 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
     """Graph Laplacian L = D - S of a symmetric matrix, D = diag(row sums)."""
     arr = np.asarray(sym, dtype=float)
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-    if np.abs(arr - arr.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
+    if np.abs(arr - arr.T).max(initial=0.0) > 1e-12 * scale:
         raise OperatorError("laplacian requires a symmetric matrix")
     return np.diag(arr.sum(axis=1)) - arr
 
@@ -43,33 +41,27 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
 class SupraOperator:
     """An nk x nk symmetric operator with its Laplacian and provenance.
 
-    model is "supra" or "dynamic"; coupling holds the SupraWeight or
-    DynamicCoupling it was built from.  Copies are indexed layer-major:
-    copy of node i on layer a sits at a*n + i.
+    model is "supra" or "dynamic"; coupling holds the weight w or the
+    DynamicCoupling it was built from.  The Laplacian is derived here, where
+    `laplacian` rejects a non-symmetric adjacency.  Copies are indexed
+    layer-major: copy of node i on layer a sits at a*n + i.
     """
 
     model: str
     n: int
     k: int
     adjacency: np.ndarray
-    laplacian: np.ndarray
     coupling: object
+    laplacian: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=float)
+        adj = np.array(self.adjacency, dtype=float)
         m = self.n * self.k
         if adj.shape != (m, m):
             raise OperatorError(f"operator must be {m} x {m}, got {adj.shape}")
-        scale = max(1.0, float(np.abs(adj).max(initial=0.0)))
-        if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
-            raise OperatorError("operator matrix drifted from symmetry")
         if np.any(np.diag(adj) != 0):
             raise OperatorError("operator matrix must have zero diagonal")
-        lap = np.asarray(self.laplacian, dtype=float)
-        if np.abs(lap.sum(axis=1)).max(initial=0.0) > 1e-10 * scale:
-            raise OperatorError("Laplacian row sums exceed tolerance")
-        adj = adj.copy()
-        lap = lap.copy()
+        lap = laplacian(adj)
         adj.flags.writeable = False
         lap.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
@@ -93,22 +85,19 @@ class ReducedOperator:
     laplacian: np.ndarray
 
 
-def build_supra(net: MultiplexNetwork, w: float | SupraWeight) -> SupraOperator:
+def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
     """Supra-adjacency operator: symmetrized layers on the diagonal blocks,
     w * I between every pair of distinct layers."""
-    weight = w if isinstance(w, SupraWeight) else SupraWeight(float(w))
+    w = float(check_weights(w, "supra inter-layer weight w"))
     n, k = net.n, net.k
-    m = n * k
-    adj = np.zeros((m, m))
-    eye = np.eye(n) * weight.w
+    adj = np.zeros((n * k, n * k))
+    eye = np.eye(n) * w
     for a in range(k):
         adj[a * n : (a + 1) * n, a * n : (a + 1) * n] = symmetrize(net.layers[a])
         for b in range(k):
             if a != b:
                 adj[a * n : (a + 1) * n, b * n : (b + 1) * n] = eye
-    return SupraOperator(
-        model="supra", n=n, k=k, adjacency=adj, laplacian=laplacian(adj), coupling=weight
-    )
+    return SupraOperator(model="supra", n=n, k=k, adjacency=adj, coupling=w)
 
 
 def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:
@@ -127,15 +116,7 @@ def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOper
             raw[a * n : (a + 1) * n, b * n : (b + 1) * n] = (
                 coupling.diag[a, b][:, None] * net.layers[b]
             )
-    adj = symmetrize(raw)
-    return SupraOperator(
-        model="dynamic",
-        n=n,
-        k=k,
-        adjacency=adj,
-        laplacian=laplacian(adj),
-        coupling=coupling,
-    )
+    return SupraOperator(model="dynamic", n=n, k=k, adjacency=symmetrize(raw), coupling=coupling)
 
 
 def disjoint_operator(net: MultiplexNetwork, model: str) -> SupraOperator:
@@ -204,8 +185,7 @@ def load_coupling(path: str | os.PathLike, n: int, k: int) -> DynamicCoupling:
             raise ParseError(f"line {lineno}: cannot parse coupling line {line!r}")
         if not (0 <= a < k and 0 <= b < k):
             raise ParseError(f"line {lineno}: layer pair ({a}, {b}) out of range [0, {k})")
-        if value < 0:
-            raise ParseError(f"line {lineno}: negative coupling value {value}")
+        check_weights(value, f"line {lineno}")
         if node is None:
             diag[a, b, :] = value
         else:

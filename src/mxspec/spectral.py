@@ -46,7 +46,6 @@ class Partition:
 
     labels: np.ndarray
     c: int
-    domain: str = "copies"
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)

@@ -175,6 +175,16 @@ def test_cluster_with_coupling_file(tmp_path):
     assert "degenerate=1" in meta  # block-diagonal operator is disconnected
 
 
+def test_cluster_rejects_non_finite_supra_weight(tmp_path, capsys):
+    net_path = tmp_path / "net.mpx"
+    run("generate", "--type", "er", "--n", "6", "--k", "2", "--p", "0.5",
+        "--seed", "1", "--out", str(net_path))
+    code = run("cluster", "--input", str(net_path), "--model", "supra",
+               "--supra-weight", "nan", "--out", str(tmp_path / "a.csv"))
+    assert code == 2
+    assert "error[multiplex-core]:" in capsys.readouterr().err
+
+
 def test_cut_rejects_aggregate_model(tmp_path, capsys):
     net_path = tmp_path / "net.mpx"
     run("generate", "--type", "er", "--n", "6", "--k", "2", "--p", "0.5",

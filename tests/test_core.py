@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mxspec.core import (
     DynamicCoupling,
     MultiplexNetwork,
-    SupraWeight,
     flat_index,
     load_network,
     save_network,
@@ -67,12 +66,69 @@ def test_save_one_edge_one_line(tmp_path):
         ("#nodes 2\n#layers 1\n0 0 1 -2.0\n", "negative weight"),
         ("#nodes 2\n0 0 1 1.0\n", "missing"),
         ("#nodes 2\n#layers 1\n0 0 1 abc\n", "cannot parse"),
+        ("#nodes 2\n#layers 1\n0 0 1 nan\n", "line 3: non-finite weight"),
+        ("#nodes 2\n#layers 1\n0 0 1 inf\n", "line 3: non-finite weight"),
+        ("#nodes 2\n#layers 1\n0 0 1 -inf\n", "line 3: non-finite weight"),
+        ("#nodes 2\n#layers 1\n0 0 1 1.0\n0 1 0 1.0\n0 0 1 2.0\n",
+         "line 5: duplicate edge 0 0 1, first given on line 3"),
     ],
 )
 def test_load_errors_name_the_line(tmp_path, text, fragment):
     path = write(tmp_path, text)
     with pytest.raises(ParseError, match=fragment):
         load_network(path)
+
+
+def _line_by_line(edges, n, k):
+    """Reference parser: check each edge line in file order; return the
+    first error message, or the layers when every line is valid."""
+    mats = np.zeros((k, n, n))
+    first_line = {}
+    for lineno, (a, j, i, w) in enumerate(edges, start=3):
+        if not 0 <= a < k:
+            return f"line {lineno}: layer {a} out of range [0, {k})"
+        if not (0 <= j < n and 0 <= i < n):
+            return f"line {lineno}: node index out of range [0, {n})"
+        if j == i:
+            return f"line {lineno}: self-loop on node {j}"
+        if not np.isfinite(w):
+            return f"line {lineno}: non-finite weight {w}"
+        if w < 0:
+            return f"line {lineno}: negative weight {w}"
+        if (a, j, i) in first_line:
+            return (f"line {lineno}: duplicate edge {a} {j} {i}, "
+                    f"first given on line {first_line[a, j, i]}")
+        first_line[a, j, i] = lineno
+        mats[a, i, j] = w
+    return mats
+
+
+def test_load_matches_line_by_line_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "net.mpx"
+    outcomes = set()
+    for _ in range(300):
+        n, k = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        edges = []
+        for _ in range(int(rng.integers(1, 6))):
+            # mostly valid indices; now and then one pushed out of range
+            a, j, i = rng.integers(0, [k, n, n]) + (rng.random(3) < 0.05) * [k, n, n]
+            w = rng.choice([1.0, 2.5, -1.0, np.nan, np.inf, -np.inf],
+                           p=[0.45, 0.45, 0.025, 0.025, 0.025, 0.025])
+            edges.append((int(a), int(j), int(i), float(w)))
+        path.write_text(f"#nodes {n}\n#layers {k}\n"
+                        + "".join(f"{a} {j} {i} {w!r}\n" for a, j, i, w in edges))
+        expected = _line_by_line(edges, n, k)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as exc:
+                load_network(path)
+            assert exc.value.message == expected
+            outcomes.add(expected.split(": ", 1)[1].split()[0])
+        else:
+            np.testing.assert_array_equal(np.stack(load_network(path).layers), expected)
+            outcomes.add("valid")
+    assert outcomes == {"layer", "node", "self-loop", "non-finite", "negative",
+                        "duplicate", "valid"}
 
 
 def test_round_trip_exact_over_random_networks(tmp_path):
@@ -146,8 +202,6 @@ def test_network_is_immutable():
 
 
 def test_coupling_config_validation():
-    with pytest.raises(ParseError):
-        SupraWeight(-0.5)
     with pytest.raises(ParseError):
         DynamicCoupling(-np.ones((2, 2, 3)))
     coupling = DynamicCoupling.identity(3, 2)

@@ -5,6 +5,7 @@ from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.errors import OperatorError, ParseError
 from mxspec.generators import RngSeed, gen_er_multiplex
 from mxspec.operators import (
+    SupraOperator,
     build_dynamic,
     build_supra,
     connected_components,
@@ -59,6 +60,22 @@ def test_laplacian_annihilates_ones_vector():
 def test_laplacian_rejects_asymmetric():
     with pytest.raises(OperatorError):
         laplacian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_supra_operator_derives_its_laplacian():
+    adj = symmetrize(np.random.default_rng(7).random((4, 4)))
+    np.fill_diagonal(adj, 0.0)
+    op = SupraOperator(model="supra", n=2, k=2, adjacency=adj, coupling=1.0)
+    np.testing.assert_array_equal(op.laplacian, laplacian(adj))
+    with pytest.raises(ValueError):
+        op.laplacian[0, 0] = 5.0
+    asymmetric = adj.copy()
+    asymmetric[0, 1] += 1.0
+    with pytest.raises(OperatorError):
+        SupraOperator(model="supra", n=2, k=2, adjacency=asymmetric, coupling=1.0)
+    with pytest.raises(TypeError):
+        SupraOperator(model="supra", n=2, k=2, adjacency=adj, coupling=1.0,
+                      laplacian=laplacian(adj))
 
 
 def test_build_supra_example():
@@ -331,6 +348,9 @@ def test_load_coupling_errors(tmp_path):
     for text, fragment in [
         ("0 5 1.0\n", "out of range"),
         ("0 1 -2.0\n", "negative"),
+        ("0 1 nan\n", "line 1: non-finite weight"),
+        ("0 1 inf\n", "line 1: non-finite weight"),
+        ("0 1 2 -inf\n", "line 1: non-finite weight"),
         ("0 1\n", "fields"),
         ("0 1 9 1.0\n", "node 9"),
     ]:
