@@ -176,8 +176,8 @@ def _cmd_cluster(args) -> int:
         lap = _build_operator(args, net).laplacian
         lift = False
     if args.clusters == 2:
-        part, fiedler_value, degenerate = fiedler_bipartition(lap)
         system = eig_sym(lap)
+        part, fiedler_value, degenerate = fiedler_bipartition(lap, system)
         multiplicity = int(np.sum(
             np.abs(system.eigenvalues - fiedler_value) <= system.zero_tolerance
         ))

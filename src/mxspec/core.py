@@ -18,6 +18,7 @@ All indices 0-based.  Unlisted entries are zero; weights are finite and
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +37,30 @@ def check_weights(values, what: str) -> np.ndarray:
     if (arr < 0).any():
         raise ParseError(f"{what}: negative weight {arr[arr < 0].flat[0]}")
     return arr
+
+
+def zeros(shape: tuple, what: str, error=ParseError) -> np.ndarray:
+    """np.zeros(shape); `error` stating the shape when the array cannot be
+    allocated (a size from a file header can exceed any memory)."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index can address
+        dims = " x ".join(str(d) for d in shape)
+        gib = 8 * math.prod(shape) / 2**30
+        raise error(f"{what}: cannot allocate a {dims} float64 array ({gib:.3g} GiB)") from exc
+
+
+def read_lines(path) -> list:
+    """Lines of a UTF-8 text file; ParseError naming the file when it cannot
+    be read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte 0x{byte:02x})") from exc
 
 
 @dataclass(frozen=True)
@@ -159,13 +184,7 @@ def _read_layers(path) -> tuple[int, int, np.ndarray]:
     n = None
     k = None
     layers, srcs, dsts, weights, linenos = [], [], [], [], []  # untracked by the GC, unlike tuples
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -201,7 +220,7 @@ def _read_layers(path) -> tuple[int, int, np.ndarray]:
     if n is None or k is None:
         raise ParseError("missing #nodes or #layers header")
 
-    mats = np.zeros((k, n, n))
+    mats = zeros((k, n, n), f"{path}: layer stack (#layers x #nodes x #nodes)")
     if not linenos:
         return n, k, mats
     layer, src, dst, weight = (np.array(col) for col in (layers, srcs, dsts, weights))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
-from .core import DynamicCoupling, MultiplexNetwork, check_weights
+from .core import DynamicCoupling, MultiplexNetwork, check_weights, read_lines, zeros
 from .errors import OperatorError, ParseError
 
 
@@ -90,7 +90,7 @@ def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
     w * I between every pair of distinct layers."""
     w = float(check_weights(w, "supra inter-layer weight w"))
     n, k = net.n, net.k
-    adj = np.zeros((n * k, n * k))
+    adj = zeros((n * k, n * k), "supra operator", OperatorError)
     eye = np.eye(n) * w
     for a in range(k):
         adj[a * n : (a + 1) * n, a * n : (a + 1) * n] = symmetrize(net.layers[a])
@@ -109,7 +109,7 @@ def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOper
         raise OperatorError(
             f"coupling shaped {coupling.diag.shape} does not match network (k={k}, n={n})"
         )
-    raw = np.zeros((n * k, n * k))
+    raw = zeros((n * k, n * k), "dynamic operator", OperatorError)
     for a in range(k):
         for b in range(k):
             # diagonal C^{a,b} times A^b scales rows of A^b
@@ -163,12 +163,7 @@ def load_coupling(path: str | os.PathLike, n: int, k: int) -> DynamicCoupling:
     Comment lines start with ``%``.
     """
     diag = np.ones((k, k, n))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue

@@ -74,19 +74,22 @@ class Partition:
 def eig_sym(mat: np.ndarray) -> EigenSystem:
     """Dense symmetric eigendecomposition with deterministic sign fixing:
     each eigenvector is flipped so its first entry of magnitude > 1e-12 is
-    positive."""
+    positive (a column with no such entry is left as it is).
+
+    An exactly symmetric input goes to LAPACK as it is; one that is
+    symmetric only within 1e-10 is replaced by (M + M^T) / 2 first."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SpectralError(f"expected a square matrix, got shape {arr.shape}")
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-    if np.abs(arr - arr.T).max(initial=0.0) > 1e-10 * scale:
+    asymmetry = np.abs(arr - arr.T).max(initial=0.0)
+    if asymmetry > 1e-10 * scale:
         raise SpectralError("matrix is not symmetric within 1e-10")
-    values, vectors = np.linalg.eigh(0.5 * (arr + arr.T))
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        nonzero = np.nonzero(np.abs(v) > ZERO_ENTRY_TOL)[0]
-        if nonzero.size and v[nonzero[0]] < 0:
-            vectors[:, col] = -v
+    values, vectors = np.linalg.eigh(arr if asymmetry == 0 else 0.5 * (arr + arr.T))
+    first = ((vectors > ZERO_ENTRY_TOL) | (vectors < -ZERO_ENTRY_TOL)).argmax(axis=0)
+    # argmax is row 0 in a column with no such entry, and |v_0| <= 1e-12 there
+    leading = vectors[first, np.arange(vectors.shape[1])]
+    vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
     lam_max = float(values[-1]) if values.size else 0.0
     tol = 1e-8 * max(1.0, abs(lam_max))
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
@@ -104,7 +107,9 @@ def _component_bipartition(lap: np.ndarray) -> Partition:
     return Partition(labels=labels, c=2)
 
 
-def fiedler_bipartition(lap: np.ndarray) -> tuple[Partition, float, bool]:
+def fiedler_bipartition(
+    lap: np.ndarray, system: EigenSystem | None = None
+) -> tuple[Partition, float, bool]:
     """Bipartition by the eigenvector of the smallest above-zero eigenvalue.
 
     Returns (partition, fiedler_value, degenerate).  Entries with
@@ -112,11 +117,16 @@ def fiedler_bipartition(lap: np.ndarray) -> tuple[Partition, float, bool]:
     eigenvalue is multiple the operator is disconnected: degenerate is True
     and the partition separates connected components instead of relying on
     an arbitrary nullspace basis.
+
+    `system` is an already computed `eig_sym(lap)`, for a caller that also
+    reads the spectrum; it is trusted to belong to `lap`.  When omitted,
+    the decomposition is computed here.
     """
     arr = np.asarray(lap, dtype=float)
     if arr.shape[0] < 2:
         raise SpectralError("bipartition needs a matrix of size >= 2")
-    system = eig_sym(arr)
+    if system is None:
+        system = eig_sym(arr)
     above = np.nonzero(system.eigenvalues > system.zero_tolerance)[0]
     degenerate = system.zero_multiplicity > 1
     fiedler_value = float(system.eigenvalues[above[0]]) if above.size else 0.0

@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from mxspec import experiments
+from mxspec import cli, experiments, spectral
 from mxspec.cli import main
-from mxspec.core import load_network
+from mxspec.core import DynamicCoupling, load_network
+from mxspec.operators import build_dynamic, build_supra, reduce_indivisible
 
 
 def run(*argv):
@@ -183,6 +184,71 @@ def test_cluster_rejects_non_finite_supra_weight(tmp_path, capsys):
                "--supra-weight", "nan", "--out", str(tmp_path / "a.csv"))
     assert code == 2
     assert "error[multiplex-core]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic", "aggregate"])
+def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
+    net_path = tmp_path / "net.mpx"
+    assert run("generate", "--type", "sbm-fixed", "--n", "10", "--k", "3",
+               "--p", "0.2", "--seed", "3", "--out", str(net_path)) == 0
+    net = load_network(net_path)
+    if model == "supra":
+        lap = build_supra(net, 1.5).laplacian
+    elif model == "dynamic":
+        lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
+    else:
+        lap = reduce_indivisible(build_supra(net, 0.0)).laplacian
+    # the metadata line as built from two separate decompositions
+    part, fiedler_value, degenerate = spectral.fiedler_bipartition(lap)
+    system = spectral.eig_sym(lap)
+    multiplicity = int(np.sum(
+        np.abs(system.eigenvalues - fiedler_value) <= system.zero_tolerance))
+    expected = (f"% fiedler_value={fiedler_value!r} degenerate={int(degenerate)} "
+                f"fiedler_multiplicity={multiplicity}")
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "eig_sym", counted(spectral.eig_sym))
+    monkeypatch.setattr(cli, "eig_sym", counted(cli.eig_sym))
+    out = tmp_path / "a.csv"
+    assert run("cluster", "--input", str(net_path), "--model", model,
+               "--supra-weight", "1.5", "--clusters", "2", "--seed", "3",
+               "--out", str(out)) == 0
+    assert calls == [lap.shape]
+    lines = out.read_text().splitlines()
+    assert lines[0] == expected
+    labels = [int(row.split(",")[-1]) for row in lines[2:]]
+    lifted = np.tile(part.labels, net.k) if model == "aggregate" else part.labels
+    assert labels == lifted.tolist()
+
+
+def test_cluster_rejects_undecodable_input(tmp_path, capsys):
+    net_path = tmp_path / "net.mpx"
+    net_path.write_bytes(b"#nodes 3\n#layers 1\n0 0 1 1.\xff\n")
+    code = run("cluster", "--input", str(net_path), "--model", "supra",
+               "--out", str(tmp_path / "a.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error[multiplex-core]: cannot read {net_path}: not UTF-8 text (byte 0xff)\n")
+
+
+def test_cluster_rejects_header_too_large_to_allocate(tmp_path, capsys):
+    net_path = tmp_path / "net.mpx"
+    net_path.write_text("#nodes 10000000\n#layers 1000\n")
+    code = run("cluster", "--input", str(net_path), "--model", "supra",
+               "--out", str(tmp_path / "a.csv"))
+    assert code == 2
+    # 8 * 1000 * 10^7 * 10^7 bytes exceeds any address space, so the
+    # allocation fails at once
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[multiplex-core]: {net_path}: layer stack")
+    assert "cannot allocate a 1000 x 10000000 x 10000000 float64 array" in err
 
 
 def test_cut_rejects_aggregate_model(tmp_path, capsys):

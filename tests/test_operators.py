@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,18 @@ def test_supra_layer_split_eigenvalue_is_k_times_w():
             lap = build_supra(net, w).laplacian
             np.testing.assert_allclose(lap @ vec, k * w * vec,
                                        atol=1e-10 * np.abs(lap).max())
+
+
+@pytest.mark.parametrize("n, k", [(10**5, 100), (10**7, 1000)])
+def test_build_rejects_operator_too_large_to_allocate(n, k):
+    # stand-ins with only the sizes: the nk x nk allocation fails before any
+    # layer is read (10^14 doubles exceed the address space, 10^20 an index)
+    net = SimpleNamespace(n=n, k=k, layers=())
+    shape = f"{n * k} x {n * k}"
+    with pytest.raises(OperatorError, match=f"supra operator: cannot allocate a {shape}"):
+        build_supra(net, 1.0)
+    with pytest.raises(OperatorError, match=f"dynamic operator: cannot allocate a {shape}"):
+        build_dynamic(net, SimpleNamespace(n=n, k=k))
 
 
 def test_build_dynamic_example():
@@ -358,3 +372,6 @@ def test_load_coupling_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ParseError, match=fragment):
             load_coupling(path, n=3, k=2)
+    path.write_bytes(b"0 1 0.\xff\n")
+    with pytest.raises(ParseError, match=r"bad\.cpl: not UTF-8 text \(byte 0xff\)"):
+        load_coupling(path, n=3, k=2)

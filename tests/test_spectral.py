@@ -67,6 +67,48 @@ def test_eig_sym_ascending_and_sign_normalized():
         assert first > 0
 
 
+def _eig_sym_reference(mat):
+    """The decomposition eig_sym must reproduce bit for bit: always
+    symmetrize, then fix signs one column at a time."""
+    values, vectors = np.linalg.eigh(0.5 * (mat + mat.T))
+    for col in range(vectors.shape[1]):
+        v = vectors[:, col]
+        nonzero = np.nonzero(np.abs(v) > 1e-12)[0]
+        if nonzero.size and v[nonzero[0]] < 0:
+            vectors[:, col] = -v
+    return values, vectors
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 7, 60, 150):
+        mat = rng.standard_normal((m, m))
+        yield f"random-{m}", 0.5 * (mat + mat.T)
+    lap, _ = block_clique_laplacian([4, 3, 6, 5], bridges=[(0, 4)])
+    yield "block-cliques", lap
+    weights = np.triu(rng.random((40, 40)) * (rng.random((40, 40)) < 0.3), 1)
+    weights[:20, 20:] = 0.0  # two diagonal blocks
+    yield "block-weighted", laplacian(weights + weights.T)
+    yield "zero", np.zeros((5, 5))
+    mat = rng.standard_normal((30, 30))
+    near = 0.5 * (mat + mat.T)
+    near[3, 17] += 5e-11  # inside the 1e-10 tolerance, so eig_sym symmetrizes
+    yield "near-symmetric", near
+
+
+def test_eig_sym_bitwise_equals_reference():
+    leading_zero_columns = 0
+    for name, mat in _bitwise_cases():
+        values, vectors = _eig_sym_reference(mat)
+        system = eig_sym(mat)
+        assert np.array_equal(system.eigenvalues, values), name
+        assert np.array_equal(system.eigenvectors, vectors), name
+        if name.startswith("block"):
+            leading_zero_columns += int(np.sum(np.abs(vectors[0]) <= 1e-12))
+    # the block cases exercise columns whose first nonzero entry is not in row 0
+    assert leading_zero_columns > 0
+
+
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(SpectralError):
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))

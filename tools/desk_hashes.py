@@ -1,0 +1,77 @@
+"""SHA-256 of the five desk-scale experiment CSVs, the byte-identity check
+for a change that claims to leave results alone.
+
+Runs ``mxspec experiment <name> --seed 1 --jobs 2`` for every experiment
+into a temporary directory, with the package taken from this checkout's
+``src/``, and prints one ``<name> <sha256>`` line per CSV.  BLAS thread
+settings in the environment are passed on unchanged: the ``er`` CSV
+depends on them while a repeated Fiedler eigenvalue leaves the eigenbasis
+to LAPACK, so compare runs made with the same settings.
+
+    python3 tools/desk_hashes.py                                  # print
+    python3 tools/desk_hashes.py --expect tools/desk_hashes.txt   # check
+
+With ``--expect FILE`` (lines ``<name> <sha256>``; blank lines and lines
+starting with ``#`` are skipped) it exits 1 when any hash differs or any
+name is missing on either side, and names each mismatch on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+EXPERIMENTS = ("er", "fixed-sbm", "overlap", "overlap-supra", "overlap-kway")
+
+
+def desk_hashes() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("MXSPEC_SEED", None)
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in EXPERIMENTS:
+            out = Path(tmp) / f"{name}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "mxspec.cli", "experiment", name,
+                 "--seed", "1", "--jobs", "2", "--out", str(out)],
+                env=env, check=True)
+            hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return hashes
+
+
+def read_expected(path) -> dict:
+    expected = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, digest = line.split()
+            expected[name] = digest
+    return expected
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", default=None, help="file of expected '<name> <sha256>' lines")
+    args = parser.parse_args(argv)
+    expected = read_expected(args.expect) if args.expect else None
+    hashes = desk_hashes()
+    for name, digest in hashes.items():
+        print(name, digest)
+    if expected is None:
+        return 0
+    mismatched = [name for name in sorted(set(hashes) | set(expected))
+                  if hashes.get(name) != expected.get(name)]
+    for name in mismatched:
+        print(f"mismatch: {name}: expected {expected.get(name)}, got {hashes.get(name)}",
+              file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
