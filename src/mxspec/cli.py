@@ -176,11 +176,12 @@ def _cmd_cluster(args) -> int:
         lap = _build_operator(args, net).laplacian
         lift = False
     if args.clusters == 2:
-        system = eig_sym(lap)
+        system = eig_sym(lap, 2)
         part, fiedler_value, degenerate = fiedler_bipartition(lap, system)
-        multiplicity = int(np.sum(
-            np.abs(system.eigenvalues - fiedler_value) <= system.zero_tolerance
-        ))
+        multiplicity = system.fiedler_multiplicity
+        if multiplicity is None:
+            # disconnected, and the Fiedler eigenspace runs past the subset
+            multiplicity = eig_sym(lap).fiedler_multiplicity
         meta = (f"% fiedler_value={fiedler_value!r} degenerate={int(degenerate)} "
                 f"fiedler_multiplicity={multiplicity}")
     else:

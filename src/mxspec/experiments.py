@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import itertools
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .core import DynamicCoupling
 from .errors import ExperimentError
@@ -262,7 +265,7 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
                 tasks.append((experiment, params, instance,
                               instance_seed(seed, experiment, params, instance)))
     if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_single_thread_blas) as pool:
             metric_lists = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         metric_lists = [_run_task(task) for task in tasks]
@@ -270,6 +273,21 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
             for (_, params, instance, task_seed), metrics in zip(tasks, metric_lists)
             for metric, value in metrics]
     return SweepResult(experiment=experiment, param_names=spec.params, rows=rows)
+
+
+def _single_thread_blas() -> None:
+    """Run the OpenBLAS that numpy and scipy each bundle at one thread in
+    this process.  Sweep workers call it first, so that `jobs` workers do
+    not each start a BLAS thread per core.  A build without these
+    libraries or their symbols is left as it is."""
+    for module, symbol in ((np, "scipy_openblas_set_num_threads64_"),
+                           (scipy, "scipy_openblas_set_num_threads")):
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for path in libs.glob("libscipy_openblas*"):
+            with contextlib.suppress(OSError, AttributeError):
+                set_threads = getattr(ctypes.CDLL(str(path)), symbol)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
 
 
 def _operator(net, params: dict):

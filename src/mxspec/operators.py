@@ -21,20 +21,39 @@ from .errors import OperatorError, ParseError
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Return (M + M^T) / 2."""
+    """Return (M + M^T) / 2.  A sum past the float range is left as inf,
+    for `laplacian` or `reduce_indivisible` to reject."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise OperatorError(f"cannot symmetrize non-square matrix of shape {arr.shape}")
-    return 0.5 * (arr + arr.T)
+    with np.errstate(over="ignore"):
+        return 0.5 * (arr + arr.T)
+
+
+def _check_bounded(row_sums: np.ndarray, what: str) -> None:
+    """OperatorError unless every row of |L| sums (`row_sums`, or a bound
+    on them) within the float range.  Then every entry of L is finite, and
+    so is the Gershgorin bound on its eigenvalues that eig_sym takes its
+    zero tolerance from."""
+    if not np.isfinite(row_sums).all():
+        raise OperatorError(f"{what}: the weights sum past the float range")
 
 
 def laplacian(sym: np.ndarray) -> np.ndarray:
-    """Graph Laplacian L = D - S of a symmetric matrix, D = diag(row sums)."""
+    """Graph Laplacian L = D - S of a symmetric matrix, D = diag(row sums).
+    Every operator's Laplacian is made here, and rejected here when a
+    weight or a sum of weights is past the float range."""
     arr = np.asarray(sym, dtype=float)
-    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-    if np.abs(arr - arr.T).max(initial=0.0) > 1e-12 * scale:
-        raise OperatorError("laplacian requires a symmetric matrix")
-    return np.diag(arr.sum(axis=1)) - arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.abs(arr)
+        scale = max(1.0, float(magnitude.max(initial=0.0)))
+        degree = arr.sum(axis=1)
+        # |D - S| sums to at most |degree| + sum |S| along each row
+        _check_bounded(np.abs(degree) + magnitude.sum(axis=1), "operator Laplacian")
+        del magnitude
+        if np.abs(arr - arr.T).max(initial=0.0) > 1e-12 * scale:
+            raise OperatorError("laplacian requires a symmetric matrix")
+    return np.diag(degree) - arr
 
 
 @dataclass(frozen=True)
@@ -138,10 +157,12 @@ def reduce_indivisible(op: SupraOperator) -> ReducedOperator:
     n, k = op.n, op.k
     lap = op.laplacian
     reduced = np.zeros((n, n))
-    for a in range(k):
-        for b in range(k):
-            reduced += lap[a * n : (a + 1) * n, b * n : (b + 1) * n]
-    reduced = symmetrize(reduced)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(k):
+            for b in range(k):
+                reduced += lap[a * n : (a + 1) * n, b * n : (b + 1) * n]
+        reduced = symmetrize(reduced)
+        _check_bounded(np.abs(reduced).sum(axis=1), "aggregate Laplacian")
     agg = -reduced.copy()
     np.fill_diagonal(agg, 0.0)
     return ReducedOperator(adjacency=agg, laplacian=reduced)

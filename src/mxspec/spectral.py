@@ -5,11 +5,17 @@ smallest eigenvalue above a relative zero threshold (the Fiedler vector);
 c-way clustering embeds each row into the first c eigenvectors (trivial one
 included) and runs seeded Lloyd k-means with k-means++ initialization.
 
+Both read only the lowest eigenpairs, which `eig_sym(mat, count)` computes
+without the rest of the spectrum.
+
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
 solver-arbitrary, so the bipartition falls back to connected components
 (component of index 0 vs the rest), which is deterministic and cuts no
-edges.
+edges.  A repeated Fiedler eigenvalue (the supra layer-split value k*w
+has multiplicity k-1) is solver-arbitrary in the same way, so the split
+then follows the projection P e_a of the first copy a onto that
+eigenspace, which does not depend on the basis LAPACK returns.
 """
 
 from __future__ import annotations
@@ -17,18 +23,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SpectralError
 
 ZERO_ENTRY_TOL = 1e-12
+# eigenpairs a subset solve computes at the least, so that a repeated
+# Fiedler eigenvalue of a few-layer supra operator fits without a full solve
+SUBSET_MIN = 8
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Full decomposition: ascending eigenvalues, orthonormal eigenvector
-    columns, and the relative threshold below which an eigenvalue counts
-    as zero."""
+    """The lowest eigenpairs (all of them after a full solve): ascending
+    eigenvalues, orthonormal eigenvector columns, and the threshold below
+    which an eigenvalue counts as zero.  Two eigenvalues within that
+    threshold of each other count as one repeated eigenvalue."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -37,6 +48,26 @@ class EigenSystem:
     @property
     def zero_multiplicity(self) -> int:
         return int(np.sum(self.eigenvalues <= self.zero_tolerance))
+
+    @property
+    def fiedler_value(self) -> float:
+        """The smallest eigenvalue above zero, or 0.0 when there is none."""
+        above = self.eigenvalues[self.eigenvalues > self.zero_tolerance]
+        return float(above[0]) if above.size else 0.0
+
+    def fiedler_mask(self) -> np.ndarray:
+        """Which of the eigenvalues equal the Fiedler value."""
+        with np.errstate(over="ignore"):  # a difference past the float range is no match
+            return np.abs(self.eigenvalues - self.fiedler_value) <= self.zero_tolerance
+
+    @property
+    def fiedler_multiplicity(self) -> int | None:
+        """Multiplicity of the Fiedler value, or None when a subset ends
+        inside its eigenspace, so that the rest of it was not computed."""
+        mask = self.fiedler_mask()
+        if mask[-1] and self.eigenvalues.size < self.eigenvectors.shape[0]:
+            return None
+        return int(mask.sum())
 
 
 @dataclass(frozen=True)
@@ -71,27 +102,58 @@ class Partition:
         return np.where(self.labels == 0, 1.0, -1.0)
 
 
-def eig_sym(mat: np.ndarray) -> EigenSystem:
+def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     """Dense symmetric eigendecomposition with deterministic sign fixing:
     each eigenvector is flipped so its first entry of magnitude > 1e-12 is
     positive (a column with no such entry is left as it is).
 
-    An exactly symmetric input goes to LAPACK as it is; one that is
-    symmetric only within 1e-10 is replaced by (M + M^T) / 2 first."""
+    With `count` None, the full spectrum (`np.linalg.eigh`).  With a
+    `count`, only the lowest max(count, SUBSET_MIN) eigenpairs, from one
+    subset solve (LAPACK's MRRR driver); when the last of them still
+    equals eigenvalue count-1, the subset may end inside that eigenspace,
+    and the full spectrum is solved instead.  So the eigenspace of every
+    returned eigenvalue up to index count-1 is always returned whole.
+
+    An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
+    bounds every eigenvalue's magnitude (Gershgorin).  An exactly
+    symmetric input goes to LAPACK as it is; one that is symmetric only
+    within 1e-10 is replaced by (M + M^T) / 2 first.  A LAPACK failure
+    raises SpectralError."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SpectralError(f"expected a square matrix, got shape {arr.shape}")
-    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
+    if count is not None and count < 1:
+        raise SpectralError(f"eigenpair count must be >= 1, got {count}")
+    magnitude = np.abs(arr)
+    scale = max(1.0, float(magnitude.max(initial=0.0)))
+    norm = float(magnitude.sum(axis=1).max(initial=0.0))
+    del magnitude
+    if not np.isfinite(norm):
+        raise SpectralError("matrix has a non-finite entry or row sum")
+    tol = 1e-8 * max(1.0, norm)
     asymmetry = np.abs(arr - arr.T).max(initial=0.0)
     if asymmetry > 1e-10 * scale:
         raise SpectralError("matrix is not symmetric within 1e-10")
-    values, vectors = np.linalg.eigh(arr if asymmetry == 0 else 0.5 * (arr + arr.T))
+    sym = arr if asymmetry == 0 else 0.5 * (arr + arr.T)
+    values = None
+    size = max(count or 1, SUBSET_MIN)
+    try:
+        if count is not None and size < arr.shape[0]:
+            values, vectors = linalg.eigh(
+                sym, driver="evr", subset_by_index=[0, size - 1], check_finite=False)
+            if values[-1] - values[count - 1] <= tol:
+                values = None  # eigenvalue count-1 may repeat past the subset
+        if values is None:
+            values, vectors = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK can fail on finite matrices of norm near the float range
+        raise SpectralError(f"eigensolver failed on a matrix of norm {norm:.3g}: {exc}") from exc
+    if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+        raise SpectralError(f"eigensolver returned non-finite eigenpairs (norm {norm:.3g})")
     first = ((vectors > ZERO_ENTRY_TOL) | (vectors < -ZERO_ENTRY_TOL)).argmax(axis=0)
     # argmax is row 0 in a column with no such entry, and |v_0| <= 1e-12 there
     leading = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
-    lam_max = float(values[-1]) if values.size else 0.0
-    tol = 1e-8 * max(1.0, abs(lam_max))
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
 
 
@@ -116,23 +178,28 @@ def fiedler_bipartition(
     |v_i| <= 1e-12 join the positive cluster (label 0).  When the zero
     eigenvalue is multiple the operator is disconnected: degenerate is True
     and the partition separates connected components instead of relying on
-    an arbitrary nullspace basis.
+    an arbitrary nullspace basis.  When the Fiedler value is repeated, v is
+    P e_a: the projection onto its eigenspace of the first index a that the
+    eigenspace reaches, which is the same for every basis of it.
 
-    `system` is an already computed `eig_sym(lap)`, for a caller that also
-    reads the spectrum; it is trusted to belong to `lap`.  When omitted,
-    the decomposition is computed here.
+    `system` is an already computed `eig_sym(lap, 2)` (or a larger count),
+    for a caller that also reads the spectrum; it is trusted to belong to
+    `lap`.  When omitted, the decomposition is computed here.
     """
     arr = np.asarray(lap, dtype=float)
     if arr.shape[0] < 2:
         raise SpectralError("bipartition needs a matrix of size >= 2")
     if system is None:
-        system = eig_sym(arr)
-    above = np.nonzero(system.eigenvalues > system.zero_tolerance)[0]
-    degenerate = system.zero_multiplicity > 1
-    fiedler_value = float(system.eigenvalues[above[0]]) if above.size else 0.0
-    if degenerate:
+        system = eig_sym(arr, 2)
+    fiedler_value = system.fiedler_value
+    if system.zero_multiplicity > 1:
         return _component_bipartition(arr), fiedler_value, True
-    vec = system.eigenvectors[:, above[0]]
+    basis = system.eigenvectors[:, system.fiedler_mask()]
+    if basis.shape[1] == 1:
+        vec = basis[:, 0]
+    else:
+        anchor = int(np.argmax(np.linalg.norm(basis, axis=1) > ZERO_ENTRY_TOL))
+        vec = basis @ basis[anchor]
     labels = (vec < -ZERO_ENTRY_TOL).astype(int)
     return Partition(labels=labels, c=2), fiedler_value, False
 
@@ -195,7 +262,7 @@ def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
         raise SpectralError(f"cluster count must be >= 2, got {c}")
     if c > m:
         raise SpectralError(f"cannot form {c} clusters from {m} elements")
-    system = eig_sym(arr)
+    system = eig_sym(arr, c)
     points = np.ascontiguousarray(system.eigenvectors[:, :c])
     best_labels, best_wcss = None, np.inf
     for restart in range(10):

@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mxspec import cli, experiments, spectral
 from mxspec.cli import main
-from mxspec.core import DynamicCoupling, load_network
+from mxspec.core import DynamicCoupling, MultiplexNetwork, load_network, save_network
 from mxspec.operators import build_dynamic, build_supra, reduce_indivisible
 
 
@@ -313,3 +319,60 @@ def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
         assert run(*argv, *(["--full"] if full else [])) == 0
         assert len(calls) == len(set(calls)) == points, model
         assert {experiment for experiment, _, _ in calls} == {name}
+
+
+MAX_FLOAT = 1.7976931348623157e308
+finite_weights = st.one_of(
+    st.floats(min_value=0.0, max_value=MAX_FLOAT, allow_subnormal=True),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308, MAX_FLOAT]),
+)
+
+
+def _cluster_stderr(net_path, out_path, *argv):
+    """Exit code and stderr of one in-process `mxspec cluster` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("cluster", "--input", str(net_path), "--out", str(out_path), *argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3))
+                       .filter(lambda e: e[1] != e[2]),
+                       finite_weights, max_size=12))
+@example({(0, 0, 1): MAX_FLOAT, (0, 1, 0): MAX_FLOAT})  # overflows when symmetrized
+@example({(0, 0, 1): MAX_FLOAT, (1, 0, 1): MAX_FLOAT, (0, 2, 3): 1.0})  # and when aggregated
+@example({(0, 0, 1): 5e-324, (1, 2, 3): 5e-324})
+@example({(0, 0, 1): 3.711372869091581e16, (0, 1, 3): 4.029622389133728e307,
+          (0, 2, 0): 4.029622389133728e307})  # finite, but LAPACK does not converge
+def test_cluster_extreme_finite_weights_round_trip_and_never_crash(edges):
+    layers = np.zeros((2, 4, 4))
+    for (a, src, dst), weight in edges.items():
+        layers[a, dst, src] = weight
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path, out = Path(tmp) / "net.mpx", Path(tmp) / "a.csv"
+        save_network(MultiplexNetwork(n=4, k=2, layers=tuple(layers)), net_path)
+        loaded = load_network(net_path)
+        assert np.array_equal(np.stack(loaded.layers), layers)  # exact, subnormals too
+        for model in ("supra", "dynamic", "aggregate"):
+            for clusters in ("2", "3"):
+                code, err = _cluster_stderr(net_path, out, "--model", model,
+                                            "--clusters", clusters)
+                # a weight sum past the float range is rejected where the operator
+                # is built, and a LAPACK failure on a huge norm where it is solved
+                assert (code, err) == (0, "") or (code == 2 and err.startswith(
+                    ("error[operators]:", "error[spectral-engine]:"))), (model, err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e309", "-1e400"]),
+       st.integers(1, 2))
+def test_non_finite_weight_rejected_when_parsed(token, line):
+    edges = ["0 0 1 1.0", "1 2 3 2.5"]
+    edges[line - 1] = edges[line - 1].rsplit(" ", 1)[0] + " " + token
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path = Path(tmp) / "net.mpx"
+        net_path.write_text("#nodes 4\n#layers 2\n" + "\n".join(edges) + "\n")
+        code, err = _cluster_stderr(net_path, Path(tmp) / "a.csv", "--model", "supra")
+    assert code == 2
+    assert err.startswith(f"error[multiplex-core]: line {line + 2}: non-finite weight"), err

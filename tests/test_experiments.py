@@ -1,6 +1,15 @@
+import ctypes
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
+from mxspec import experiments
 from mxspec.errors import ExperimentError
 from mxspec.experiments import (
     InstanceRow,
@@ -135,6 +144,47 @@ def test_sweep_determinism_and_jobs():
     assert a.rows == c.rows
     d = tiny_er(seed=124)
     assert a.rows != d.rows
+
+
+def _blas_thread_counts() -> list:
+    """Thread count of each bundled OpenBLAS of numpy and scipy."""
+    counts = []
+    for module, symbol in ((np, "scipy_openblas_get_num_threads64_"),
+                           (scipy, "scipy_openblas_get_num_threads")):
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for path in libs.glob("libscipy_openblas*"):
+            get_threads = getattr(ctypes.CDLL(str(path)), symbol)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            counts.append(get_threads())
+    return counts
+
+
+def test_sweep_workers_run_blas_at_one_thread(monkeypatch):
+    before = _blas_thread_counts()
+    if not before:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    initializers = []
+
+    def recording(*args, **kwargs):
+        initializers.append(kwargs.get("initializer"))
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording)
+    assert tiny_er(jobs=2).rows == tiny_er(jobs=1).rows
+    assert initializers == [experiments._single_thread_blas]
+    with ProcessPoolExecutor(1, initializer=experiments._single_thread_blas) as pool:
+        assert pool.submit(_blas_thread_counts).result() == [1] * len(before)
+    # the calling process keeps its own setting
+    assert _blas_thread_counts() == before
+
+
+def test_import_sets_no_environment_variable():
+    probe = ("import os; before = dict(os.environ); import mxspec, mxspec.cli; "
+             "print(dict(os.environ) == before)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "True"
 
 
 def test_rows_recomputable_from_seed_and_params():

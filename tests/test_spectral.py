@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mxspec.errors import SpectralError
-from mxspec.generators import RngSeed
-from mxspec.operators import laplacian
+from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
+from mxspec.operators import build_supra, laplacian
 from mxspec.spectral import (
+    EigenSystem,
     Partition,
     eig_sym,
     fiedler_bipartition,
@@ -112,6 +114,104 @@ def test_eig_sym_bitwise_equals_reference():
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(SpectralError):
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _subset_cases():
+    rng = np.random.default_rng(12)
+    for m in (9, 40, 120):
+        mat = rng.standard_normal((m, m))
+        yield f"random-{m}", 0.5 * (mat + mat.T)
+    weights = np.triu(rng.random((60, 60)) * (rng.random((60, 60)) < 0.2), 1)
+    yield "weighted-laplacian", laplacian(weights + weights.T)
+    yield "bridged-cliques", block_clique_laplacian([7, 9, 5], bridges=[(0, 7), (7, 16)])[0]
+    net, _ = gen_fixed_sbm_multiplex(20, 4, 0.3, RngSeed(13))
+    yield "supra", build_supra(net, 0.5).laplacian
+
+
+def test_eig_sym_count_matches_full_solve():
+    for name, mat in _subset_cases():
+        full = eig_sym(mat)
+        bound = 1e-9 * np.abs(mat).sum(axis=1).max()
+        for count in (1, 2, 3, 5, 8, 9, 15):
+            system = eig_sym(mat, count)
+            got = len(system.eigenvalues)
+            assert min(count, len(mat)) <= got <= len(mat), (name, count)
+            assert system.eigenvectors.shape == (len(mat), got), (name, count)
+            assert system.zero_tolerance == full.zero_tolerance, (name, count)
+            np.testing.assert_allclose(system.eigenvalues, full.eigenvalues[:got],
+                                       rtol=0, atol=bound, err_msg=f"{name} count={count}")
+            vecs = system.eigenvectors
+            assert np.abs(mat @ vecs - vecs * system.eigenvalues).max() <= bound * 10
+        # a subset is solved where one fits, not the full spectrum
+        assert len(eig_sym(mat, 2).eigenvalues) < len(mat), name
+
+
+def test_eig_sym_count_never_ends_inside_requested_eigenvalue():
+    # eigenvalues 0, 0 and 8 fourteen times, as in test_kway_every_label_used
+    lap, _ = block_clique_laplacian([8, 8])
+    for count in range(1, 17):
+        system = eig_sym(lap, count)
+        values = system.eigenvalues
+        complete = len(values) == len(lap)
+        assert complete or values[-1] - values[count - 1] > system.zero_tolerance, count
+    # count 2 needs only the zero eigenspace whole: its subset stops inside the
+    # 14-fold eigenvalue, which the multiplicity then reports as unknown
+    subset = eig_sym(lap, 2)
+    assert len(subset.eigenvalues) == 8 and subset.zero_multiplicity == 2
+    assert subset.fiedler_value == pytest.approx(8.0)
+    assert subset.fiedler_multiplicity is None
+    assert eig_sym(lap).fiedler_multiplicity == 14
+    assert len(eig_sym(lap, 4).eigenvalues) == 16
+
+
+def test_eig_sym_rejects_non_finite_and_bad_count():
+    with pytest.raises(SpectralError):
+        eig_sym(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(SpectralError):
+        eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(SpectralError):
+        eig_sym(np.eye(3), 0)
+
+
+def _solver_systems(lap, rng):
+    """The same operator's decomposition from four sources: numpy, the
+    divide-and-conquer and MRRR LAPACK drivers, and a random orthogonal
+    rotation of every repeated eigenspace."""
+    tol = eig_sym(lap).zero_tolerance
+    values, vectors = np.linalg.eigh(lap)
+    yield "numpy", EigenSystem(values, vectors, tol)
+    for driver in ("evd", "evr"):
+        yield driver, EigenSystem(*scipy.linalg.eigh(lap, driver=driver), tol)
+    rotated = vectors.copy()
+    start = 0
+    while start < len(values):
+        stop = start + 1
+        while stop < len(values) and values[stop] - values[start] <= tol:
+            stop += 1
+        if stop - start > 1:
+            q, _ = np.linalg.qr(rng.standard_normal((stop - start, stop - start)))
+            rotated[:, start:stop] = vectors[:, start:stop] @ q
+        start = stop
+    yield "rotated", EigenSystem(values, rotated, tol)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_fiedler_split_independent_of_eigenbasis(k):
+    n, w = 100, 1.0
+    rng = np.random.default_rng(k)
+    for instance in range(4):
+        net, _ = gen_fixed_sbm_multiplex(n, k, 0.2, RngSeed(instance, ("basis", k)))
+        lap = build_supra(net, w).laplacian
+        reference, value, degenerate = fiedler_bipartition(lap)
+        # lambda_2 = k*w, repeated k-1 times: the layer-split eigenspace
+        assert not degenerate and value == pytest.approx(k * w)
+        for solver, system in _solver_systems(lap, rng):
+            part, _, _ = fiedler_bipartition(lap, system)
+            np.testing.assert_array_equal(part.labels, reference.labels,
+                                          err_msg=f"{solver} instance {instance}")
+        # P e_0 puts layer 0 on one side and the other layers on the other
+        np.testing.assert_array_equal(reference.labels, np.repeat([0] + [1] * (k - 1), n))
+        assert eig_sym(lap, 2).fiedler_multiplicity == k - 1
 
 
 def test_fiedler_three_path_zero_entry_tie_break():

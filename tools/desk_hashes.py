@@ -3,10 +3,9 @@ for a change that claims to leave results alone.
 
 Runs ``mxspec experiment <name> --seed 1 --jobs 2`` for every experiment
 into a temporary directory, with the package taken from this checkout's
-``src/``, and prints one ``<name> <sha256>`` line per CSV.  BLAS thread
-settings in the environment are passed on unchanged: the ``er`` CSV
-depends on them while a repeated Fiedler eigenvalue leaves the eigenbasis
-to LAPACK, so compare runs made with the same settings.
+``src/``, and prints one ``<name> <sha256>`` line per CSV.  The sweep
+workers run BLAS at one thread whatever the environment says, and the
+results do not depend on the BLAS thread count.
 
     python3 tools/desk_hashes.py                                  # print
     python3 tools/desk_hashes.py --expect tools/desk_hashes.txt   # check
