@@ -27,7 +27,7 @@ from .generators import (
     gen_overlap_multiplex,
 )
 from .operators import build_dynamic, build_supra, load_coupling, reduce_indivisible
-from .spectral import Partition, eig_sym, fiedler_bipartition, spectral_kway
+from .spectral import RESTARTS, Partition, eig_sym, fiedler_bipartition, spectral_kway
 from .cuts import cut_cost, decompose_dynamic, decompose_supra, quadratic_form
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +186,7 @@ def _cmd_cluster(args) -> int:
                 f"fiedler_multiplicity={multiplicity}")
     else:
         part = spectral_kway(lap, args.clusters, seed)
-        meta = f"% clusters={args.clusters} restarts=10"
+        meta = f"% clusters={args.clusters} restarts={RESTARTS}"
     labels = part.labels
     if lift:
         labels = np.tile(labels, net.k)  # node clusters lifted to every copy

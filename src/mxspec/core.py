@@ -254,8 +254,7 @@ def save_network(net: MultiplexNetwork, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#nodes {net.n}\n")
         fh.write(f"#layers {net.k}\n")
-        for a in range(net.k):
-            mat = net.layers[a]
+        for a, mat in enumerate(net.layers):
             dst_idx, src_idx = np.nonzero(mat)
-            for i, j in zip(dst_idx.tolist(), src_idx.tolist()):
-                fh.write(f"{a} {j} {i} {float(mat[i, j])!r}\n")
+            edges = zip(src_idx.tolist(), dst_idx.tolist(), mat[dst_idx, src_idx].tolist())
+            fh.write("".join(f"{a} {j} {i} {w!r}\n" for j, i, w in edges))

@@ -32,6 +32,8 @@ ZERO_ENTRY_TOL = 1e-12
 # eigenpairs a subset solve computes at the least, so that a repeated
 # Fiedler eigenvalue of a few-layer supra operator fits without a full solve
 SUBSET_MIN = 8
+# k-means++ starts of spectral_kway, each on its own seed
+RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,18 @@ class EigenSystem:
         return float(above[0]) if above.size else 0.0
 
     def fiedler_mask(self) -> np.ndarray:
-        """Which of the eigenvalues equal the Fiedler value."""
+        """Which of the eigenvalues equal the Fiedler value; none when no
+        eigenvalue is above zero."""
+        if not (self.eigenvalues > self.zero_tolerance).any():
+            return np.zeros(self.eigenvalues.shape, dtype=bool)
         with np.errstate(over="ignore"):  # a difference past the float range is no match
             return np.abs(self.eigenvalues - self.fiedler_value) <= self.zero_tolerance
 
     @property
     def fiedler_multiplicity(self) -> int | None:
-        """Multiplicity of the Fiedler value, or None when a subset ends
-        inside its eigenspace, so that the rest of it was not computed."""
+        """Multiplicity of the Fiedler value (0 when there is none), or None
+        when a subset ends inside its eigenspace, so that the rest of it was
+        not computed."""
         mask = self.fiedler_mask()
         if mask[-1] and self.eigenvalues.size < self.eigenvectors.shape[0]:
             return None
@@ -204,58 +210,82 @@ def fiedler_bipartition(
     return Partition(labels=labels, c=2), fiedler_value, False
 
 
-def _kmeans_pp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest D^2-sampled."""
+def _kmeans_pp_init(points: np.ndarray, c: int, rngs: list) -> np.ndarray:
+    """k-means++ seeding of one (c, d) center set per generator, stacked
+    (runs, c, d): first center uniform, the rest D^2-sampled, every run
+    drawing from its own generator."""
     m = points.shape[0]
-    centers = np.empty((c, points.shape[1]))
-    first = int(rng.integers(m))
-    centers[0] = points[first]
-    dist_sq = ((points - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), c, points.shape[1]))
+    picks = np.array([int(rng.integers(m)) for rng in rngs])
+    centers[:, 0] = points[picks]
+    dist_sq = ((points - centers[:, :1]) ** 2).sum(axis=2)
     for idx in range(1, c):
-        total = dist_sq.sum()
-        if total <= 0:
-            # all points coincide with chosen centers; any choice works
-            pick = int(rng.integers(m))
-        else:
-            r = rng.random() * total
-            pick = int(np.searchsorted(np.cumsum(dist_sq), r, side="right"))
-            pick = min(pick, m - 1)
-        centers[idx] = points[pick]
-        dist_sq = np.minimum(dist_sq, ((points - centers[idx]) ** 2).sum(axis=1))
+        totals = dist_sq.sum(axis=1)
+        cumulative = np.cumsum(dist_sq, axis=1)
+        for run, rng in enumerate(rngs):
+            if totals[run] <= 0:
+                # all points coincide with chosen centers; any choice works
+                picks[run] = int(rng.integers(m))
+            else:
+                r = rng.random() * totals[run]
+                pick = int(np.searchsorted(cumulative[run], r, side="right"))
+                picks[run] = min(pick, m - 1)
+        centers[:, idx] = points[picks]
+        dist_sq = np.minimum(dist_sq, ((points - centers[:, idx, None]) ** 2).sum(axis=2))
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tuple[np.ndarray, float]:
-    """Lloyd iterations to a fixed assignment.  Empty clusters are repaired
-    by handing them the point currently farthest from its own center."""
-    m, c = points.shape[0], centers.shape[0]
-    labels = np.full(m, -1)
+def _repair_empty(dists: np.ndarray, labels: np.ndarray) -> None:
+    """Hand every empty cluster, in order, the point currently farthest from
+    its own center (one run's (m, c) distances and labels, both updated)."""
+    m, c = dists.shape
+    for cluster in range(c):
+        if not np.any(labels == cluster):
+            own = dists[np.arange(m), labels]
+            farthest = int(own.argmax())
+            labels[farthest] = cluster
+            dists[farthest] = np.inf
+            dists[farthest, cluster] = 0.0
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of every run's centers (runs, c, d), updated in place,
+    to a fixed assignment; a run leaves the loop once its assignment repeats.
+    Returns each run's labels (runs, m) and within-cluster sum of squares.
+    Each run computes what it would alone: a center is the sequential sum of
+    its members over their count, as `members.mean(axis=0)` computes it."""
+    (m, d), (runs, c) = points.shape, centers.shape[:2]
+    labels = np.full((runs, m), -1)
+    live = np.arange(runs)
     for _ in range(max_iter):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        for cluster in range(c):
-            if not np.any(new_labels == cluster):
-                own = dists[np.arange(m), new_labels]
-                farthest = int(own.argmax())
-                new_labels[farthest] = cluster
-                dists[farthest] = np.inf
-                dists[farthest, cluster] = 0.0
-        if np.array_equal(new_labels, labels):
+        dists = ((points[None, :, None, :] - centers[live, None]) ** 2).sum(axis=3)
+        new_labels = dists.argmin(axis=2)
+        slots = np.arange(live.size)[:, None] * c + new_labels
+        counts = np.bincount(slots.ravel(), minlength=live.size * c).reshape(-1, c)
+        for row in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair_empty(dists[row], new_labels[row])
+        moved = (new_labels != labels[live]).any(axis=1)
+        live, new_labels = live[moved], new_labels[moved]
+        if not live.size:
             break
-        labels = new_labels
-        for cluster in range(c):
-            members = points[labels == cluster]
-            if len(members):
-                centers[cluster] = members.mean(axis=0)
-    wcss = float(((points - centers[labels]) ** 2).sum())
+        labels[live] = new_labels
+        slots = np.arange(live.size)[:, None] * c + new_labels
+        counts = np.bincount(slots.ravel(), minlength=live.size * c).reshape(-1, c, 1)
+        sums = np.bincount((slots[:, :, None] * d + np.arange(d)).ravel(),
+                           weights=np.broadcast_to(points, (live.size, m, d)).ravel(),
+                           minlength=live.size * c * d).reshape(-1, c, d)
+        centers[live] = np.where(counts > 0, sums / np.maximum(counts, 1), centers[live])
+    members = centers[np.arange(runs)[:, None], labels]
+    wcss = ((points - members) ** 2).reshape(runs, -1).sum(axis=1)
     return labels, wcss
 
 
 def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
     """Unnormalized c-way spectral clustering: rows embedded into the first
     c eigenvectors (ascending, trivial included), then Lloyd k-means with
-    k-means++ starts.  Runs 10 restarts on seeds derived deterministically
-    from `seed` and keeps the lowest within-cluster sum of squares."""
+    k-means++ starts.  Runs RESTARTS restarts, batched in one Lloyd loop, on
+    seeds derived deterministically from `seed`, and keeps the first with
+    the lowest within-cluster sum of squares."""
     arr = np.asarray(lap, dtype=float)
     m = arr.shape[0]
     if c < 2:
@@ -264,14 +294,9 @@ def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
         raise SpectralError(f"cannot form {c} clusters from {m} elements")
     system = eig_sym(arr, c)
     points = np.ascontiguousarray(system.eigenvectors[:, :c])
-    best_labels, best_wcss = None, np.inf
-    for restart in range(10):
-        rng = _restart_rng(seed, restart)
-        centers = _kmeans_pp_init(points, c, rng)
-        labels, wcss = _lloyd(points, centers)
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    return Partition(labels=best_labels, c=c)
+    rngs = [_restart_rng(seed, restart) for restart in range(RESTARTS)]
+    labels, wcss = _lloyd(points, _kmeans_pp_init(points, c, rngs))
+    return Partition(labels=labels[int(wcss.argmin())], c=c)
 
 
 def _restart_rng(seed, restart: int) -> np.random.Generator:

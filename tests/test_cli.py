@@ -257,6 +257,18 @@ def test_cluster_rejects_header_too_large_to_allocate(tmp_path, capsys):
     assert "cannot allocate a 1000 x 10000000 x 10000000 float64 array" in err
 
 
+def test_cluster_without_fiedler_eigenvalue_reports_multiplicity_zero(tmp_path):
+    # no edges and no coupling: every eigenvalue is zero, so there is no
+    # Fiedler eigenvalue to count
+    net_path = tmp_path / "net.mpx"
+    net_path.write_text("#nodes 4\n#layers 2\n")
+    out = tmp_path / "a.csv"
+    assert run("cluster", "--input", str(net_path), "--model", "supra",
+               "--supra-weight", "0", "--out", str(out)) == 0
+    assert out.read_text().splitlines()[0] == (
+        "% fiedler_value=0.0 degenerate=1 fiedler_multiplicity=0")
+
+
 def test_cut_rejects_aggregate_model(tmp_path, capsys):
     net_path = tmp_path / "net.mpx"
     run("generate", "--type", "er", "--n", "6", "--k", "2", "--p", "0.5",

@@ -56,6 +56,41 @@ def test_save_one_edge_one_line(tmp_path):
     assert lines == ["0 0 1 0.25"]
 
 
+def _edge_by_edge_writer(net, path):
+    """Reference .mpx writer: one write per edge, in np.nonzero order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#nodes {net.n}\n")
+        fh.write(f"#layers {net.k}\n")
+        for a in range(net.k):
+            mat = net.layers[a]
+            dst_idx, src_idx = np.nonzero(mat)
+            for i, j in zip(dst_idx.tolist(), src_idx.tolist()):
+                fh.write(f"{a} {j} {i} {float(mat[i, j])!r}\n")
+
+
+def test_save_matches_edge_by_edge_reference(tmp_path):
+    rng = np.random.default_rng(23)
+    extremes = np.array([5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0])
+    written = set()
+    for _ in range(60):
+        net = random_network(rng)
+        layers = [np.array(layer) for layer in net.layers]
+        for layer in layers:
+            nonzero = layer != 0
+            swap = nonzero & (rng.random(layer.shape) < 0.3)
+            layer[swap] = rng.choice(extremes, size=int(swap.sum()))
+        net = MultiplexNetwork(n=net.n, k=net.k, layers=tuple(layers))
+        save_network(net, tmp_path / "bulk.mpx")
+        _edge_by_edge_writer(net, tmp_path / "reference.mpx")
+        text = (tmp_path / "bulk.mpx").read_bytes()
+        assert text == (tmp_path / "reference.mpx").read_bytes()
+        written.update(token for token in (b"5e-324", b"1.7976931348623157e+308") if token in text)
+        loaded = load_network(tmp_path / "bulk.mpx")
+        for a in range(net.k):
+            np.testing.assert_array_equal(loaded.layers[a], net.layers[a])
+    assert written == {b"5e-324", b"1.7976931348623157e+308"}
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -6,8 +6,12 @@ from mxspec.errors import SpectralError
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
 from mxspec.operators import build_supra, laplacian
 from mxspec.spectral import (
+    RESTARTS,
     EigenSystem,
     Partition,
+    _kmeans_pp_init,
+    _lloyd,
+    _restart_rng,
     eig_sym,
     fiedler_bipartition,
     match_partitions,
@@ -297,6 +301,92 @@ def test_kway_every_label_used():
     lap, _ = block_clique_laplacian([8, 8])
     part = spectral_kway(lap, 4, RngSeed(8))
     assert part.used_clusters == 4
+
+
+def _one_run_kmeans_pp_init(points, c, rng, hits):
+    """Reference k-means++ seeding of one run, as spectral_kway seeded each
+    restart before the restarts were batched."""
+    m = points.shape[0]
+    centers = np.empty((c, points.shape[1]))
+    first = int(rng.integers(m))
+    centers[0] = points[first]
+    dist_sq = ((points - centers[0]) ** 2).sum(axis=1)
+    for idx in range(1, c):
+        total = dist_sq.sum()
+        if total <= 0:
+            hits["coincident draw"] += 1
+            pick = int(rng.integers(m))
+        else:
+            r = rng.random() * total
+            pick = int(np.searchsorted(np.cumsum(dist_sq), r, side="right"))
+            pick = min(pick, m - 1)
+        centers[idx] = points[pick]
+        dist_sq = np.minimum(dist_sq, ((points - centers[idx]) ** 2).sum(axis=1))
+    return centers
+
+
+def _one_run_lloyd(points, centers, hits, max_iter=300):
+    """Reference Lloyd loop of one run, with its empty-cluster repair."""
+    m, c = points.shape[0], centers.shape[0]
+    labels = np.full(m, -1)
+    for _ in range(max_iter):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        for cluster in range(c):
+            if not np.any(new_labels == cluster):
+                hits["empty-cluster repair"] += 1
+                own = dists[np.arange(m), new_labels]
+                farthest = int(own.argmax())
+                new_labels[farthest] = cluster
+                dists[farthest] = np.inf
+                dists[farthest, cluster] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for cluster in range(c):
+            members = points[labels == cluster]
+            if len(members):
+                centers[cluster] = members.mean(axis=0)
+    wcss = float(((points - centers[labels]) ** 2).sum())
+    return labels, wcss
+
+
+def test_batched_kmeans_equals_one_run_at_a_time():
+    rng = np.random.default_rng(31)
+    hits = {"coincident draw": 0, "empty-cluster repair": 0}
+    for trial in range(120):
+        c = 2 + trial % 5
+        m = int(rng.integers(c, 301))
+        # c planted groups whose spread makes them overlap, as in a noisy
+        # spectral embedding
+        means = rng.standard_normal((c, c))
+        points = means[rng.integers(0, c, m)] + 0.5 * rng.standard_normal((m, c))
+        max_iter = 300
+        if trial % 3 == 0:
+            # fewer distinct rows than clusters: some k-means++ totals are
+            # zero and some assignments leave a cluster empty.  Such runs
+            # often cycle between two assignments until max_iter, which a
+            # lower cap reaches sooner.
+            points = points[rng.integers(0, int(rng.integers(1, c)), m)]
+            max_iter = 20
+        seed = RngSeed(trial)
+        rngs = [_restart_rng(seed, restart) for restart in range(RESTARTS)]
+        centers = _kmeans_pp_init(points, c, rngs)
+        labels, wcss = _lloyd(points, centers, max_iter)
+        best, best_wcss = None, np.inf
+        for restart in range(RESTARTS):
+            expected_centers = _one_run_kmeans_pp_init(
+                points, c, _restart_rng(seed, restart), hits)
+            expected_labels, expected_wcss = _one_run_lloyd(
+                points, expected_centers, hits, max_iter)
+            np.testing.assert_array_equal(labels[restart], expected_labels)
+            assert centers[restart].tobytes() == expected_centers.tobytes()
+            assert wcss[restart].tobytes() == np.float64(expected_wcss).tobytes()
+            if expected_wcss < best_wcss:
+                best, best_wcss = restart, expected_wcss
+        # spectral_kway keeps the first restart with the least WCSS
+        assert int(wcss.argmin()) == best
+    assert hits["coincident draw"] > 0 and hits["empty-cluster repair"] > 0
 
 
 def test_match_partitions_identical_and_swapped():
