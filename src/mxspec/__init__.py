@@ -26,7 +26,6 @@ from .generators import (
     gen_sbm_layer,
 )
 from .operators import (
-    ReducedOperator,
     SupraOperator,
     build_dynamic,
     build_supra,

@@ -26,7 +26,7 @@ from .generators import (
     gen_fixed_sbm_multiplex,
     gen_overlap_multiplex,
 )
-from .operators import build_dynamic, build_supra, load_coupling, reduce_indivisible
+from .operators import build_dynamic, build_supra, laplacian, load_coupling, symmetrize
 from .spectral import RESTARTS, Partition, eig_sym, fiedler_bipartition, spectral_kway
 from .cuts import cut_cost, decompose_dynamic, decompose_supra, quadratic_form
 
@@ -93,7 +93,8 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run a seeded parameter sweep")
     exp.add_argument("name", choices=list(xp.EXPERIMENTS))
     exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--instances", type=int, default=20)
+    exp.add_argument("--instances", type=int, default=None,
+                     help="instances per grid point (default: 20, or 100 with --full)")
     exp.add_argument("--n", type=int, default=100)
     exp.add_argument("--model", default="both", choices=["both", "supra", "dynamic"],
                      help="operator model (er, fixed-sbm, overlap-kway)")
@@ -169,12 +170,12 @@ def _cmd_cluster(args) -> int:
     net = load_network(args.input)
     seed = RngSeed(_resolve_seed(args), ("cluster",))
     if args.model == "aggregate":
-        reduced = reduce_indivisible(build_supra(net, 0.0))
-        lap = reduced.laplacian
-        lift = True
+        # J^T L J of the supra operator at any w, built from the n x n layers;
+        # a sum past the float range is left as inf for laplacian to reject
+        with np.errstate(over="ignore"):
+            lap = laplacian(sum(symmetrize(layer) for layer in net.layers))
     else:
         lap = _build_operator(args, net).laplacian
-        lift = False
     if args.clusters == 2:
         system = eig_sym(lap, 2)
         part, fiedler_value, degenerate = fiedler_bipartition(lap, system)
@@ -188,7 +189,7 @@ def _cmd_cluster(args) -> int:
         part = spectral_kway(lap, args.clusters, seed)
         meta = f"% clusters={args.clusters} restarts={RESTARTS}"
     labels = part.labels
-    if lift:
+    if args.model == "aggregate":
         labels = np.tile(labels, net.k)  # node clusters lifted to every copy
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(meta + "\n")
@@ -250,7 +251,7 @@ def _cmd_cut(args) -> int:
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args)
     spec = xp.EXPERIMENTS[args.name]
-    instances = 100 if args.full and args.instances == 20 else args.instances
+    instances = (100 if args.full else 20) if args.instances is None else args.instances
     grids = dict(n=[args.n], w=[args.supra_weight], intra=[args.intra], inter=[args.inter])
     for name, default in (spec.full if args.full else spec.desk).items():
         flag = getattr(args, f"{name}_grid")  # every swept parameter has a --<name>-grid flag

@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .core import DynamicCoupling
-from .errors import ExperimentError
+from .core import DynamicCoupling, read_lines
+from .errors import ExperimentError, ParseError
 from .generators import (
     RngSeed,
     canon,
@@ -497,25 +497,28 @@ def write_aggregate_csv(result: SweepResult, path) -> None:
 
 
 def read_results_csv(path) -> tuple:
-    """Read a results.csv back into (param_names, rows)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """Read a results.csv back into (param_names, rows); ParseError naming
+    the file, and the line of a malformed row."""
+    reader = csv.reader(read_lines(path))
+    rows = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file, expected a results CSV header")
         param_names = tuple(col[len("param:"):] for col in header if col.startswith("param:"))
-        rows = []
         for record in reader:
             fields = dict(zip(header, record))
-            params = tuple((name, fields[f"param:{name}"]) for name in param_names)
-            rows.append(
-                InstanceRow(
-                    experiment=fields["experiment"],
-                    params=params,
-                    instance=int(fields["instance"]),
-                    seed=int(fields["seed"]),
-                    metric=fields["metric"],
-                    value=fields["value"],
-                )
-            )
+            rows.append(InstanceRow(
+                experiment=fields["experiment"],
+                params=tuple((name, fields[f"param:{name}"]) for name in param_names),
+                instance=int(fields["instance"]),
+                seed=int(fields["seed"]),
+                metric=fields["metric"],
+                value=fields["value"],
+            ))
+    except (csv.Error, KeyError, ValueError) as exc:
+        detail = f"no {exc} field" if isinstance(exc, KeyError) else str(exc)
+        raise ParseError(f"{path}: line {reader.line_num}: malformed results row: {detail}") from exc
     return param_names, rows
 
 

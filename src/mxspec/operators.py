@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 from scipy.sparse import csgraph
 
 from .core import DynamicCoupling, MultiplexNetwork, check_weights, read_lines, zeros
@@ -51,7 +52,7 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
         # |D - S| sums to at most |degree| + sum |S| along each row
         _check_bounded(np.abs(degree) + magnitude.sum(axis=1), "operator Laplacian")
         del magnitude
-        if np.abs(arr - arr.T).max(initial=0.0) > 1e-12 * scale:
+        if not (linalg.issymmetric(arr) or linalg.issymmetric(arr, atol=1e-12 * scale)):
             raise OperatorError("laplacian requires a symmetric matrix")
     return np.diag(degree) - arr
 
@@ -94,14 +95,6 @@ class SupraOperator:
         """The (a, b) layer block of the symmetric adjacency."""
         n = self.n
         return self.adjacency[a * n : (a + 1) * n, b * n : (b + 1) * n]
-
-
-@dataclass(frozen=True)
-class ReducedOperator:
-    """n x n aggregate obtained by binding all copies of each node together."""
-
-    adjacency: np.ndarray
-    laplacian: np.ndarray
 
 
 def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
@@ -148,24 +141,17 @@ def disjoint_operator(net: MultiplexNetwork, model: str) -> SupraOperator:
     raise OperatorError(f"unknown model {model!r}")
 
 
-def reduce_indivisible(op: SupraOperator) -> ReducedOperator:
-    """Bind all copies of each node together: J^T L J with J the stack of k
-    identities.  The result is itself a graph Laplacian on the n nodes; for
-    the supra model it equals the Laplacian of the summed symmetrized layers
-    (the coupling cliques cancel), for the dynamic model the Laplacian of
-    the coupling-weighted aggregate."""
+def reduce_indivisible(op: SupraOperator) -> np.ndarray:
+    """Bind all copies of each node together: the n x n Laplacian J^T L J,
+    with J the stack of k identities.  For the supra model it equals the
+    Laplacian of the summed symmetrized layers for every w (the coupling
+    cliques cancel), for the dynamic model the Laplacian of the
+    coupling-weighted aggregate."""
     n, k = op.n, op.k
-    lap = op.laplacian
-    reduced = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(k):
-            for b in range(k):
-                reduced += lap[a * n : (a + 1) * n, b * n : (b + 1) * n]
-        reduced = symmetrize(reduced)
+        reduced = symmetrize(op.laplacian.reshape(k, n, k, n).sum(axis=(0, 2)))
         _check_bounded(np.abs(reduced).sum(axis=1), "aggregate Laplacian")
-    agg = -reduced.copy()
-    np.fill_diagonal(agg, 0.0)
-    return ReducedOperator(adjacency=agg, laplacian=reduced)
+    return reduced
 
 
 def connected_components(adjacency: np.ndarray, atol: float = 0.0) -> np.ndarray:

@@ -137,10 +137,10 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     if not np.isfinite(norm):
         raise SpectralError("matrix has a non-finite entry or row sum")
     tol = 1e-8 * max(1.0, norm)
-    asymmetry = np.abs(arr - arr.T).max(initial=0.0)
-    if asymmetry > 1e-10 * scale:
+    exact = linalg.issymmetric(arr)
+    if not (exact or linalg.issymmetric(arr, atol=1e-10 * scale)):
         raise SpectralError("matrix is not symmetric within 1e-10")
-    sym = arr if asymmetry == 0 else 0.5 * (arr + arr.T)
+    sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
     size = max(count or 1, SUBSET_MIN)
     try:
@@ -165,12 +165,11 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
 
 def _component_bipartition(lap: np.ndarray) -> Partition:
     """Deterministic component split for degenerate (disconnected) inputs:
-    the component containing index 0 vs everything else."""
+    the component containing index 0 vs everything else.  The Laplacian's
+    off-diagonal entries are the edges; its diagonal adds only self-loops."""
     from .operators import connected_components
 
-    off = -lap.copy()
-    np.fill_diagonal(off, 0.0)
-    comp = connected_components(off, atol=ZERO_ENTRY_TOL)
+    comp = connected_components(lap, atol=ZERO_ENTRY_TOL)
     labels = (comp != comp[0]).astype(int)
     return Partition(labels=labels, c=2)
 
@@ -249,25 +248,26 @@ def _repair_empty(dists: np.ndarray, labels: np.ndarray) -> None:
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations of every run's centers (runs, c, d), updated in place,
-    to a fixed assignment; a run leaves the loop once its assignment repeats.
+    """Lloyd iterations of every run's centers (runs, c, d), updated in place;
+    a run leaves the loop once its assignment repeats one it had before, the
+    last (a fixed point) or an earlier one (a cycle), with the centers that
+    assignment gives, so its result does not depend on `max_iter`.
     Returns each run's labels (runs, m) and within-cluster sum of squares.
     Each run computes what it would alone: a center is the sequential sum of
     its members over their count, as `members.mean(axis=0)` computes it."""
     (m, d), (runs, c) = points.shape, centers.shape[:2]
     labels = np.full((runs, m), -1)
     live = np.arange(runs)
+    seen = [set() for _ in range(runs)]
     for _ in range(max_iter):
+        if not live.size:
+            break
         dists = ((points[None, :, None, :] - centers[live, None]) ** 2).sum(axis=3)
         new_labels = dists.argmin(axis=2)
         slots = np.arange(live.size)[:, None] * c + new_labels
         counts = np.bincount(slots.ravel(), minlength=live.size * c).reshape(-1, c)
         for row in np.flatnonzero((counts == 0).any(axis=1)):
             _repair_empty(dists[row], new_labels[row])
-        moved = (new_labels != labels[live]).any(axis=1)
-        live, new_labels = live[moved], new_labels[moved]
-        if not live.size:
-            break
         labels[live] = new_labels
         slots = np.arange(live.size)[:, None] * c + new_labels
         counts = np.bincount(slots.ravel(), minlength=live.size * c).reshape(-1, c, 1)
@@ -275,6 +275,12 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tupl
                            weights=np.broadcast_to(points, (live.size, m, d)).ravel(),
                            minlength=live.size * c * d).reshape(-1, c, d)
         centers[live] = np.where(counts > 0, sums / np.maximum(counts, 1), centers[live])
+        fresh = np.ones(live.size, dtype=bool)
+        for row, run in enumerate(live):
+            key = new_labels[row].tobytes()
+            fresh[row] = key not in seen[run]
+            seen[run].add(key)
+        live = live[fresh]
     members = centers[np.arange(runs)[:, None], labels]
     wcss = ((points - members) ** 2).reshape(runs, -1).sum(axis=1)
     return labels, wcss

@@ -62,7 +62,7 @@ def test_criterion_1_exact_identities():
             worst_cut = max(worst_cut, abs(cut_cost(op, part) - 0.5 * quad))
             worst_terms = max(worst_terms, abs(decompose(part).terms_sum - quad))
 
-        supra_reduced = reduce_indivisible(build_supra(net, w)).laplacian
+        supra_reduced = reduce_indivisible(build_supra(net, w))
         supra_oracle = laplacian(sum(symmetrize(layer) for layer in net.layers))
         worst_reduce = max(worst_reduce, np.abs(supra_reduced - supra_oracle).max())
 
@@ -73,7 +73,7 @@ def test_criterion_1_exact_identities():
                     coupling.diag[a, b][:, None] * net.layers[b]
                     + (coupling.diag[b, a][:, None] * net.layers[a]).T
                 )
-        dyn_reduced = reduce_indivisible(build_dynamic(net, coupling)).laplacian
+        dyn_reduced = reduce_indivisible(build_dynamic(net, coupling))
         worst_reduce = max(worst_reduce, np.abs(dyn_reduced - laplacian(agg)).max())
 
     ok = worst_cut < 1e-10 and worst_terms < 1e-10 and worst_reduce < 1e-10

@@ -169,6 +169,28 @@ def test_heatmap_from_results(tmp_path, capsys):
     assert "q\\p" in capsys.readouterr().out
 
 
+RESULTS_HEADER = b"experiment,param:p,param:q,instance,seed,metric,value\r\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read {path}: [Errno 2] No such file or directory"),
+    (b"", "{path}: empty file, expected a results CSV header"),
+    (RESULTS_HEADER + b"overlap,0.1,0.1,0,7,regime,layer1\xff\r\n",
+     "cannot read {path}: not UTF-8 text (byte 0xff)"),
+    (RESULTS_HEADER + b"overlap,0.1,0.1,0,7,regime,layer1\r\noverlap,0.1,0.1,x,7,regime,other\r\n",
+     "{path}: line 3: malformed results row: invalid literal for int() with base 10: 'x'"),
+    (RESULTS_HEADER + b"overlap,0.1,0.1,0\r\n",
+     "{path}: line 2: malformed results row: no 'seed' field"),
+], ids=["missing", "empty", "not-utf8", "bad-value", "short-row"])
+def test_heatmap_rejects_unreadable_results(tmp_path, capsys, content, message):
+    path = tmp_path / "r.csv"
+    if content is not None:
+        path.write_bytes(content)
+    assert run("heatmap", str(path), "--x", "p", "--y", "q", "--metric", "regime") == 2
+    assert capsys.readouterr().err.startswith(
+        "error[multiplex-core]: " + message.format(path=path))
+
+
 def test_cluster_with_coupling_file(tmp_path):
     net_path = tmp_path / "net.mpx"
     run("generate", "--type", "er", "--n", "8", "--k", "2", "--p", "0.4",
@@ -203,7 +225,8 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
     elif model == "dynamic":
         lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
     else:
-        lap = reduce_indivisible(build_supra(net, 0.0)).laplacian
+        # the reference: J^T L J of the nk x nk supra operator
+        lap = reduce_indivisible(build_supra(net, 0.0))
     # the metadata line as built from two separate decompositions
     part, fiedler_value, degenerate = spectral.fiedler_bipartition(lap)
     system = spectral.eig_sym(lap)
@@ -216,17 +239,23 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
+    def no_supra(*args):
+        raise AssertionError("the aggregate Laplacian is built from the layers")
+
     monkeypatch.setattr(spectral, "eig_sym", counted(spectral.eig_sym))
     monkeypatch.setattr(cli, "eig_sym", counted(cli.eig_sym))
+    if model == "aggregate":
+        monkeypatch.setattr(cli, "build_supra", no_supra)
     out = tmp_path / "a.csv"
     assert run("cluster", "--input", str(net_path), "--model", model,
                "--supra-weight", "1.5", "--clusters", "2", "--seed", "3",
                "--out", str(out)) == 0
-    assert calls == [lap.shape]
+    assert len(calls) == 1
+    assert calls[0].tobytes() == lap.tobytes()
     lines = out.read_text().splitlines()
     assert lines[0] == expected
     labels = [int(row.split(",")[-1]) for row in lines[2:]]
@@ -331,6 +360,22 @@ def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
         assert run(*argv, *(["--full"] if full else [])) == 0
         assert len(calls) == len(set(calls)) == points, model
         assert {experiment for experiment, _, _ in calls} == {name}
+
+
+@pytest.mark.parametrize("flags, instances", [
+    ([], 20),
+    (["--full"], 100),
+    (["--full", "--instances", "20"], 20),
+    (["--instances", "3"], 3),
+    (["--full", "--instances", "0"], 0),
+])
+def test_experiment_instances_default_and_override(tmp_path, monkeypatch, flags, instances):
+    calls = []
+    monkeypatch.setattr(experiments, "compute_instance",
+                        lambda experiment, params, seed: calls.append(seed) or [])
+    assert run("experiment", "er", "--model", "supra", "--p-grid", "0.1", "--k-grid", "2",
+               "--jobs", "1", "--out", str(tmp_path / "r.csv"), *flags) == 0
+    assert len(set(calls)) == len(calls) == instances
 
 
 MAX_FLOAT = 1.7976931348623157e308

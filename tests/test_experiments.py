@@ -187,6 +187,23 @@ def test_import_sets_no_environment_variable():
     assert out.strip() == "True"
 
 
+def test_er_supra_csv_identical_at_one_and_two_blas_threads(tmp_path):
+    # supra k = 5, w = 1: the Fiedler eigenvalue is the repeated layer-split
+    # value k*w on many of these nets, and LAPACK's basis of its eigenspace
+    # moves with the BLAS thread count
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"er{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-m", "mxspec.cli", "experiment", "er", "--seed", "1",
+                        "--model", "supra", "--k-grid", "5", "--p-grid", "0.15,0.25,0.35,0.45",
+                        "--instances", "5", "--jobs", "1", "--out", str(out)],
+                       env=env, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_rows_recomputable_from_seed_and_params():
     result = tiny_er()
     for row in result.rows:

@@ -325,11 +325,13 @@ def _one_run_kmeans_pp_init(points, c, rng, hits):
     return centers
 
 
-def _one_run_lloyd(points, centers, hits, max_iter=300):
-    """Reference Lloyd loop of one run, with its empty-cluster repair."""
+def _one_run_lloyd(points, centers, hits):
+    """Reference Lloyd loop of one run, with its empty-cluster repair; a run
+    that returns to an earlier assignment stops on it and its means."""
     m, c = points.shape[0], centers.shape[0]
     labels = np.full(m, -1)
-    for _ in range(max_iter):
+    seen = set()
+    for _ in range(300):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
         for cluster in range(c):
@@ -347,13 +349,17 @@ def _one_run_lloyd(points, centers, hits, max_iter=300):
             members = points[labels == cluster]
             if len(members):
                 centers[cluster] = members.mean(axis=0)
+        if labels.tobytes() in seen:
+            hits["cycle"] += 1
+            break
+        seen.add(labels.tobytes())
     wcss = float(((points - centers[labels]) ** 2).sum())
     return labels, wcss
 
 
 def test_batched_kmeans_equals_one_run_at_a_time():
     rng = np.random.default_rng(31)
-    hits = {"coincident draw": 0, "empty-cluster repair": 0}
+    hits = {"coincident draw": 0, "empty-cluster repair": 0, "cycle": 0}
     for trial in range(120):
         c = 2 + trial % 5
         m = int(rng.integers(c, 301))
@@ -361,24 +367,20 @@ def test_batched_kmeans_equals_one_run_at_a_time():
         # spectral embedding
         means = rng.standard_normal((c, c))
         points = means[rng.integers(0, c, m)] + 0.5 * rng.standard_normal((m, c))
-        max_iter = 300
         if trial % 3 == 0:
             # fewer distinct rows than clusters: some k-means++ totals are
-            # zero and some assignments leave a cluster empty.  Such runs
-            # often cycle between two assignments until max_iter, which a
-            # lower cap reaches sooner.
+            # zero, some assignments leave a cluster empty, and some runs
+            # return to an earlier assignment
             points = points[rng.integers(0, int(rng.integers(1, c)), m)]
-            max_iter = 20
         seed = RngSeed(trial)
         rngs = [_restart_rng(seed, restart) for restart in range(RESTARTS)]
         centers = _kmeans_pp_init(points, c, rngs)
-        labels, wcss = _lloyd(points, centers, max_iter)
+        labels, wcss = _lloyd(points, centers)
         best, best_wcss = None, np.inf
         for restart in range(RESTARTS):
             expected_centers = _one_run_kmeans_pp_init(
                 points, c, _restart_rng(seed, restart), hits)
-            expected_labels, expected_wcss = _one_run_lloyd(
-                points, expected_centers, hits, max_iter)
+            expected_labels, expected_wcss = _one_run_lloyd(points, expected_centers, hits)
             np.testing.assert_array_equal(labels[restart], expected_labels)
             assert centers[restart].tobytes() == expected_centers.tobytes()
             assert wcss[restart].tobytes() == np.float64(expected_wcss).tobytes()
@@ -386,7 +388,26 @@ def test_batched_kmeans_equals_one_run_at_a_time():
                 best, best_wcss = restart, expected_wcss
         # spectral_kway keeps the first restart with the least WCSS
         assert int(wcss.argmin()) == best
-    assert hits["coincident draw"] > 0 and hits["empty-cluster repair"] > 0
+    assert min(hits.values()) > 0, hits
+
+
+def test_lloyd_result_does_not_depend_on_max_iter_parity():
+    # exactly duplicated rows: the mean of many copies can miss the row in
+    # its last bit, and runs then swap two assignments every pass; they stop
+    # on the first repeat, so one more allowed iteration changes nothing
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        c = 2 + trial % 5
+        m = int(rng.integers(c, 301))
+        means = rng.standard_normal((c, c))
+        points = means[rng.integers(0, c, m)] + 0.5 * rng.standard_normal((m, c))
+        points = points[rng.integers(0, int(rng.integers(1, c)), m)]
+        rngs = [_restart_rng(RngSeed(trial), restart) for restart in range(RESTARTS)]
+        centers = _kmeans_pp_init(points, c, rngs)
+        labels, wcss = _lloyd(points, centers.copy(), 300)
+        labels_more, wcss_more = _lloyd(points, centers, 301)
+        np.testing.assert_array_equal(labels, labels_more)
+        assert wcss.tobytes() == wcss_more.tobytes()
 
 
 def test_match_partitions_identical_and_swapped():
