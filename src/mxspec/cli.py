@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
-from .core import DynamicCoupling, load_network, save_network
+from .core import DynamicCoupling, load_network, read_lines, save_network
 from .errors import MxspecError, ParseError
 from .generators import (
     RngSeed,
@@ -202,12 +202,8 @@ def _cmd_cluster(args) -> int:
 
 def _read_partition_csv(path, expected: int) -> Partition:
     labels = np.full(expected, -1, dtype=int)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [line for line in fh if not line.startswith("%")]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(rows)
+    assigned = np.zeros(expected, dtype=bool)
+    reader = csv.DictReader(line for line in read_lines(path) if not line.startswith("%"))
     if reader.fieldnames is None or "copy_index" not in reader.fieldnames \
             or "cluster" not in reader.fieldnames:
         raise ParseError(f"{path}: expected columns copy_index, cluster")
@@ -218,6 +214,9 @@ def _read_partition_csv(path, expected: int) -> Partition:
             raise ParseError(f"{path}: bad assignment row {record!r}")
         if not 0 <= idx < expected:
             raise ParseError(f"{path}: copy_index {idx} out of range [0, {expected})")
+        if assigned[idx]:
+            raise ParseError(f"{path}: copy_index {idx} assigned more than once")
+        assigned[idx] = True
         labels[idx] = cluster
     if np.any(labels < 0):
         missing = int(np.nonzero(labels < 0)[0][0])

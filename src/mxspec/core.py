@@ -7,8 +7,8 @@ layer-major: the copy of node i on layer a has flat index a*n + i, with both
 a and i 0-based everywhere in code and files (1-based only in prose).
 
 The .mpx on-disk format is UTF-8 text: header lines ``#nodes <n>`` and
-``#layers <k>``, comment lines starting with ``%``, then one edge per line,
-whitespace-separated::
+``#layers <k>``, each once, comment lines starting with ``%``, then one
+edge per line, whitespace-separated::
 
     <layer> <src j> <dst i> <weight>
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -172,58 +173,30 @@ def load_network(path: str | os.PathLike) -> MultiplexNetwork:
 
     Raises ParseError naming the offending line for malformed lines,
     out-of-range indices, self-loops, negative or non-finite weights, and
-    repeated edges.
+    repeated edges or headers.
     """
     # copy the layers once _read_layers' per-edge temporaries are freed, to reuse their memory
     n, k, mats = _read_layers(path)
     return MultiplexNetwork(n=n, k=k, layers=tuple(mats))
 
 
+# one .mpx edge line; loadtxt parses what int() and float() parse, except
+# where it refuses (1_0, non-ASCII digits, integers past int64)
+_EDGE_DTYPE = np.dtype([("layer", np.int64), ("src", np.int64), ("dst", np.int64),
+                        ("weight", np.float64)])
+_ASCII_DIGITS = frozenset("0123456789")
+
+
 def _read_layers(path) -> tuple[int, int, np.ndarray]:
     """(n, k, the (k, n, n) layer stack) of a .mpx file, validated as load_network says."""
-    n = None
-    k = None
-    layers, srcs, dsts, weights, linenos = [], [], [], [], []  # untracked by the GC, unlike tuples
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) != 2 or parts[0] not in ("nodes", "layers"):
-                raise ParseError(f"line {lineno}: bad header {line!r}")
-            try:
-                value = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer header value {parts[1]!r}")
-            if value < 1:
-                raise ParseError(f"line {lineno}: #{parts[0]} must be >= 1, got {value}")
-            if parts[0] == "nodes":
-                n = value
-            else:
-                k = value
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            layer, src, dst = int(parts[0]), int(parts[1]), int(parts[2])
-            weight = float(parts[3])
-        except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse edge {line!r}")
-        layers.append(layer)
-        srcs.append(src)
-        dsts.append(dst)
-        weights.append(weight)
-        linenos.append(lineno)
-
-    if n is None or k is None:
-        raise ParseError("missing #nodes or #layers header")
-
+    n, k, keep, columns = _read_edges(path)
     mats = zeros((k, n, n), f"{path}: layer stack (#layers x #nodes x #nodes)")
-    if not linenos:
+    if columns is None:
         return n, k, mats
-    layer, src, dst, weight = (np.array(col) for col in (layers, srcs, dsts, weights))
+    # messages quote the parsed values, because np.asarray can turn a list of
+    # ints that runs past int64 into floats
+    layers, srcs, dsts, weights = columns
+    layer, src, dst, weight = (np.asarray(col) for col in columns)
     bad = ((layer < 0) | (layer >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
            | (src == dst) | ~np.isfinite(weight) | (weight < 0))
     # an edge whose (layer, dst, src) entry an earlier line already set
@@ -233,6 +206,7 @@ def _read_layers(path) -> tuple[int, int, np.ndarray]:
     if bad.any():
         first = int(bad.argmax())
         a, j, i, w = layers[first], srcs[first], dsts[first], weights[first]
+        linenos = np.flatnonzero(np.frombuffer(keep, dtype=bool)) + 1  # of each edge
         lineno = linenos[first]
         if not 0 <= a < k:
             raise ParseError(f"line {lineno}: layer {a} out of range [0, {k})")
@@ -246,6 +220,81 @@ def _read_layers(path) -> tuple[int, int, np.ndarray]:
             f"line {lineno}: duplicate edge {a} {j} {i}, first given on line {earlier}")
     mats[layer, dst, src] = weight
     return n, k, mats
+
+
+def _read_edges(path) -> tuple:
+    """(n, k, keep, columns) of a .mpx file.  `keep` holds a 1 byte for each
+    edge line and a 0 byte for every other line; `columns` is what
+    _edge_columns makes of the edge lines.  The first malformed line raises
+    ParseError, header and edge lines alike."""
+    lines = read_lines(path)
+    keep = bytearray(b"\x01") * len(lines)
+    headers = {}  # "nodes"/"layers" -> (value, line number)
+    # a line that starts with an ASCII digit is an edge line
+    for index in [i for i, raw in enumerate(lines) if raw[0] not in _ASCII_DIGITS]:
+        line = lines[index].strip()
+        if line and line[0] not in "%#":
+            continue
+        keep[index] = 0
+        if line.startswith("#"):
+            try:
+                name, value = _header(line, index + 1, headers)
+            except ParseError:
+                _edge_columns(lines, keep[:index])  # an edge line above it fails first
+                raise
+            headers[name] = (value, index + 1)
+    columns = _edge_columns(lines, keep)
+    if "nodes" not in headers or "layers" not in headers:
+        raise ParseError("missing #nodes or #layers header")
+    return headers["nodes"][0], headers["layers"][0], keep, columns
+
+
+def _header(line: str, lineno: int, headers: dict) -> tuple[str, int]:
+    """(name, value) of a `#nodes <n>` or `#layers <k>` line given once."""
+    parts = line[1:].split()
+    if len(parts) != 2 or parts[0] not in ("nodes", "layers"):
+        raise ParseError(f"line {lineno}: bad header {line!r}")
+    try:
+        value = int(parts[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer header value {parts[1]!r}")
+    if value < 1:
+        raise ParseError(f"line {lineno}: #{parts[0]} must be >= 1, got {value}")
+    if parts[0] in headers:
+        raise ParseError(f"line {lineno}: repeated #{parts[0]} header, "
+                         f"first given on line {headers[parts[0]][1]}")
+    return parts[0], value
+
+
+def _edge_columns(lines: list, keep: bytearray):
+    """(layer, src, dst, weight) columns of the lines whose `keep` byte is
+    1, as arrays or as lists of Python numbers; None when there are none.
+    numpy's tokenizer parses the lines in one call.  When it refuses one,
+    the int()/float() loop below decides what is accepted and names the
+    first malformed line."""
+    if 1 not in keep:
+        return None  # loadtxt warns on no data
+    try:
+        table = np.loadtxt(compress(lines, keep), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        return table["layer"], table["src"], table["dst"], table["weight"]
+    except ValueError:
+        pass
+    layers, srcs, dsts, weights = [], [], [], []  # untracked by the GC, unlike tuples
+    for lineno, raw in compress(enumerate(lines, start=1), keep):
+        line = raw.strip()
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            layer, src, dst = int(parts[0]), int(parts[1]), int(parts[2])
+            weight = float(parts[3])
+        except ValueError:
+            raise ParseError(f"line {lineno}: cannot parse edge {line!r}")
+        layers.append(layer)
+        srcs.append(src)
+        dsts.append(dst)
+        weights.append(weight)
+    return layers, srcs, dsts, weights
 
 
 def save_network(net: MultiplexNetwork, path: str | os.PathLike) -> None:

@@ -241,11 +241,14 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
     `grids` maps each parameter to its values; a fixed parameter such as n
     is a one-value list.  `model` is "both", "supra" or "dynamic"; "both"
     runs the entry's `models`, and entries without a model column ignore
-    it.  Every parameter the selected models use needs a non-empty grid.
+    it.  Every parameter the selected models use needs a non-empty grid,
+    and `instances` (per grid point) must be >= 0.
     """
     spec = EXPERIMENTS[experiment]
     if model not in ("both", "supra", "dynamic"):
         raise ExperimentError(f"unknown model {model!r}")
+    if instances < 0:
+        raise ExperimentError(f"instances must be >= 0, got {instances}")
     tasks = []
     for current in (spec.models if model == "both" else (model,)) or (None,):
         axes = []

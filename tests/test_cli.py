@@ -308,6 +308,30 @@ def test_cut_rejects_aggregate_model(tmp_path, capsys):
     assert "error[multiplex-core]:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"copy_index,cluster\n0,0\n1,\xff\n", "not UTF-8 text (byte 0xff)"),
+    (b"copy_index,cluster\n0,0\n0,1\n1,1\n", "copy_index 0 assigned more than once"),
+])
+def test_cut_rejects_undecodable_or_repeated_partition(tmp_path, capsys, content, message):
+    net_path = tmp_path / "net.mpx"
+    net_path.write_text("#nodes 2\n#layers 1\n0 0 1 1.0\n")
+    partition = tmp_path / "part.csv"
+    partition.write_bytes(content)
+    code = run("cut", "--input", str(net_path), "--model", "supra",
+               "--partition", str(partition))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[multiplex-core]:") and message in err
+
+
+def test_experiment_rejects_negative_instances(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run("experiment", "er", "--instances", "-3", "--k-grid", "2", "--p-grid", "0.1",
+               "--jobs", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error[experiments]: instances must be >= 0, got -3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, flag", [
     ("er", "--k-grid"),
     ("fixed-sbm", "--p-grid"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from mxspec.core import (
     MultiplexNetwork,
     flat_index,
     load_network,
+    read_lines,
     save_network,
     unflatten,
+    zeros,
 )
+from mxspec.core import check_weights
 from mxspec.errors import ParseError
 
 from conftest import random_network
@@ -164,6 +169,191 @@ def test_load_matches_line_by_line_reference(tmp_path):
             outcomes.add("valid")
     assert outcomes == {"layer", "node", "self-loop", "non-finite", "negative",
                         "duplicate", "valid"}
+
+
+def _reference_read_layers(path):
+    """The per-line parser that numpy's tokenizer replaced, kept as the
+    reference: each line stripped, split and converted with int()/float()
+    in file order, then the vectorized checks; a repeated header overrides
+    the earlier one."""
+    n = None
+    k = None
+    layers, srcs, dsts, weights, linenos = [], [], [], [], []
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) != 2 or parts[0] not in ("nodes", "layers"):
+                raise ParseError(f"line {lineno}: bad header {line!r}")
+            try:
+                value = int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer header value {parts[1]!r}")
+            if value < 1:
+                raise ParseError(f"line {lineno}: #{parts[0]} must be >= 1, got {value}")
+            if parts[0] == "nodes":
+                n = value
+            else:
+                k = value
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            layer, src, dst = int(parts[0]), int(parts[1]), int(parts[2])
+            weight = float(parts[3])
+        except ValueError:
+            raise ParseError(f"line {lineno}: cannot parse edge {line!r}")
+        layers.append(layer)
+        srcs.append(src)
+        dsts.append(dst)
+        weights.append(weight)
+        linenos.append(lineno)
+
+    if n is None or k is None:
+        raise ParseError("missing #nodes or #layers header")
+
+    mats = zeros((k, n, n), f"{path}: layer stack (#layers x #nodes x #nodes)")
+    if not linenos:
+        return n, k, mats
+    layer, src, dst, weight = (np.array(col) for col in (layers, srcs, dsts, weights))
+    bad = ((layer < 0) | (layer >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+           | (src == dst) | ~np.isfinite(weight) | (weight < 0))
+    key = (layer * n + dst) * n + src
+    order = np.argsort(key, kind="stable")
+    bad[order[1:]] |= key[order[1:]] == key[order[:-1]]
+    if bad.any():
+        first = int(bad.argmax())
+        a, j, i, w = layers[first], srcs[first], dsts[first], weights[first]
+        lineno = linenos[first]
+        if not 0 <= a < k:
+            raise ParseError(f"line {lineno}: layer {a} out of range [0, {k})")
+        if not (0 <= j < n and 0 <= i < n):
+            raise ParseError(f"line {lineno}: node index out of range [0, {n})")
+        if j == i:
+            raise ParseError(f"line {lineno}: self-loop on node {j}")
+        check_weights(w, f"line {lineno}")
+        earlier = linenos[int(np.flatnonzero(key[:first] == key[first])[0])]
+        raise ParseError(
+            f"line {lineno}: duplicate edge {a} {j} {i}, first given on line {earlier}")
+    mats[layer, dst, src] = weight
+    return n, k, mats
+
+
+# index-field spellings: int() reads all but 1.0, 0x1, 1e1 and x; of those it
+# reads, numpy's tokenizer refuses 1_0, the Arabic-Indic digit and the two
+# past int64, which leaves them to the per-line path
+INDEX_TOKENS = ["+1", "-0", "007", "1_0", "\u0661", "9223372036854775808",
+                "-9223372036854775809", "1.0", "0x1", "1e1", "-1", "x"]
+# weight spellings: float() accepts all but the last three; 1e400 is inf
+WEIGHT_TOKENS = ["+1", "-0.0", "1_0", "\u0661", "1e1", ".5", "5.", "1e400", "nan",
+                 "infinity", "-inf", "-1.5", "0", "0x1", "1.0#x", "abc"]
+BLANKS = [" ", "  ", "\t", " \t ", "\x0c", "\u3000"]
+
+
+def _random_mpx(rng) -> str:
+    """Text of a small random .mpx file in mixed spellings."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    n, k = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+    body = []
+    for _ in range(int(rng.integers(0, 9))):
+        roll = rng.random()
+        if roll < 0.08:
+            body.append(pick(["% comment 1 2", "", "   ", "\t", "%0 1 2 3.0"]))
+            continue
+        fields = [str(int(rng.integers(k))), str(int(rng.integers(n))),
+                  str(int(rng.integers(n))), pick(["1.0", "2.5", "0.25", "3"])]
+        if roll < 0.45:  # one field in an unusual spelling
+            col = int(rng.integers(4))
+            fields[col] = pick(WEIGHT_TOKENS if col == 3 else INDEX_TOKENS)
+        if rng.random() < 0.05:
+            fields = fields[:3] if rng.random() < 0.5 else fields + ["7"]
+        line = fields[0] + "".join(pick(BLANKS) + field for field in fields[1:])
+        if rng.random() < 0.2:
+            line = pick(BLANKS) + line + pick(BLANKS)
+        body.append(line)
+    headers = [f"#nodes {n}", f"#layers {k}"]
+    if rng.random() < 0.05:
+        headers[int(rng.integers(2))] = pick(["#nodes x", "#edges 3", "#layers 0"])
+    if rng.random() < 0.05:
+        headers.pop(int(rng.integers(2)))
+    for header in headers:  # each header once, anywhere in the file
+        body.insert(int(rng.integers(len(body) + 1)), header)
+    eol = "\r\n" if rng.random() < 0.2 else "\n"
+    return eol.join(body) + (eol if rng.random() < 0.9 else "")
+
+
+def test_load_matches_per_line_reference_parser(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "net.mpx"
+    outcomes = set()
+    for _ in range(800):
+        text = _random_mpx(rng)
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = _reference_read_layers(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                load_network(path)
+            assert got.value.message == exc.message, text
+            outcomes.add(exc.message.split(": ", 1)[-1].split()[0])
+            continue
+        net = load_network(path)
+        assert (net.n, net.k) == expected[:2]
+        # bitwise, so that -0.0 and 0.0 count as different
+        assert np.stack(net.layers).tobytes() == expected[2].tobytes(), text
+        outcomes.add("loaded")
+    assert outcomes >= {"loaded", "expected", "cannot", "layer", "node", "self-loop",
+                        "non-finite", "negative", "duplicate", "bad", "non-integer",
+                        "#layers", "missing"}
+
+
+@pytest.mark.parametrize("text, layers", [
+    ("#nodes 12\n#layers 1\n0 1_0 \u0661 \u0662.\u0665\n", {(0, 1, 10): 2.5}),
+    ("#nodes 2\n#layers 1\n+0 -0 +1 1e1\r\n\u30000\u30001 0 .5\u3000\n",
+     {(0, 1, 0): 10.0, (0, 0, 1): 0.5}),
+    ("#nodes 2\n#layers 1\n0 1 0 -0.0\n", {(0, 0, 1): -0.0}),
+])
+def test_load_accepts_what_int_and_float_accept(tmp_path, text, layers):
+    net = load_network(write(tmp_path, text))
+    expected = np.zeros((net.k, net.n, net.n))
+    for (a, i, j), w in layers.items():
+        expected[a, i, j] = w
+    assert np.stack(net.layers).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "#nodes 3\n#layers 2\n",
+    "% only comments\n#nodes 3\n\n%0 1 2 1.0\n   \n#layers 2\n% end",
+])
+def test_header_only_and_comment_only_files_load_without_warnings(tmp_path, text):
+    path = write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = load_network(path)
+    assert (net.n, net.k) == (3, 2)
+    assert not np.stack(net.layers).any()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#nodes 3\n#layers 1\n#nodes 4\n",
+     "line 3: repeated #nodes header, first given on line 1"),
+    ("% c\n#layers 2\n#nodes 3\n0 0 1 1.0\n#layers 2\n",
+     "line 5: repeated #layers header, first given on line 2"),
+    # an edge line above the repeated header fails first, as any bad line does
+    ("#nodes 3\n#layers 1\n0 0 1\n#nodes 3\n", "line 3: expected 4 fields, got 3"),
+    # a malformed repeat keeps its own message
+    ("#nodes 3\n#layers 1\n#nodes x\n", "line 3: non-integer header value 'x'"),
+])
+def test_repeated_header_rejected(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(ParseError) as exc:
+        load_network(path)
+    assert exc.value.message == message
 
 
 def test_round_trip_exact_over_random_networks(tmp_path):
