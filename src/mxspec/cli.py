@@ -201,7 +201,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _read_partition_csv(path, expected: int) -> Partition:
-    labels = np.full(expected, -1, dtype=int)
+    labels = np.zeros(expected, dtype=int)
     assigned = np.zeros(expected, dtype=bool)
     reader = csv.DictReader(line for line in read_lines(path) if not line.startswith("%"))
     if reader.fieldnames is None or "copy_index" not in reader.fieldnames \
@@ -216,10 +216,12 @@ def _read_partition_csv(path, expected: int) -> Partition:
             raise ParseError(f"{path}: copy_index {idx} out of range [0, {expected})")
         if assigned[idx]:
             raise ParseError(f"{path}: copy_index {idx} assigned more than once")
+        if cluster < 0:
+            raise ParseError(f"{path}: negative cluster {cluster} for copy_index {idx}")
         assigned[idx] = True
         labels[idx] = cluster
-    if np.any(labels < 0):
-        missing = int(np.nonzero(labels < 0)[0][0])
+    if not assigned.all():
+        missing = int(np.argmin(assigned))
         raise ParseError(f"{path}: no cluster assigned to copy_index {missing}")
     return Partition(labels=labels, c=int(labels.max()) + 1)
 

@@ -311,6 +311,9 @@ def test_cut_rejects_aggregate_model(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     (b"copy_index,cluster\n0,0\n1,\xff\n", "not UTF-8 text (byte 0xff)"),
     (b"copy_index,cluster\n0,0\n0,1\n1,1\n", "copy_index 0 assigned more than once"),
+    (b"copy_index,cluster\n0,-1\n1,0\n", "negative cluster -1 for copy_index 0"),
+    (b"copy_index,cluster\n1,0\n", "no cluster assigned to copy_index 0"),
+    (b"copy_index,cluster\n0,0\n", "no cluster assigned to copy_index 1"),
 ])
 def test_cut_rejects_undecodable_or_repeated_partition(tmp_path, capsys, content, message):
     net_path = tmp_path / "net.mpx"

@@ -11,7 +11,7 @@ from mxspec.cuts import (
     quadratic_form,
 )
 from mxspec.errors import CutError
-from mxspec.generators import RngSeed
+from mxspec.generators import RngSeed, gen_er_multiplex
 from mxspec.operators import build_dynamic, build_supra, disjoint_operator
 from mxspec.spectral import Partition, fiedler_bipartition
 
@@ -258,3 +258,104 @@ def test_empty_layers_supra_min_cut_keeps_copies_together():
     labels = part.labels.reshape(k, n)
     assert np.all(labels[0] == labels[1])
     assert part.used_clusters == 2
+
+
+def chunked_reference_min_cut(op):
+    """The chunked enumerator the oracle replaced: 16 384 indicator rows at
+    a time through one einsum, cost (T - s'As) / 2, with the oracle's tie
+    rule (first index within m^2 eps sum|A| of the least cost) on its costs."""
+    m = op.num_copies
+    adj = op.adjacency
+    total_weight = float(adj.sum())
+    shifts = np.arange(m - 2, -1, -1, dtype=np.uint32)
+    costs = []
+    for start in range(1, 1 << (m - 1), 1 << 14):
+        idx = np.arange(start, min(start + (1 << 14), 1 << (m - 1)), dtype=np.uint32)
+        signs = np.empty((len(idx), m))
+        signs[:, 0] = 1.0
+        signs[:, 1:] = 1.0 - 2.0 * ((idx[:, None] >> shifts[None, :]) & 1)
+        costs.append(0.5 * (total_weight - np.einsum(
+            "ij,jk,ik->i", signs, adj, signs, optimize=True)))
+    costs = np.concatenate(costs)
+    pos = int(np.argmax(costs <= costs.min() + tie_window(op)))
+    labels = ((pos + 1) >> np.arange(m - 1, -1, -1)) & 1
+    return labels, float(costs[pos])
+
+
+def tie_window(op):
+    m = op.num_copies
+    return m * m * np.finfo(float).eps * float(np.abs(op.adjacency).sum())
+
+
+def oracle_cases():
+    """Seeded operators of 2 to 20 copies, both models, float weights and
+    integer weights (where every sum is exact), 18 per size up to m = 18
+    and 2 at m = 19 and 20."""
+    rng = np.random.default_rng(20240610)
+    for m in range(2, 21):
+        shapes = [(m // k, k) for k in (1, 2, 3) if m % k == 0]
+        for case in range(18 if m <= 18 else 2):
+            n, k = shapes[case % len(shapes)]
+            model = ("supra", "dynamic")[case % 2]
+            integer = case % 4 >= 2
+            if integer:
+                net = gen_er_multiplex(n, k, float(rng.uniform(0.2, 0.7)),
+                                       RngSeed(int(rng.integers(1 << 30))))
+            else:
+                net = random_network(rng, n=n, k=k)
+            if model == "supra":
+                w = float(rng.integers(0, 3)) if integer else float(rng.uniform(0.0, 2.0))
+                op = build_supra(net, w)
+            elif integer:
+                op = build_dynamic(net, DynamicCoupling(
+                    rng.integers(0, 3, size=(k, k, n)).astype(float)))
+            else:
+                op = build_dynamic(net, random_coupling(rng, n, k))
+            yield integer, op
+
+
+def test_brute_force_matches_chunked_reference():
+    seen = 0
+    for integer, op in oracle_cases():
+        part, cost = brute_force_min_cut(op)
+        ref_labels, ref_cost = chunked_reference_min_cut(op)
+        np.testing.assert_array_equal(part.labels, ref_labels)
+        assert cost == cut_cost(op, part)
+        assert abs(cost - ref_cost) <= tie_window(op)
+        if integer:
+            assert cost == ref_cost
+        seen += 1
+    assert seen >= 300
+
+
+def test_brute_force_tie_goes_to_smallest_label_vector():
+    # two singleton cuts of equal degree both cost 6.6; a rounding-ordered
+    # argmin picked 00000000000100000000
+    net = gen_er_multiplex(10, 2, 0.45, RngSeed(5))
+    op = build_supra(net, 1.3)
+    part, cost = brute_force_min_cut(op)
+    assert "".join(map(str, part.labels.tolist())) == "00000000000000000010"
+    assert cost == cut_cost(op, part)
+    assert cost == pytest.approx(6.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(3, 21))
+def test_brute_force_exact_tie_across_the_seam(m):
+    # copies h-1 (last of the high half) and h (first of the low half) have
+    # identical light edges to every heavy copy, so the singleton cuts {h-1}
+    # and {h} tie exactly in real arithmetic; {h} is the smaller label vector
+    h = 1 + (m - 1) // 2
+    rng = np.random.default_rng(m)
+    mat = rng.uniform(1.0, 2.0, size=(m, m))
+    mat = mat + mat.T
+    light = rng.uniform(0.05, 0.1, size=m)
+    mat[h - 1, :] = mat[h, :] = light
+    mat[:, h - 1] = mat[:, h] = light
+    mat[h - 1, h] = mat[h, h - 1] = 0.01
+    np.fill_diagonal(mat, 0.0)
+    op = build_supra(MultiplexNetwork(n=m, k=1, layers=(mat,)), 0.0)
+    part, cost = brute_force_min_cut(op)
+    expected = np.zeros(m, dtype=int)
+    expected[h] = 1
+    np.testing.assert_array_equal(part.labels, expected)
+    assert cost == cut_cost(op, part)
