@@ -14,7 +14,14 @@ from .core import (
     save_network,
     unflatten,
 )
-from .cuts import CutReport, brute_force_min_cut, cut_cost, decompose_dynamic, decompose_supra
+from .cuts import (
+    CutReport,
+    brute_force_min_cut,
+    cut_cost,
+    decompose,
+    decompose_dynamic,
+    decompose_supra,
+)
 from .errors import MxspecError
 from .generators import (
     RngSeed,

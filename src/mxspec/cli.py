@@ -28,7 +28,7 @@ from .generators import (
 )
 from .operators import build_dynamic, build_supra, laplacian, load_coupling, symmetrize
 from .spectral import RESTARTS, Partition, eig_sym, fiedler_bipartition, spectral_kway
-from .cuts import cut_cost, decompose_dynamic, decompose_supra, quadratic_form
+from .cuts import cut_cost, decompose, quadratic_form
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract wants 1."""
@@ -233,19 +233,17 @@ def _cmd_cut(args) -> int:
                          "use --model supra or dynamic")
     op = _build_operator(args, net)
     part = _read_partition_csv(args.partition, op.num_copies)
+    if args.decompose:
+        report = decompose(op, part)
+        rows = [("total", report.total), ("quadratic_form", report.quadratic_form),
+                *report.terms]
+    else:
+        rows = [("total", cut_cost(op, part))]
+        if part.c == 2:
+            rows.append(("quadratic_form", quadratic_form(op, part)))
     writer = csv.writer(sys.stdout)
     writer.writerow(["term", "value"])
-    if part.c == 2 and args.decompose:
-        decompose = decompose_supra if args.model == "supra" else decompose_dynamic
-        report = decompose(net, op.coupling, part)
-        writer.writerow(["total", repr(report.total)])
-        writer.writerow(["quadratic_form", repr(report.quadratic_form)])
-        for name, value in report.terms:
-            writer.writerow([name, repr(value)])
-    else:
-        writer.writerow(["total", repr(cut_cost(op, part))])
-        if part.c == 2:
-            writer.writerow(["quadratic_form", repr(quadratic_form(op, part))])
+    writer.writerows([name, repr(value)] for name, value in rows)
     return 0
 
 

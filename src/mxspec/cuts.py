@@ -9,6 +9,7 @@ every routine here is tested against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,59 +75,44 @@ def quadratic_form(op: SupraOperator, part: Partition) -> float:
     return 0.5 * float(s @ op.laplacian @ s)
 
 
-def _layer_indicators(part: Partition, n: int, k: int) -> np.ndarray:
-    return part.indicator().reshape(k, n)
+def decompose(op: SupraOperator, part: Partition) -> CutReport:
+    """Split s^T L s of a built operator exactly into named terms, for a
+    bipartition (CutError naming c otherwise).  With S^{a,b} the (a, b)
+    block of the symmetric operator matrix, both models give one term per
+    layer, s_a^T L(S^{a,a}) s_a.  The supra coupling adds the constant
+    k^2 n w and the alignment term -w sum_{a,b} s_a^T s_b.  The dynamic
+    coupling adds per ordered layer pair a != b the inter term
+    M^{a,b} - s_a^T S^{a,b} s_b, M^{a,b} the total weight of S^{a,b}; each
+    block carries the 1/2 of symmetrization, which makes the sum exact."""
+    _check_partition(op, part)
+    if part.c != 2:
+        raise CutError(f"the decomposition is defined for 2 clusters, got c = {part.c}")
+    n, k = op.n, op.k
+    s = part.indicator().reshape(k, n)
+    terms = [(f"intra_layer_{a}", float(s[a] @ laplacian(op.block(a, a)) @ s[a]))
+             for a in range(k)]
+    if op.model == "supra":
+        w = op.coupling
+        alignment = float(sum(s[a] @ s[b] for a in range(k) for b in range(k)))
+        terms += [("coupling_constant", float(k * k * n * w)),
+                  ("coupling_alignment", -w * alignment)]
+    else:
+        for a, b in itertools.permutations(range(k), 2):
+            block = op.block(a, b)
+            terms.append((f"inter_{a}_{b}", float(block.sum()) - float(s[a] @ block @ s[b])))
+    return CutReport(total=cut_cost(op, part), quadratic_form=quadratic_form(op, part),
+                     terms=tuple(terms))
 
 
 def decompose_supra(net: MultiplexNetwork, w: float, part: Partition) -> CutReport:
-    """Split s^T L s for the supra operator into the per-layer Laplacian
-    terms, the constant coupling term k^2 n w, and the alignment term
-    -w sum_{a,b} s_a^T s_b.  The three groups sum to s^T L s exactly."""
-    op = build_supra(net, w)
-    _check_partition(op, part)
-    n, k, w = net.n, net.k, op.coupling
-    s = _layer_indicators(part, n, k)
-    terms = []
-    for a in range(k):
-        terms.append((f"intra_layer_{a}", float(s[a] @ laplacian(op.block(a, a)) @ s[a])))
-    terms.append(("coupling_constant", float(k * k * n * w)))
-    alignment = float(sum(s[a] @ s[b] for a in range(k) for b in range(k)))
-    terms.append(("coupling_alignment", -w * alignment))
-    total = cut_cost(op, part)
-    return CutReport(total=total, quadratic_form=quadratic_form(op, part), terms=tuple(terms))
+    """`decompose` of the supra operator with inter-layer weight w."""
+    return decompose(build_supra(net, w), part)
 
 
-def decompose_dynamic(
-    net: MultiplexNetwork, coupling: DynamicCoupling, part: Partition
-) -> CutReport:
-    """Split s^T L s for the dynamical operator into per-layer Laplacian
-    terms over the diagonal blocks and, per ordered layer pair (a, b),
-    the inter term  M^{a,b} - s_a^T S^{a,b} s_b,  where S^{a,b} is the
-    (a, b) block of the symmetrized operator and M^{a,b} its total weight.
-
-    Term normalization uses the symmetrized operator's blocks (each block
-    carries the 1/2 of symmetrization), which is the normalization under
-    which the sum-to-s^T L s identity is exact.
-    """
-    op = build_dynamic(net, coupling)
-    _check_partition(op, part)
-    n, k = net.n, net.k
-    s = _layer_indicators(part, n, k)
-    terms = []
-    for a in range(k):
-        block = op.block(a, a)
-        terms.append((f"intra_layer_{a}", float(s[a] @ laplacian(block) @ s[a])))
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            block = op.block(a, b)
-            total_weight = float(block.sum())
-            terms.append(
-                (f"inter_{a}_{b}", total_weight - float(s[a] @ block @ s[b]))
-            )
-    total = cut_cost(op, part)
-    return CutReport(total=total, quadratic_form=quadratic_form(op, part), terms=tuple(terms))
+def decompose_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling,
+                      part: Partition) -> CutReport:
+    """`decompose` of the dynamical operator with the given coupling."""
+    return decompose(build_dynamic(net, coupling), part)
 
 
 def _sign_rows(bits: int) -> np.ndarray:

@@ -151,6 +151,15 @@ class AggregateRow:
     value: float
 
 
+def _mean(values) -> float | None:
+    """Mean of metric value strings, None when they are labels."""
+    try:
+        numeric = [float(v) for v in values]
+    except ValueError:
+        return None
+    return sum(numeric) / len(numeric)
+
+
 @dataclass
 class SweepResult:
     """Instance rows in deterministic order plus their per-point means."""
@@ -162,27 +171,18 @@ class SweepResult:
     def aggregates(self) -> list:
         """Mean per (parameter point, metric).  Label-valued metrics expand
         into one fraction row per label (metric ``frac:<label>``)."""
-        order: list = []
         groups: dict = {}
         for row in self.rows:
-            key = (row.params, row.metric)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row.value)
+            groups.setdefault((row.params, row.metric), []).append(row.value)
         out = []
-        for params, metric in order:
-            values = groups[(params, metric)]
-            try:
-                numeric = [float(v) for v in values]
-            except ValueError:
-                for label in REGIME_LABELS:
-                    frac = sum(1 for v in values if v == label) / len(values)
-                    out.append(AggregateRow(self.experiment, params, f"frac:{label}", frac))
+        for (params, metric), values in groups.items():
+            mean = _mean(values)
+            if mean is not None:
+                out.append(AggregateRow(self.experiment, params, f"mean:{metric}", mean))
                 continue
-            out.append(
-                AggregateRow(self.experiment, params, f"mean:{metric}", sum(numeric) / len(numeric))
-            )
+            for label in REGIME_LABELS:
+                frac = sum(1 for v in values if v == label) / len(values)
+                out.append(AggregateRow(self.experiment, params, f"frac:{label}", frac))
         return out
 
     def metric_values(self, metric: str, **param_filter) -> list:
@@ -466,37 +466,30 @@ def run_overlap_kway(
 # CSV emission
 # ---------------------------------------------------------------------------
 
+def _write_table(path, param_names: tuple, columns: list, records) -> None:
+    """A CSV of experiment, param:<name> columns and `columns`, one line
+    per (experiment, params, values) record."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["experiment"] + [f"param:{name}" for name in param_names] + columns)
+        for experiment, params, values in records:
+            params = dict(params)
+            writer.writerow([experiment] + [params[name] for name in param_names] + values)
+
+
 def write_results_csv(result: SweepResult, path) -> None:
     """results.csv: experiment, param:<name> columns, instance, seed,
     metric, value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["experiment"] + [f"param:{name}" for name in result.param_names]
-            + ["instance", "seed", "metric", "value"]
-        )
-        for row in result.rows:
-            params = dict(row.params)
-            writer.writerow(
-                [row.experiment] + [params[name] for name in result.param_names]
-                + [row.instance, row.seed, row.metric, row.value]
-            )
+    _write_table(path, result.param_names, ["instance", "seed", "metric", "value"],
+                 ((row.experiment, row.params, [row.instance, row.seed, row.metric, row.value])
+                  for row in result.rows))
 
 
 def write_aggregate_csv(result: SweepResult, path) -> None:
     """Per-point means: experiment, param:<name> columns, metric, value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["experiment"] + [f"param:{name}" for name in result.param_names]
-            + ["metric", "value"]
-        )
-        for agg in result.aggregates():
-            params = dict(agg.params)
-            writer.writerow(
-                [agg.experiment] + [params[name] for name in result.param_names]
-                + [agg.metric, canon(agg.value)]
-            )
+    _write_table(path, result.param_names, ["metric", "value"],
+                 ((agg.experiment, agg.params, [agg.metric, canon(agg.value)])
+                  for agg in result.aggregates()))
 
 
 def read_results_csv(path) -> tuple:
@@ -556,18 +549,13 @@ def heatmap_grid(rows, x: str, y: str, metric: str) -> tuple:
         line = []
         for xv in x_values:
             bucket = cells.get((xv, yv))
+            mean = None if bucket is None else _mean(bucket)
             if bucket is None:
                 line.append("")
-                continue
-            try:
-                numeric = [float(v) for v in bucket]
-                line.append(canon(sum(numeric) / len(numeric)))
-            except ValueError:
-                counts: dict = {}
-                for v in bucket:
-                    counts[v] = counts.get(v, 0) + 1
-                best = min(counts, key=lambda lab: (-counts[lab], lab))
-                line.append(best)
+            elif mean is not None:
+                line.append(canon(mean))
+            else:  # the modal label, ties broken lexicographically
+                line.append(min(set(bucket), key=lambda lab: (-bucket.count(lab), lab)))
         grid.append(line)
     return x_values, y_values, grid
 

@@ -128,7 +128,8 @@ def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOper
             raw[a * n : (a + 1) * n, b * n : (b + 1) * n] = (
                 coupling.diag[a, b][:, None] * net.layers[b]
             )
-    return SupraOperator(model="dynamic", n=n, k=k, adjacency=symmetrize(raw), coupling=coupling)
+    raw = symmetrize(raw)  # drops the unsymmetrized array before the operator copies it
+    return SupraOperator(model="dynamic", n=n, k=k, adjacency=raw, coupling=coupling)
 
 
 def disjoint_operator(net: MultiplexNetwork, model: str) -> SupraOperator:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SpectralError
 
@@ -290,8 +289,8 @@ def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
     """Unnormalized c-way spectral clustering: rows embedded into the first
     c eigenvectors (ascending, trivial included), then Lloyd k-means with
     k-means++ starts.  Runs RESTARTS restarts, batched in one Lloyd loop, on
-    seeds derived deterministically from `seed`, and keeps the first with
-    the lowest within-cluster sum of squares."""
+    seeds derived deterministically from the RngSeed `seed`, and keeps the
+    first with the lowest within-cluster sum of squares."""
     arr = np.asarray(lap, dtype=float)
     m = arr.shape[0]
     if c < 2:
@@ -306,10 +305,7 @@ def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
 
 
 def _restart_rng(seed, restart: int) -> np.random.Generator:
-    from .generators import RngSeed
-
-    base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-    return base.spawn("kmeans", restart).generator()
+    return seed.spawn("kmeans", restart).generator()
 
 
 def match_partitions(a: Partition, b: Partition) -> tuple[bool, float]:
@@ -325,6 +321,9 @@ def match_partitions(a: Partition, b: Partition) -> tuple[bool, float]:
     m = len(a)
     if m == 0:
         return True, 1.0
+    # imported here: scipy.optimize is 17 MB that only scoring needs
+    from scipy.optimize import linear_sum_assignment
+
     size = max(a.c, b.c)
     confusion = np.zeros((size, size), dtype=np.int64)
     np.add.at(confusion, (a.labels, b.labels), 1)

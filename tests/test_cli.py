@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mxspec import cli, experiments, spectral
+from mxspec import cli, cuts, experiments, spectral
 from mxspec.cli import main
 from mxspec.core import DynamicCoupling, MultiplexNetwork, load_network, save_network
 from mxspec.operators import build_dynamic, build_supra, reduce_indivisible
@@ -325,6 +325,59 @@ def test_cut_rejects_undecodable_or_repeated_partition(tmp_path, capsys, content
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error[multiplex-core]:") and message in err
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_cut_decompose_builds_the_operator_once(tmp_path, monkeypatch, capsys, model):
+    net_path = tmp_path / "net.mpx"
+    assert run("generate", "--type", "er", "--n", "8", "--k", "3", "--p", "0.5",
+               "--seed", "2", "--out", str(net_path)) == 0
+    assign = tmp_path / "assign.csv"
+    assert run("cluster", "--input", str(net_path), "--model", model,
+               "--supra-weight", "1.5", "--out", str(assign)) == 0
+    net = load_network(net_path)
+    rows = [l.split(",") for l in assign.read_text().splitlines()[2:]]
+    part = spectral.Partition(labels=np.array([int(r[-1]) for r in rows]), c=2)
+    if model == "supra":
+        report = cuts.decompose_supra(net, 1.5, part)
+    else:
+        report = cuts.decompose_dynamic(net, DynamicCoupling.identity(net.n, net.k), part)
+    expected = ["term,value", f"total,{report.total!r}",
+                f"quadratic_form,{report.quadratic_form!r}"]
+    expected += [f"{name},{value!r}" for name, value in report.terms]
+
+    builds = []
+
+    def counted(fn):
+        def wrapper(*args):
+            builds.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for module in (cli, cuts):
+        for name in ("build_supra", "build_dynamic"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    capsys.readouterr()
+    assert run("cut", "--input", str(net_path), "--model", model, "--supra-weight", "1.5",
+               "--partition", str(assign), "--decompose") == 0
+    assert builds == [f"build_{model}"]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_cut_decompose_rejects_more_than_two_clusters(tmp_path, capsys):
+    net_path = tmp_path / "net.mpx"
+    net_path.write_text("#nodes 2\n#layers 2\n0 0 1 1.0\n1 1 0 2.0\n")
+    partition = tmp_path / "part.csv"
+    partition.write_text("copy_index,cluster\n0,0\n1,1\n2,2\n3,0\n")
+    argv = ("cut", "--input", str(net_path), "--model", "dynamic",
+            "--partition", str(partition))
+    assert run(*argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["total,3.0"]
+    assert run(*argv, "--decompose") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[cut-analysis]: the decomposition is defined for 2 clusters, got c = 3\n")
 
 
 def test_experiment_rejects_negative_instances(tmp_path, capsys):

@@ -6,6 +6,7 @@ from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.cuts import (
     brute_force_min_cut,
     cut_cost,
+    decompose,
     decompose_dynamic,
     decompose_supra,
     quadratic_form,
@@ -161,6 +162,31 @@ def test_decompose_dynamic_identity_random():
         quad = quadratic_form(build_dynamic(net, coupling), part)
         assert report.terms_sum == pytest.approx(2 * quad, abs=1e-10)
         assert report.total == pytest.approx(report.quadratic_form, abs=1e-10)
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_decompose_reads_the_built_operator(model):
+    rng = np.random.default_rng(11)
+    net = random_network(rng, n=5, k=3)
+    part = random_bipartition(rng, net.num_copies)
+    if model == "supra":
+        op, report = build_supra(net, 0.7), decompose_supra(net, 0.7, part)
+    else:
+        coupling = random_coupling(rng, 5, 3)
+        op, report = build_dynamic(net, coupling), decompose_dynamic(net, coupling, part)
+    # the wrappers build the operator and decompose it: the same floats
+    assert decompose(op, part) == report
+    assert report.terms_sum == pytest.approx(2 * quadratic_form(op, part), abs=1e-9)
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_decompose_rejects_more_than_two_clusters(model):
+    net = random_network(np.random.default_rng(12), n=3, k=2)
+    op = build_supra(net, 1.0) if model == "supra" else build_dynamic(
+        net, DynamicCoupling.identity(3, 2))
+    part = Partition(labels=np.array([0, 1, 2, 0, 1, 2]), c=3)
+    with pytest.raises(CutError, match="defined for 2 clusters, got c = 3"):
+        decompose(op, part)
 
 
 def test_brute_force_two_triangles_bridge():

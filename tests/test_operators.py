@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,3 +377,19 @@ def test_load_coupling_errors(tmp_path):
     path.write_bytes(b"0 1 0.\xff\n")
     with pytest.raises(ParseError, match=r"bad\.cpl: not UTF-8 text \(byte 0xff\)"):
         load_coupling(path, n=3, k=2)
+
+
+def test_build_dynamic_holds_three_operator_sized_arrays_at_most():
+    # the symmetrized matrix, the operator's copy of it and the Laplacian;
+    # the unsymmetrized array is dropped before the operator copies
+    n, k = 100, 4
+    net = gen_er_multiplex(n, k, 0.3, RngSeed(1))
+    coupling = DynamicCoupling.identity(n, k)
+    tracemalloc.start()
+    try:
+        build_dynamic(net, coupling)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = n * k
+    assert peak <= 3.2 * m * m * 8

@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+import mxspec
 
 from mxspec.errors import SpectralError
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
@@ -451,3 +457,17 @@ def test_partition_validation():
     np.testing.assert_array_equal(part.indicator(), [1.0, -1.0, 1.0])
     with pytest.raises(SpectralError):
         Partition(labels=np.array([0, 1, 2]), c=3).indicator()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize loads on the first match_partitions call, not with
+    the package."""
+    code = ("import sys, numpy as np, mxspec\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "part = mxspec.Partition(labels=np.array([0, 1]), c=2)\n"
+            "mxspec.match_partitions(part, part)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(mxspec.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
