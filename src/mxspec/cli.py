@@ -218,11 +218,12 @@ def _read_partition_csv(path, expected: int) -> Partition:
             raise ParseError(f"{path}: copy_index {idx} assigned more than once")
         if cluster < 0:
             raise ParseError(f"{path}: negative cluster {cluster} for copy_index {idx}")
+        if cluster > np.iinfo(labels.dtype).max:
+            raise ParseError(f"{path}: cluster {cluster} for copy_index {idx} is past int64")
         assigned[idx] = True
         labels[idx] = cluster
     if not assigned.all():
-        missing = int(np.argmin(assigned))
-        raise ParseError(f"{path}: no cluster assigned to copy_index {missing}")
+        raise ParseError(f"{path}: no cluster assigned to copy_index {np.argmin(assigned)}")
     return Partition(labels=labels, c=int(labels.max()) + 1)
 
 

@@ -62,10 +62,9 @@ def cut_cost(op: SupraOperator, part: Partition) -> float:
     labels = part.labels
     total = float(adj.sum())
     intra = 0.0
-    for cluster in range(part.c):
+    for cluster in np.unique(labels):  # the labels in use, ascending
         mask = labels == cluster
-        if mask.any():
-            intra += float(adj[np.ix_(mask, mask)].sum())
+        intra += float(adj[np.ix_(mask, mask)].sum())
     return total - intra
 
 

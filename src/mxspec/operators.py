@@ -51,10 +51,11 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
         degree = arr.sum(axis=1)
         # |D - S| sums to at most |degree| + sum |S| along each row
         _check_bounded(np.abs(degree) + magnitude.sum(axis=1), "operator Laplacian")
-        del magnitude
         if not (linalg.issymmetric(arr) or linalg.issymmetric(arr, atol=1e-12 * scale)):
             raise OperatorError("laplacian requires a symmetric matrix")
-    return np.diag(degree) - arr
+    np.subtract(0.0, arr, out=magnitude)  # |S| becomes L: 0.0 - S, as -S gives -0.0
+    np.fill_diagonal(magnitude, degree - arr.diagonal())  # bit for bit diag(degree) - S
+    return magnitude
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,11 @@ class SupraOperator:
     laplacian: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        adj = np.array(self.adjacency, dtype=float)
+        adj = np.asarray(self.adjacency, dtype=float)  # kept and locked if float64
         m = self.n * self.k
         if adj.shape != (m, m):
             raise OperatorError(f"operator must be {m} x {m}, got {adj.shape}")
-        if np.any(np.diag(adj) != 0):
+        if np.any(adj.diagonal() != 0):
             raise OperatorError("operator matrix must have zero diagonal")
         lap = laplacian(adj)
         adj.flags.writeable = False
@@ -103,33 +104,32 @@ def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
     w = float(check_weights(w, "supra inter-layer weight w"))
     n, k = net.n, net.k
     adj = zeros((n * k, n * k), "supra operator", OperatorError)
+    blocks = adj.reshape(k, n, k, n)  # blocks[a, :, b] is layer block (a, b)
     eye = np.eye(n) * w
     for a in range(k):
-        adj[a * n : (a + 1) * n, a * n : (a + 1) * n] = symmetrize(net.layers[a])
         for b in range(k):
-            if a != b:
-                adj[a * n : (a + 1) * n, b * n : (b + 1) * n] = eye
+            blocks[a, :, b] = symmetrize(net.layers[a]) if a == b else eye
     return SupraOperator(model="supra", n=n, k=k, adjacency=adj, coupling=w)
 
 
 def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:
-    """Dynamical-coupling operator: assemble block (a, b) = C^{a,b} A^b,
-    then symmetrize, so the copy pair (i on a, j on b) carries half of
-    c^{a,b}_i w^b(i,j) + c^{b,a}_j w^a(j,i)."""
+    """Dynamical-coupling operator: block (a, b) = (C^{a,b} A^b + (C^{b,a} A^a)^T) / 2,
+    so the copy pair (i on a, j on b) carries half of c^{a,b}_i w^b(i,j) +
+    c^{b,a}_j w^a(j,i).  Summed once per pair a <= b, bit for bit `symmetrize`."""
     n, k = net.n, net.k
     if coupling.k != k or coupling.n != n:
-        raise OperatorError(
-            f"coupling shaped {coupling.diag.shape} does not match network (k={k}, n={n})"
-        )
-    raw = zeros((n * k, n * k), "dynamic operator", OperatorError)
-    for a in range(k):
-        for b in range(k):
-            # diagonal C^{a,b} times A^b scales rows of A^b
-            raw[a * n : (a + 1) * n, b * n : (b + 1) * n] = (
-                coupling.diag[a, b][:, None] * net.layers[b]
-            )
-    raw = symmetrize(raw)  # drops the unsymmetrized array before the operator copies it
-    return SupraOperator(model="dynamic", n=n, k=k, adjacency=raw, coupling=coupling)
+        raise OperatorError(f"coupling shaped {coupling.diag.shape} does not match "
+                            f"network (k={k}, n={n})")
+    adj = zeros((n * k, n * k), "dynamic operator", OperatorError)
+    blocks = adj.reshape(k, n, k, n)
+    with np.errstate(over="ignore"):  # a sum past the float range stays inf, for `laplacian`
+        for a in range(k):
+            for b in range(a, k):
+                # diagonal C^{a,b} times A^b scales rows of A^b
+                half = 0.5 * (coupling.diag[a, b][:, None] * net.layers[b]
+                              + (coupling.diag[b, a][:, None] * net.layers[a]).T)
+                blocks[a, :, b], blocks[b, :, a] = half, half.T
+    return SupraOperator(model="dynamic", n=n, k=k, adjacency=adj, coupling=coupling)
 
 
 def disjoint_operator(net: MultiplexNetwork, model: str) -> SupraOperator:

@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import io
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -312,6 +314,8 @@ def test_cut_rejects_aggregate_model(tmp_path, capsys):
     (b"copy_index,cluster\n0,0\n1,\xff\n", "not UTF-8 text (byte 0xff)"),
     (b"copy_index,cluster\n0,0\n0,1\n1,1\n", "copy_index 0 assigned more than once"),
     (b"copy_index,cluster\n0,-1\n1,0\n", "negative cluster -1 for copy_index 0"),
+    (b"copy_index,cluster\n0,0\n1,99999999999999999999\n",
+     "cluster 99999999999999999999 for copy_index 1 is past int64"),
     (b"copy_index,cluster\n1,0\n", "no cluster assigned to copy_index 0"),
     (b"copy_index,cluster\n0,0\n", "no cluster assigned to copy_index 1"),
 ])
@@ -325,6 +329,27 @@ def test_cut_rejects_undecodable_or_repeated_partition(tmp_path, capsys, content
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error[multiplex-core]:") and message in err
+
+
+def test_cut_with_a_large_cluster_label_finishes(tmp_path, capsys):
+    # the cut sums over the labels in use, not over every value below c;
+    # a subprocess, so that a loop over range(c) fails by timeout, not hangs
+    net_path = tmp_path / "net.mpx"
+    net_path.write_text("#nodes 4\n#layers 2\n0 0 1 1.0\n0 2 3 2.0\n1 1 2 4.0\n")
+
+    def argv(label):  # copies 1 and 5 in cluster `label`, the rest in 0
+        partition = tmp_path / f"part{label}.csv"
+        partition.write_text("copy_index,cluster\n" + "".join(
+            f"{idx},{label if idx in (1, 5) else 0}\n" for idx in range(8)))
+        return ["cut", "--input", str(net_path), "--model", "dynamic",
+                "--partition", str(partition)]
+
+    assert run(*argv(2)) == 0  # c = 3, so `total` alone, as for c = 10**9 + 1
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "mxspec.cli", *argv(10**9)], cwd=src,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == expected.splitlines() == ["term,value", "total,10.0"]
 
 
 @pytest.mark.parametrize("model", ["supra", "dynamic"])

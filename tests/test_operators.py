@@ -380,8 +380,9 @@ def test_load_coupling_errors(tmp_path):
 
 
 def test_build_dynamic_holds_three_operator_sized_arrays_at_most():
-    # the symmetrized matrix, the operator's copy of it and the Laplacian;
-    # the unsymmetrized array is dropped before the operator copies
+    # the builder's matrix, which the operator keeps, and the Laplacian:
+    # two (three while the operator copied the matrix); the tighter bound
+    # is test_build_allocates_each_operator_matrix_once's
     n, k = 100, 4
     net = gen_er_multiplex(n, k, 0.3, RngSeed(1))
     coupling = DynamicCoupling.identity(n, k)
@@ -393,3 +394,98 @@ def test_build_dynamic_holds_three_operator_sized_arrays_at_most():
         tracemalloc.stop()
     m = n * k
     assert peak <= 3.2 * m * m * 8
+
+
+def signed_zero_symmetric(rng, size):
+    """Random symmetric matrix with 0.0 and -0.0 entries and a nonzero diagonal."""
+    mat = rng.random((size, size)) * 10.0 ** int(rng.integers(-3, 4))
+    draw = rng.random((size, size))
+    mat[draw < 0.3] = 0.0
+    mat[(draw >= 0.3) & (draw < 0.5)] = -0.0
+    mat = np.triu(mat) + np.triu(mat, 1).T
+    mat[np.diag_indices(size)] = rng.random(size) + 0.5
+    mat[0, 0] = -0.0
+    return mat
+
+
+def test_laplacian_is_bitwise_diag_of_row_sums_minus_matrix():
+    # assert_array_equal takes -0.0 == 0.0, so compare the bytes
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        sym = signed_zero_symmetric(rng, int(rng.integers(1, 12)))
+        expected = np.diag(sym.sum(1)) - sym
+        assert laplacian(sym).tobytes() == expected.tobytes()
+    # a strided view, as `decompose` passes op.block(a, a)
+    net = random_network(rng, n=5, k=3)
+    for op in (build_supra(net, -0.0), build_dynamic(net, random_coupling(rng, 5, 3))):
+        for a in range(3):
+            block = op.block(a, a)
+            assert not block.flags.c_contiguous
+            expected = np.diag(block.sum(1)) - block
+            assert laplacian(block).tobytes() == expected.tobytes()
+
+
+def test_builders_equal_symmetrized_assembly_bitwise():
+    # the reference assembles C^{a,b} A^b (or w I) block by block in a
+    # second array and symmetrizes the whole of it
+    rng = np.random.default_rng(13)
+    for case in range(120):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        layers = []
+        for _ in range(k):
+            mat = signed_zero_symmetric(rng, n)
+            mat[:, -1] *= 3.0  # not symmetric
+            np.fill_diagonal(mat, 0.0)
+            layers.append(mat)
+        net = MultiplexNetwork(n=n, k=k, layers=tuple(layers))
+        diag = rng.random((k, k, n)) * (case % 4 != 0)  # every fourth coupling is zero
+        diag[rng.random((k, k, n)) < 0.3] = -0.0
+        w = (0.0, -0.0, 0.5)[case % 3]
+        raw_supra, raw_dynamic = np.zeros((n * k, n * k)), np.zeros((n * k, n * k))
+        for a in range(k):
+            for b in range(k):
+                rows, cols = slice(a * n, (a + 1) * n), slice(b * n, (b + 1) * n)
+                raw_supra[rows, cols] = layers[a] if a == b else np.eye(n) * w
+                raw_dynamic[rows, cols] = diag[a, b][:, None] * layers[b]
+        built = (build_supra(net, w), build_dynamic(net, DynamicCoupling(diag)))
+        for op, raw in zip(built, (raw_supra, raw_dynamic)):
+            sym = symmetrize(raw)
+            assert op.adjacency.tobytes() == sym.tobytes()
+            assert op.laplacian.tobytes() == (np.diag(sym.sum(1)) - sym).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda net: build_supra(net, 1.0),
+    lambda net: build_dynamic(net, DynamicCoupling.identity(net.n, net.k)),
+], ids=["supra", "dynamic"])
+def test_build_allocates_each_operator_matrix_once(build):
+    # the adjacency the builder fills and the Laplacian, which reuses its
+    # |S| scratch; layer-sized temporaries are 1/k^2 of a matrix each
+    n, k = 100, 4
+    net = gen_er_multiplex(n, k, 0.3, RngSeed(1))
+    tracemalloc.start()
+    try:
+        build(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = n * k
+    assert peak <= 2.2 * m * m * 8
+
+
+def test_supra_operator_keeps_a_float_adjacency_and_locks_it():
+    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
+    op = SupraOperator(model="supra", n=1, k=2, adjacency=adj, coupling=1.0)
+    assert np.shares_memory(op.adjacency, adj)
+    with pytest.raises(ValueError):
+        adj[0, 1] = 2.0
+    integer = np.array([[0, 1], [1, 0]])
+    op = SupraOperator(model="supra", n=1, k=2, adjacency=integer, coupling=1.0)
+    assert op.adjacency.dtype == np.float64 and not np.shares_memory(op.adjacency, integer)
+    np.testing.assert_array_equal(op.adjacency, adj)
+    integer[0, 1] = 5  # the caller's array of another dtype stays writable
+    # an adjacency that is rejected is not locked
+    asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(OperatorError):
+        SupraOperator(model="supra", n=1, k=2, adjacency=asymmetric, coupling=1.0)
+    asymmetric[1, 0] = 1.0
