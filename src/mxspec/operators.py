@@ -105,10 +105,16 @@ def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
     n, k = net.n, net.k
     adj = zeros((n * k, n * k), "supra operator", OperatorError)
     blocks = adj.reshape(k, n, k, n)  # blocks[a, :, b] is layer block (a, b)
-    eye = np.eye(n) * w
-    for a in range(k):
-        for b in range(k):
-            blocks[a, :, b] = symmetrize(net.layers[a]) if a == b else eye
+    eye = np.eye(n) * w if k > 1 else None  # at k = 1 it would be operator-sized
+    with np.errstate(over="ignore"):  # a sum past the float range stays inf, for `laplacian`
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    blocks[a, :, b] = eye
+            # symmetrize(A^a) formed in its block: (A + A^T), then * 0.5
+            diag = blocks[a, :, a]
+            np.add(net.layers[a], net.layers[a].T, out=diag)
+            diag *= 0.5
     return SupraOperator(model="supra", n=n, k=k, adjacency=adj, coupling=w)
 
 
@@ -125,10 +131,14 @@ def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOper
     with np.errstate(over="ignore"):  # a sum past the float range stays inf, for `laplacian`
         for a in range(k):
             for b in range(a, k):
-                # diagonal C^{a,b} times A^b scales rows of A^b
-                half = 0.5 * (coupling.diag[a, b][:, None] * net.layers[b]
-                              + (coupling.diag[b, a][:, None] * net.layers[a]).T)
-                blocks[a, :, b], blocks[b, :, a] = half, half.T
+                # diagonal C^{a,b} times A^b scales rows of A^b; the half
+                # sum is formed in its block, in the order 0.5 * (P + Q^T)
+                half = blocks[a, :, b]
+                np.multiply(coupling.diag[a, b][:, None], net.layers[b], out=half)
+                half += (coupling.diag[b, a][:, None] * net.layers[a]).T
+                half *= 0.5
+                if a != b:
+                    blocks[b, :, a] = half.T
     return SupraOperator(model="dynamic", n=n, k=k, adjacency=adj, coupling=coupling)
 
 

@@ -6,7 +6,9 @@ c-way clustering embeds each row into the first c eigenvectors (trivial one
 included) and runs seeded Lloyd k-means with k-means++ initialization.
 
 Both read only the lowest eigenpairs, which `eig_sym(mat, count)` computes
-without the rest of the spectrum.
+without the rest of the spectrum: by a subset solve, or from LANCZOS_MIN
+rows on by a Lanczos solve whose decisions it proves to be the exact
+matrix's before it uses them.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas, lapack
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import SpectralError
 
@@ -33,6 +37,17 @@ ZERO_ENTRY_TOL = 1e-12
 SUBSET_MIN = 8
 # k-means++ starts of spectral_kway, each on its own seed
 RESTARTS = 10
+# rows of |M| that eig_sym holds at once while it takes the norm
+NORM_ROWS = 64
+# order from which eig_sym(mat, count) tries the certified Lanczos path
+# first: above every desk sweep (m = n k <= 1000 at the default n = 100),
+# whose CSVs stay on the dense path; from about m = 800 on the path is
+# measured faster than the subset solve whenever it certifies
+LANCZOS_MIN = 1024
+# ARPACK restarts before the Lanczos path gives up.  Fixed-SBM and ER
+# Laplacians at m = 1040-2000 took 3-40 (45 of 48 within 20); a run that
+# reaches the cap wastes about 360 products, 0.5 s at m = 2000
+LANCZOS_MAXITER = 20
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,11 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     and the full spectrum is solved instead.  So the eigenspace of every
     returned eigenvalue up to index count-1 is always returned whole.
 
+    From LANCZOS_MIN rows on, a `count` is first tried by the certified
+    Lanczos path (`_certified_lanczos`): it returns count + 1 pairs when it
+    proves that their zero, repeat and sign decisions are those of the
+    exact matrix, and the subset solve above runs only when it cannot.
+
     An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
     bounds every eigenvalue's magnitude (Gershgorin).  An exactly
     symmetric input goes to LAPACK as it is; one that is symmetric only
@@ -129,10 +149,18 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
         raise SpectralError(f"expected a square matrix, got shape {arr.shape}")
     if count is not None and count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
-    magnitude = np.abs(arr)
-    scale = max(1.0, float(magnitude.max(initial=0.0)))
-    norm = float(magnitude.sum(axis=1).max(initial=0.0))
-    del magnitude
+    m = arr.shape[0]
+    # |M| a block of rows at a time, so no m x m temporary: every row sum
+    # is reduced on its own, so the floats are those of the whole array's
+    peaks, sums = np.empty(m), np.empty(m)
+    for start in range(0, m, NORM_ROWS):
+        rows = slice(start, start + NORM_ROWS)
+        magnitude = np.abs(arr[rows])
+        magnitude.max(axis=1, initial=0.0, out=peaks[rows])
+        magnitude.sum(axis=1, out=sums[rows])
+        del magnitude
+    scale = max(1.0, float(peaks.max(initial=0.0)))
+    norm = float(sums.max(initial=0.0))
     if not np.isfinite(norm):
         raise SpectralError("matrix has a non-finite entry or row sum")
     tol = 1e-8 * max(1.0, norm)
@@ -141,9 +169,11 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
         raise SpectralError("matrix is not symmetric within 1e-10")
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
+    if count is not None and LANCZOS_MIN <= m and count + 1 < m:
+        values, vectors = _certified_lanczos(sym, count, norm, tol)
     size = max(count or 1, SUBSET_MIN)
     try:
-        if count is not None and size < arr.shape[0]:
+        if values is None and count is not None and size < m:
             values, vectors = linalg.eigh(
                 sym, driver="evr", subset_by_index=[0, size - 1], check_finite=False)
             if values[-1] - values[count - 1] <= tol:
@@ -160,6 +190,77 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     leading = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
+
+
+def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> tuple:
+    """The lowest count + 1 Ritz pairs of the symmetric `sym` (m x m, with
+    ||sym||_inf = `norm`), as (ascending values, vector columns), when
+    they are proved to decide everything `eig_sym`'s callers read as the
+    exact eigenpairs do; else (None, None).
+
+    1. ARPACK's implicitly restarted Lanczos (`eigsh`, which="SA") from
+       a fixed start vector, m standard normal draws of numpy's default
+       generator seeded 0, with at most LANCZOS_MAXITER restarts, gives
+       Ritz pairs (theta_j, v_j) and their residual norms
+       r_j = ||A v_j - theta_j v_j||.  The same input gives the same bits.
+    2. Count certificate: with mu = (theta_{count-1} + theta_count) / 2
+       and tau = ||A||_inf + |mu|, a Cholesky factorization of
+       A - mu I + tau V V^T (V the first count vectors) that succeeds
+       makes A - mu I positive definite on the complement of span V, so
+       at most count eigenvalues lie below mu (Courant-Fischer), less the
+       factorization's backward error.
+    3. The first count Ritz values, each within r_j (plus rounding) of an
+       eigenvalue, must lie more than the zero tolerance plus their
+       residuals apart from each other, from mu, and from the zero
+       threshold.  Then each of them pins exactly one eigenvalue, the
+       count lowest are all accounted for, and the zero count, the
+       Fiedler value's index and its multiplicity of 1 are what a
+       backward-stable dense solver decides.
+    4. Sign certificate (Davis-Kahan sin theta): with delta_j the
+       distance from theta_j to every other possible eigenvalue, the unit
+       eigenvector lies within beta_j = sqrt2 (r_j + m eps ||A||_inf) /
+       delta_j of +-v_j.  Every entry must satisfy ||v_ij| - 1e-12| >
+       beta_j, so each one's side of the +-1e-12 thresholds that sign
+       fixing and `fiedler_bipartition` read is that of the exact vector.
+
+    The last pair only witnesses the gap above mu; its vector is a Ritz
+    vector and is not certified.  The checks run cheapest first, and the
+    Cholesky factors one m x m buffer in place."""
+    m = sym.shape[0]
+    eps = np.finfo(float).eps
+    try:
+        values, vectors = eigsh(sym, k=count + 1, which="SA", maxiter=LANCZOS_MAXITER,
+                                v0=np.random.default_rng(0).standard_normal(m))
+    except (ArpackNoConvergence, ArpackError):
+        return None, None
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+        return None, None
+    residuals = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
+    slack = m * eps * norm  # rounding in a residual, and a dense solver's eigenvalue error
+    mu = 0.5 * (values[count - 1] + values[count])
+    tau = norm + abs(mu)
+    # a Cholesky that succeeds in floating point factors H + E with
+    # ||E||_2 <= (m + 1) m eps ||H||_2 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, thm 10.3), and ||H||_2 <= ||A|| + |mu| + tau
+    floor = mu - (m + 1) * m * eps * (norm + abs(mu) + tau)
+    theta, radius = values[:count], residuals[:count] + slack
+    apart = np.abs(theta[:, None] - theta) - radius  # [j, i]: theta_j to eigenvalue i
+    np.fill_diagonal(apart, np.inf)
+    gap = np.minimum(apart.min(axis=1), floor - theta)
+    # the dense eigenvalue j lies within radius_j + slack of theta_j
+    if not ((gap - radius - 2 * slack > tol).all()
+            and (np.abs(theta - tol) > radius + slack).all() and theta[-1] > tol):
+        return None, None
+    beta = np.sqrt(2.0) * radius / gap
+    if not (np.abs(np.abs(vectors[:, :count]) - ZERO_ENTRY_TOL) > beta).all():
+        return None, None
+    shifted = sym.copy()  # C order: shifted.T is the Fortran array LAPACK overwrites
+    shifted.reshape(-1)[:: m + 1] -= mu
+    blas.dsyrk(tau, vectors[:, :count], beta=1.0, c=shifted.T, overwrite_c=True)
+    _, info = lapack.dpotrf(shifted.T, clean=False, overwrite_a=True)
+    return (values, vectors) if info == 0 else (None, None)
 
 
 def _component_bipartition(lap: np.ndarray) -> Partition:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mxspec import experiments
+from mxspec import cli, experiments, spectral
 from mxspec.errors import ExperimentError
 from mxspec.experiments import (
     InstanceRow,
@@ -335,3 +335,29 @@ def test_heatmap_numeric_mean_and_modal_labels():
         heatmap_grid(rows, "p", "q", "missing")
     with pytest.raises(ExperimentError):
         heatmap_grid(rows, "nope", "q", "score")
+
+
+@pytest.mark.parametrize("grid", ["desk", "full"])
+def test_sweeps_at_the_default_n_stay_below_lanczos_min(monkeypatch, grid):
+    # every desk and --full sweep keeps the dense solve, and with it its
+    # CSV bytes: run one instance of each model at the point with the
+    # largest k (n and k alone set the operator's order n k) with the
+    # defaults of `mxspec experiment`, and record what eig_sym is handed
+    orders = []
+    real_eig_sym = spectral.eig_sym
+
+    def recording_eig_sym(mat, count=None):
+        orders.append(len(mat))
+        return real_eig_sym(mat, count)
+
+    monkeypatch.setattr(spectral, "eig_sym", recording_eig_sym)
+    for name, spec in experiments.EXPERIMENTS.items():
+        args = cli._build_parser().parse_args(["experiment", name, "--out", "unused.csv"])
+        grids = dict(n=[args.n], w=[args.supra_weight], intra=[args.intra], inter=[args.inter])
+        for param, values in getattr(spec, grid).items():
+            grids[param] = [max(values)] if param == "k" else values[:1]
+        before = len(orders)
+        experiments.run_experiment(name, 1, args.model, 1, 1, **grids)
+        assert len(orders) > before, name
+    assert max(orders) == (1000 if grid == "full" else 600)
+    assert max(orders) < spectral.LANCZOS_MIN

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,14 @@ import scipy.linalg
 
 import mxspec
 
+from mxspec import spectral
+from mxspec.core import DynamicCoupling
 from mxspec.errors import SpectralError
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
-from mxspec.operators import build_supra, laplacian
+from mxspec.operators import build_dynamic, build_supra, disjoint_operator, laplacian
 from mxspec.spectral import (
+    LANCZOS_MIN,
+    NORM_ROWS,
     RESTARTS,
     EigenSystem,
     Partition,
@@ -471,3 +476,162 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+# --- the certified Lanczos path, from LANCZOS_MIN rows on --------------------
+
+# m = 1040, just past LANCZOS_MIN: supra at w = 5 puts k*w = 40 above the
+# community eigenvalue (about 12), so the Fiedler value is simple
+LANCZOS_NETS = {"supra": (130, 8), "dynamic": (260, 4)}
+
+
+def lanczos_net_laplacian(model, seed):
+    n, k = LANCZOS_NETS[model]
+    assert LANCZOS_MIN <= n * k < LANCZOS_MIN + 100
+    net, _ = gen_fixed_sbm_multiplex(n, k, 0.1, RngSeed(seed, ("lanczos",)))
+    if model == "supra":
+        return build_supra(net, 5.0).laplacian
+    return build_dynamic(net, DynamicCoupling.identity(n, k)).laplacian
+
+
+def dense_eig_sym(monkeypatch, mat, count):
+    """eig_sym with the Lanczos path out of reach: the subset solve alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "LANCZOS_MIN", sys.maxsize)
+        return eig_sym(mat, count)
+
+
+def assert_same_system(got, expected):
+    assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+    assert got.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+    assert got.zero_tolerance == expected.zero_tolerance
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_lanczos_path_decides_as_the_dense_path(monkeypatch, model, seed):
+    lap = lanczos_net_laplacian(model, seed)
+    m = len(lap)
+    system = eig_sym(lap, 2)
+    assert len(system.eigenvalues) == 3  # the Lanczos path; the subset solve returns 8
+    dense = dense_eig_sym(monkeypatch, lap, 2)
+    part, value, degenerate = fiedler_bipartition(lap, system)
+    dense_part, dense_value, dense_degenerate = fiedler_bipartition(lap, dense)
+    np.testing.assert_array_equal(part.labels, dense_part.labels)
+    assert degenerate is dense_degenerate is False
+    assert system.zero_multiplicity == dense.zero_multiplicity == 1
+    assert system.fiedler_multiplicity == dense.fiedler_multiplicity == 1
+    np.testing.assert_array_equal(system.fiedler_mask(), dense.fiedler_mask()[:3])
+    assert system.zero_tolerance == dense.zero_tolerance
+    # the exact eigenvalue lies within the residual (plus rounding) of the
+    # Ritz value, and the dense one within rounding of the exact one
+    vec = system.eigenvectors[:, 1]
+    residual = np.linalg.norm(lap @ vec - value * vec)
+    rounding = m * np.finfo(float).eps * np.abs(lap).sum(axis=1).max()
+    assert abs(value - dense_value) <= residual + 2 * rounding
+    # a fixed start vector: the same answer, bit for bit
+    assert_same_system(eig_sym(lap, 2), system)
+
+
+def test_lanczos_kway_labels_equal_the_dense_path(monkeypatch):
+    lap = lanczos_net_laplacian("dynamic", 1)
+    assert len(eig_sym(lap, 3).eigenvalues) == 4
+    part = spectral_kway(lap, 3, RngSeed(5))
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "LANCZOS_MIN", sys.maxsize)
+        dense = spectral_kway(lap, 3, RngSeed(5))
+    np.testing.assert_array_equal(part.labels, dense.labels)
+
+
+def mirrored_blocks_laplacian(size=512, seed=3):
+    """Two copies of one random graph joined only through a middle node
+    that has the same edges into both: the swap of the copies maps the
+    Fiedler vector to minus itself, so its middle entry is exactly 0."""
+    rng = np.random.default_rng(seed)
+    block = np.triu((rng.random((size, size)) < 0.3).astype(float), 1)
+    block += block.T
+    m = 2 * size + 1
+    adj = np.zeros((m, m))
+    adj[:size, :size] = adj[size + 1:, size + 1:] = block
+    for node in (0, 1, 2):
+        adj[size, node] = adj[node, size] = 1.0
+        adj[size, size + 1 + node] = adj[size + 1 + node, size] = 1.0
+    return laplacian(adj)
+
+
+def _raise_no_convergence(*args, **kwargs):
+    raise spectral.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+
+def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
+    net, _ = gen_fixed_sbm_multiplex(260, 4, 0.1, RngSeed(1, ("lanczos",)))
+    cases = {
+        # k*w = 20 lies below the community eigenvalue: a 3-fold Fiedler value
+        "repeated-fiedler": build_supra(net, 5.0).laplacian,
+        # one component per layer: a 4-fold zero eigenvalue
+        "disconnected": disjoint_operator(net, "dynamic").laplacian,
+        "zero-entry": mirrored_blocks_laplacian(),
+        "no-convergence": lanczos_net_laplacian("dynamic", 1),
+    }
+    for name, lap in cases.items():
+        assert len(lap) >= LANCZOS_MIN, name
+        with monkeypatch.context() as patch:
+            if name == "no-convergence":
+                patch.setattr(spectral, "eigsh", _raise_no_convergence)
+            system = eig_sym(lap, 2)
+        dense = dense_eig_sym(monkeypatch, lap, 2)
+        assert len(system.eigenvalues) > 3, name
+        assert_same_system(system, dense)
+        if name == "repeated-fiedler":
+            assert dense.fiedler_multiplicity == 3
+        if name == "disconnected":
+            assert dense.zero_multiplicity == 4
+        if name == "zero-entry":
+            assert abs(dense.eigenvectors[512, 1]) <= spectral.ZERO_ENTRY_TOL
+
+
+def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
+    # exact eigenpairs 0, 2 and 3, as a Lanczos run that never saw
+    # eigenvalue 1 would return them: only the Cholesky count can tell
+    lap = lanczos_net_laplacian("dynamic", 1)
+    dense = dense_eig_sym(monkeypatch, lap, 4)
+    keep = [0, 2, 3]
+    factorizations = []
+    real_potrf = spectral.lapack.dpotrf
+
+    def potrf(*args, **kwargs):
+        factorizations.append(real_potrf(*args, **kwargs)[1])
+        return None, factorizations[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "eigsh", lambda *args, **kwargs: (
+            dense.eigenvalues[keep], dense.eigenvectors[:, keep].copy()))
+        patch.setattr(spectral.lapack, "dpotrf", potrf)
+        system = eig_sym(lap, 2)
+    assert len(factorizations) == 1 and factorizations[0] > 0
+    assert_same_system(system, dense_eig_sym(monkeypatch, lap, 2))
+
+
+def test_eig_sym_lanczos_path_allocates_only_its_certificate_buffer():
+    lap = lanczos_net_laplacian("dynamic", 1)
+    m = len(lap)
+    tracemalloc.start()
+    try:
+        system = eig_sym(lap, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(system.eigenvalues) == 3
+    assert peak <= 1.1 * m * m * 8, peak / (m * m * 8)
+
+
+def test_eig_sym_norm_by_row_blocks_equals_the_whole_array():
+    rng = np.random.default_rng(14)
+    m = 3 * NORM_ROWS + 5
+    mat = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-6, 6, size=(m, m))
+    mat += mat.T
+    layouts = {"c": mat, "fortran": np.asfortranarray(mat),
+               "strided": np.kron(mat, np.ones((2, 2)))[::2, ::2], "reversed": mat[::-1, ::-1]}
+    for name, arr in layouts.items():
+        expected = 1e-8 * max(1.0, float(np.abs(arr).sum(axis=1).max()))
+        assert eig_sym(arr, 2).zero_tolerance == expected, name
