@@ -37,17 +37,26 @@ ZERO_ENTRY_TOL = 1e-12
 SUBSET_MIN = 8
 # k-means++ starts of spectral_kway, each on its own seed
 RESTARTS = 10
-# rows of |M| that eig_sym holds at once while it takes the norm
-NORM_ROWS = 64
 # order from which eig_sym(mat, count) tries the certified Lanczos path
 # first: above every desk sweep (m = n k <= 1000 at the default n = 100),
-# whose CSVs stay on the dense path; from about m = 800 on the path is
-# measured faster than the subset solve whenever it certifies
-LANCZOS_MIN = 1024
-# ARPACK restarts before the Lanczos path gives up.  Fixed-SBM and ER
-# Laplacians at m = 1040-2000 took 3-40 (45 of 48 within 20); a run that
-# reaches the cap wastes about 360 products, 0.5 s at m = 2000
+# whose CSVs stay on the dense path.  An attempt that does not certify is
+# paid before the subset solve; on fixed-SBM supra Laplacians with a
+# repeated Fiedler value it cost +34 % of the subset solve at m = 1040 and
+# +13-19 % from m = 1500 on, where a certified one saves about 60 %
+LANCZOS_MIN = 1500
+# ARPACK restarts before the Lanczos path gives up.  Certified runs on
+# fixed-SBM and ER Laplacians at m = 1500-2000 took 1-21, sparse ER (mean
+# degree 5-20) the most.  Runs that did not certify stopped by convergence
+# after 48-205 products; a run that reaches the cap makes about 340
 LANCZOS_MAXITER = 20
+# ARPACK's relative residual target: the certificates need residuals far
+# below the gaps, not at rounding level, and a run takes about a third
+# fewer products than at tol = 0 (machine precision)
+LANCZOS_TOL = 1e-10
+# breadth-first steps over |M| before eig_sym counts it as connected; a
+# disconnected operator repeats the zero eigenvalue, so Lanczos cannot
+# certify it and is not tried
+REACH_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -135,9 +144,13 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     returned eigenvalue up to index count-1 is always returned whole.
 
     From LANCZOS_MIN rows on, a `count` is first tried by the certified
-    Lanczos path (`_certified_lanczos`): it returns count + 1 pairs when it
+    Lanczos path (`_certified_lanczos`), unless the nonzero pattern of M
+    is disconnected (`_falls_apart`): it returns count + 1 pairs when it
     proves that their zero, repeat and sign decisions are those of the
     exact matrix, and the subset solve above runs only when it cannot.
+    That proof covers what `fiedler_bipartition` reads.  `spectral_kway`
+    also reads the vectors' values, which are the exact ones only to
+    within the residuals, so its labels on this path are not certified.
 
     An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
     bounds every eigenvalue's magnitude (Gershgorin).  An exactly
@@ -150,26 +163,21 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     if count is not None and count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
     m = arr.shape[0]
-    # |M| a block of rows at a time, so no m x m temporary: every row sum
-    # is reduced on its own, so the floats are those of the whole array's
-    peaks, sums = np.empty(m), np.empty(m)
-    for start in range(0, m, NORM_ROWS):
-        rows = slice(start, start + NORM_ROWS)
-        magnitude = np.abs(arr[rows])
-        magnitude.max(axis=1, initial=0.0, out=peaks[rows])
-        magnitude.sum(axis=1, out=sums[rows])
-        del magnitude
-    scale = max(1.0, float(peaks.max(initial=0.0)))
-    norm = float(sums.max(initial=0.0))
+    magnitude = np.abs(arr)
+    scale = max(1.0, float(magnitude.max(initial=0.0)))
+    norm = float(magnitude.sum(axis=1).max(initial=0.0))
     if not np.isfinite(norm):
         raise SpectralError("matrix has a non-finite entry or row sum")
     tol = 1e-8 * max(1.0, norm)
+    lanczos = (count is not None and LANCZOS_MIN <= m and count + 1 < m
+               and not _falls_apart(magnitude))
+    del magnitude
     exact = linalg.issymmetric(arr)
     if not (exact or linalg.issymmetric(arr, atol=1e-10 * scale)):
         raise SpectralError("matrix is not symmetric within 1e-10")
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
-    if count is not None and LANCZOS_MIN <= m and count + 1 < m:
+    if lanczos:
         values, vectors = _certified_lanczos(sym, count, norm, tol)
     size = max(count or 1, SUBSET_MIN)
     try:
@@ -192,16 +200,35 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
 
 
+def _falls_apart(magnitude: np.ndarray) -> bool:
+    """Whether the nonzero pattern of `magnitude` (|M|, m x m) is
+    disconnected: a breadth-first search from row 0, one product with
+    |M| per step, stops growing before it reaches every row.  A search
+    still growing after REACH_STEPS steps counts as connected."""
+    reached = np.zeros(magnitude.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached
+    for _ in range(REACH_STEPS):
+        # a sum of nonnegative terms is positive when one of them is
+        frontier = (magnitude @ frontier.astype(float) > 0) & ~reached
+        if not frontier.any():
+            return not reached.all()
+        reached |= frontier
+    return False
+
+
 def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> tuple:
     """The lowest count + 1 Ritz pairs of the symmetric `sym` (m x m, with
     ||sym||_inf = `norm`), as (ascending values, vector columns), when
-    they are proved to decide everything `eig_sym`'s callers read as the
-    exact eigenpairs do; else (None, None).
+    they are proved to decide the zero count, the Fiedler multiplicity and
+    every sign that `fiedler_bipartition` reads as the exact eigenpairs
+    do; else (None, None).
 
     1. ARPACK's implicitly restarted Lanczos (`eigsh`, which="SA") from
        a fixed start vector, m standard normal draws of numpy's default
-       generator seeded 0, with at most LANCZOS_MAXITER restarts, gives
-       Ritz pairs (theta_j, v_j) and their residual norms
+       generator seeded 0, with at most LANCZOS_MAXITER restarts and a
+       relative residual target of LANCZOS_TOL, gives Ritz pairs
+       (theta_j, v_j) and their residual norms
        r_j = ||A v_j - theta_j v_j||.  The same input gives the same bits.
     2. Count certificate: with mu = (theta_{count-1} + theta_count) / 2
        and tau = ||A||_inf + |mu|, a Cholesky factorization of
@@ -229,8 +256,8 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     m = sym.shape[0]
     eps = np.finfo(float).eps
     try:
-        values, vectors = eigsh(sym, k=count + 1, which="SA", maxiter=LANCZOS_MAXITER,
-                                v0=np.random.default_rng(0).standard_normal(m))
+        values, vectors = eigsh(sym, k=count + 1, which="SA", tol=LANCZOS_TOL,
+                                maxiter=LANCZOS_MAXITER, v0=np.random.default_rng(0).standard_normal(m))
     except (ArpackNoConvergence, ArpackError):
         return None, None
     order = np.argsort(values)

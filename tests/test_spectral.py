@@ -16,7 +16,6 @@ from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
 from mxspec.operators import build_dynamic, build_supra, disjoint_operator, laplacian
 from mxspec.spectral import (
     LANCZOS_MIN,
-    NORM_ROWS,
     RESTARTS,
     EigenSystem,
     Partition,
@@ -480,9 +479,9 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 # --- the certified Lanczos path, from LANCZOS_MIN rows on --------------------
 
-# m = 1040, just past LANCZOS_MIN: supra at w = 5 puts k*w = 40 above the
-# community eigenvalue (about 12), so the Fiedler value is simple
-LANCZOS_NETS = {"supra": (130, 8), "dynamic": (260, 4)}
+# m = 1500, at LANCZOS_MIN: supra at w = 5 puts k*w = 50 above the
+# community eigenvalue (about 15), so the Fiedler value is simple
+LANCZOS_NETS = {"supra": (150, 10), "dynamic": (300, 5)}
 
 
 def lanczos_net_laplacian(model, seed):
@@ -543,7 +542,7 @@ def test_lanczos_kway_labels_equal_the_dense_path(monkeypatch):
     np.testing.assert_array_equal(part.labels, dense.labels)
 
 
-def mirrored_blocks_laplacian(size=512, seed=3):
+def mirrored_blocks_laplacian(size=750, seed=3):
     """Two copies of one random graph joined only through a middle node
     that has the same edges into both: the swap of the copies maps the
     Fiedler vector to minus itself, so its middle entry is exactly 0."""
@@ -564,30 +563,56 @@ def _raise_no_convergence(*args, **kwargs):
 
 
 def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
-    net, _ = gen_fixed_sbm_multiplex(260, 4, 0.1, RngSeed(1, ("lanczos",)))
+    net, _ = gen_fixed_sbm_multiplex(300, 5, 0.1, RngSeed(1, ("lanczos",)))
     cases = {
-        # k*w = 20 lies below the community eigenvalue: a 3-fold Fiedler value
+        # k*w = 25 lies below the community eigenvalue: a 4-fold Fiedler value
         "repeated-fiedler": build_supra(net, 5.0).laplacian,
-        # one component per layer: a 4-fold zero eigenvalue
+        # one component per layer: a 5-fold zero eigenvalue, and no attempt
         "disconnected": disjoint_operator(net, "dynamic").laplacian,
         "zero-entry": mirrored_blocks_laplacian(),
         "no-convergence": lanczos_net_laplacian("dynamic", 1),
     }
+    real_eigsh = spectral.eigsh
     for name, lap in cases.items():
         assert len(lap) >= LANCZOS_MIN, name
-        with monkeypatch.context() as patch:
+        attempts = []
+
+        def eigsh(*args, **kwargs):
+            attempts.append(name)
             if name == "no-convergence":
-                patch.setattr(spectral, "eigsh", _raise_no_convergence)
+                _raise_no_convergence()
+            return real_eigsh(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "eigsh", eigsh)
             system = eig_sym(lap, 2)
         dense = dense_eig_sym(monkeypatch, lap, 2)
         assert len(system.eigenvalues) > 3, name
         assert_same_system(system, dense)
+        assert len(attempts) == (name != "disconnected"), name
         if name == "repeated-fiedler":
-            assert dense.fiedler_multiplicity == 3
+            assert dense.fiedler_multiplicity == 4
         if name == "disconnected":
-            assert dense.zero_multiplicity == 4
+            assert dense.zero_multiplicity == 5
         if name == "zero-entry":
-            assert abs(dense.eigenvectors[512, 1]) <= spectral.ZERO_ENTRY_TOL
+            assert abs(dense.eigenvectors[750, 1]) <= spectral.ZERO_ENTRY_TOL
+
+
+def test_falls_apart_finds_a_disconnected_pattern():
+    size = 40
+    path = np.zeros((size, size))
+    path[np.arange(size - 1), np.arange(1, size)] = path[np.arange(1, size), np.arange(size - 1)] = -1e-300
+    assert not spectral._falls_apart(np.abs(path))
+    split = path.copy()
+    split[4, 5] = split[5, 4] = 0.0
+    assert spectral._falls_apart(np.abs(split))
+    # past REACH_STEPS, a search still growing counts as connected
+    far = path.copy()
+    far[size - 6, size - 5] = far[size - 5, size - 6] = 0.0
+    assert size - 6 > spectral.REACH_STEPS
+    assert not spectral._falls_apart(np.abs(far))
+    assert not spectral._falls_apart(np.abs(block_clique_laplacian([3, 4], bridges=[(2, 3)])[0]))
+    assert spectral._falls_apart(np.abs(block_clique_laplacian([3, 4])[0]))
 
 
 def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
@@ -623,15 +648,3 @@ def test_eig_sym_lanczos_path_allocates_only_its_certificate_buffer():
         tracemalloc.stop()
     assert len(system.eigenvalues) == 3
     assert peak <= 1.1 * m * m * 8, peak / (m * m * 8)
-
-
-def test_eig_sym_norm_by_row_blocks_equals_the_whole_array():
-    rng = np.random.default_rng(14)
-    m = 3 * NORM_ROWS + 5
-    mat = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-6, 6, size=(m, m))
-    mat += mat.T
-    layouts = {"c": mat, "fortran": np.asfortranarray(mat),
-               "strided": np.kron(mat, np.ones((2, 2)))[::2, ::2], "reversed": mat[::-1, ::-1]}
-    for name, arr in layouts.items():
-        expected = 1e-8 * max(1.0, float(np.abs(arr).sum(axis=1).max()))
-        assert eig_sym(arr, 2).zero_tolerance == expected, name
