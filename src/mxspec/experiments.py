@@ -242,13 +242,15 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
     is a one-value list.  `model` is "both", "supra" or "dynamic"; "both"
     runs the entry's `models`, and entries without a model column ignore
     it.  Every parameter the selected models use needs a non-empty grid,
-    and `instances` (per grid point) must be >= 0.
+    `instances` (per grid point) must be >= 0 and `jobs` >= 1.
     """
     spec = EXPERIMENTS[experiment]
     if model not in ("both", "supra", "dynamic"):
         raise ExperimentError(f"unknown model {model!r}")
     if instances < 0:
         raise ExperimentError(f"instances must be >= 0, got {instances}")
+    if jobs < 1:
+        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     tasks = []
     for current in (spec.models if model == "both" else (model,)) or (None,):
         axes = []
@@ -267,7 +269,7 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
             for instance in range(instances):
                 tasks.append((experiment, params, instance,
                               instance_seed(seed, experiment, params, instance)))
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_single_thread_blas) as pool:
             metric_lists = list(pool.map(_run_task, tasks, chunksize=4))
     else:

@@ -74,7 +74,7 @@ class SbmSpec:
             raise GeneratorError("connection matrix must be square")
         if blocks.min(initial=0) < 0 or blocks.max(initial=0) >= probs.shape[0]:
             raise GeneratorError("block labels must index the connection matrix")
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not ((probs >= 0) & (probs <= 1)).all():  # NaN fails both tests
             raise GeneratorError("connection probabilities must lie in [0, 1]")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "probs", probs)
@@ -82,6 +82,12 @@ class SbmSpec:
     @property
     def n(self) -> int:
         return len(self.blocks)
+
+
+def _check_sizes(n: int, k: int = 1) -> None:
+    """GeneratorError unless n >= 1 and k >= 1; called before any draw."""
+    if n < 1 or k < 1:
+        raise GeneratorError(f"need n >= 1 nodes and k >= 1 layers, got n={n}, k={k}")
 
 
 def _symmetric_bernoulli(pair_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -95,6 +101,7 @@ def _symmetric_bernoulli(pair_probs: np.ndarray, rng: np.random.Generator) -> np
 
 def gen_er_layer(n: int, p: float, seed: RngSeed) -> np.ndarray:
     """One Erdos-Renyi layer: each unordered pair is an edge with probability p."""
+    _check_sizes(n)
     if not 0.0 <= p <= 1.0:
         raise GeneratorError(f"wiring probability must lie in [0, 1], got {p}")
     return _symmetric_bernoulli(np.full((n, n), p), seed.generator())
@@ -109,6 +116,7 @@ def gen_sbm_layer(spec: SbmSpec, seed: RngSeed) -> np.ndarray:
 
 def gen_er_multiplex(n: int, k: int, p: float, seed: RngSeed) -> MultiplexNetwork:
     """k independent ER layers with the same wiring probability."""
+    _check_sizes(n, k)
     layers = [gen_er_layer(n, p, seed.spawn("layer", a)) for a in range(k)]
     return MultiplexNetwork(n=n, k=k, layers=tuple(layers))
 
@@ -121,6 +129,7 @@ def gen_fixed_sbm_multiplex(
     probability inter_p.  Returns the network and the planted partition over
     node copies (each copy inherits its node's block).
     """
+    _check_sizes(n, k)
     if n % 2 != 0:
         raise GeneratorError(f"fixed-SBM generator needs even n, got {n}")
     blocks = np.repeat([0, 1], n // 2)
@@ -135,6 +144,7 @@ def overlap_block_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Node block labels of the two overlapping community structures:
     layer 1 splits first half vs last half, layer 2 splits the middle half
     vs the outer quarters.  Requires n divisible by 4."""
+    _check_sizes(n)
     if n % 4 != 0:
         raise GeneratorError(f"overlap generator needs n divisible by 4, got {n}")
     blocks1 = np.repeat([0, 1], n // 2)

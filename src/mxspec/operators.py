@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.sparse import csgraph
 
 from .core import DynamicCoupling, MultiplexNetwork, check_weights, read_lines, zeros
 from .errors import OperatorError, ParseError
@@ -166,10 +165,26 @@ def reduce_indivisible(op: SupraOperator) -> np.ndarray:
 
 
 def connected_components(adjacency: np.ndarray, atol: float = 0.0) -> np.ndarray:
-    """Component label per index of the graph with edges where |A_ij| > atol.
-    Labels are 0-based in order of first appearance."""
-    _, labels = csgraph.connected_components(np.abs(adjacency) > atol, directed=False)
-    return labels.astype(int)
+    """Component label per index of the undirected graph with an edge {i, j}
+    where |A_ij| > atol or |A_ji| > atol, 0-based in order of first
+    appearance.  A breadth-first search, level by level, reads each row of
+    the boolean edge mask once (m^2 bytes, no m x m float array)."""
+    arr = np.asarray(adjacency)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise OperatorError(f"connected_components needs a square matrix, got shape {arr.shape}")
+    edges = (arr > atol) | (arr < -atol)
+    edges |= edges.T
+    labels = np.full(arr.shape[0], -1)
+    count = 0
+    for start in range(arr.shape[0]):
+        if labels[start] >= 0:
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            labels[frontier] = count
+            frontier = np.flatnonzero(edges[frontier].any(axis=0) & (labels < 0))
+        count += 1
+    return labels
 
 
 def load_coupling(path: str | os.PathLike, n: int, k: int) -> DynamicCoupling:

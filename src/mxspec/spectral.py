@@ -29,6 +29,7 @@ from scipy import linalg
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
+from . import operators
 from .errors import SpectralError
 
 ZERO_ENTRY_TOL = 1e-12
@@ -53,10 +54,6 @@ LANCZOS_MAXITER = 20
 # below the gaps, not at rounding level, and a run takes about a third
 # fewer products than at tol = 0 (machine precision)
 LANCZOS_TOL = 1e-10
-# breadth-first steps over |M| before eig_sym counts it as connected; a
-# disconnected operator repeats the zero eigenvalue, so Lanczos cannot
-# certify it and is not tried
-REACH_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -145,12 +142,13 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
 
     From LANCZOS_MIN rows on, a `count` is first tried by the certified
     Lanczos path (`_certified_lanczos`), unless the nonzero pattern of M
-    is disconnected (`_falls_apart`): it returns count + 1 pairs when it
-    proves that their zero, repeat and sign decisions are those of the
-    exact matrix, and the subset solve above runs only when it cannot.
-    That proof covers what `fiedler_bipartition` reads.  `spectral_kway`
-    also reads the vectors' values, which are the exact ones only to
-    within the residuals, so its labels on this path are not certified.
+    is disconnected (`operators.connected_components`), so that the zero
+    eigenvalue repeats: it returns count + 1 pairs when it proves that
+    their zero, repeat and sign decisions are those of the exact matrix,
+    and the subset solve above runs only when it cannot.  That proof
+    covers what `fiedler_bipartition` reads.  `spectral_kway` also reads
+    the vectors' values, which are the exact ones only to within the
+    residuals, so its labels on this path are not certified.
 
     An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
     bounds every eigenvalue's magnitude (Gershgorin).  An exactly
@@ -169,9 +167,9 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     if not np.isfinite(norm):
         raise SpectralError("matrix has a non-finite entry or row sum")
     tol = 1e-8 * max(1.0, norm)
-    lanczos = (count is not None and LANCZOS_MIN <= m and count + 1 < m
-               and not _falls_apart(magnitude))
     del magnitude
+    lanczos = (count is not None and LANCZOS_MIN <= m and count + 1 < m
+               and not operators.connected_components(arr).any())
     exact = linalg.issymmetric(arr)
     if not (exact or linalg.issymmetric(arr, atol=1e-10 * scale)):
         raise SpectralError("matrix is not symmetric within 1e-10")
@@ -198,23 +196,6 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     leading = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
-
-
-def _falls_apart(magnitude: np.ndarray) -> bool:
-    """Whether the nonzero pattern of `magnitude` (|M|, m x m) is
-    disconnected: a breadth-first search from row 0, one product with
-    |M| per step, stops growing before it reaches every row.  A search
-    still growing after REACH_STEPS steps counts as connected."""
-    reached = np.zeros(magnitude.shape[0], dtype=bool)
-    reached[0] = True
-    frontier = reached
-    for _ in range(REACH_STEPS):
-        # a sum of nonnegative terms is positive when one of them is
-        frontier = (magnitude @ frontier.astype(float) > 0) & ~reached
-        if not frontier.any():
-            return not reached.all()
-        reached |= frontier
-    return False
 
 
 def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> tuple:
@@ -290,17 +271,6 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     return (values, vectors) if info == 0 else (None, None)
 
 
-def _component_bipartition(lap: np.ndarray) -> Partition:
-    """Deterministic component split for degenerate (disconnected) inputs:
-    the component containing index 0 vs everything else.  The Laplacian's
-    off-diagonal entries are the edges; its diagonal adds only self-loops."""
-    from .operators import connected_components
-
-    comp = connected_components(lap, atol=ZERO_ENTRY_TOL)
-    labels = (comp != comp[0]).astype(int)
-    return Partition(labels=labels, c=2)
-
-
 def fiedler_bipartition(
     lap: np.ndarray, system: EigenSystem | None = None
 ) -> tuple[Partition, float, bool]:
@@ -325,7 +295,9 @@ def fiedler_bipartition(
         system = eig_sym(arr, 2)
     fiedler_value = system.fiedler_value
     if system.zero_multiplicity > 1:
-        return _component_bipartition(arr), fiedler_value, True
+        # edges are the off-diagonal entries; the diagonal adds only self-loops
+        comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
+        return Partition(labels=comp != comp[0], c=2), fiedler_value, True
     basis = system.eigenvectors[:, system.fiedler_mask()]
     if basis.shape[1] == 1:
         vec = basis[:, 0]

@@ -428,6 +428,29 @@ def test_experiment_rejects_empty_grid(tmp_path, capsys, name, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, module", [
+    (("generate", "--type", "er", "--n", "-4"), "generators"),
+    (("generate", "--type", "sbm-fixed", "--n", "-4"), "generators"),
+    (("generate", "--type", "sbm-overlap", "--n", "-4"), "generators"),
+    (("generate", "--type", "er", "--n", "8", "--k", "-4"), "generators"),
+    (("generate", "--type", "sbm-fixed", "--n", "8", "--p", "nan"), "generators"),
+    (("generate", "--type", "sbm-overlap", "--n", "8", "--intra", "nan"), "generators"),
+    (("experiment", "er", "--n", "-4", "--jobs", "1"), "generators"),
+    (("experiment", "fixed-sbm", "--n", "-4", "--jobs", "1"), "generators"),
+    (("experiment", "overlap", "--n", "-8", "--jobs", "1"), "generators"),
+    (("experiment", "fixed-sbm", "--n", "8", "--p-grid", "nan", "--jobs", "1"), "generators"),
+    (("experiment", "er", "--n", "8", "--jobs", "0"), "experiments"),
+    (("experiment", "er", "--n", "8", "--jobs", "-2"), "experiments"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_bad_size_probability_or_jobs_exits_2_with_module_error(tmp_path, capsys, argv, module):
+    out = tmp_path / ("net.mpx" if argv[0] == "generate" else "r.csv")
+    flags = ("--instances", "1") if argv[0] == "experiment" else ()
+    assert run(*argv, *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{module}]:") and "unexpected" not in err, err
+    assert not out.exists()
+
+
 MODELS = ("both", "supra", "dynamic")
 # grid points per --model value of the default grids
 DESK_POINTS = {

@@ -114,6 +114,22 @@ def test_sbm_spec_validation():
         SbmSpec(np.array([0, 2]), np.array([[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(GeneratorError):
         SbmSpec(np.array([0, 1]), np.array([[0.5, 1.5], [0.5, 0.5]]))
+    with pytest.raises(GeneratorError):
+        SbmSpec(np.array([0, 1]), np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+
+@pytest.mark.parametrize("n, k", [(-4, 2), (0, 2), (4, 0), (4, -3)])
+def test_generators_reject_bad_sizes_before_any_draw(monkeypatch, n, k):
+    monkeypatch.setattr(RngSeed, "generator", lambda self: pytest.fail("drew"))
+    with pytest.raises(GeneratorError):
+        gen_er_multiplex(n, k, 0.5, RngSeed(1))
+    with pytest.raises(GeneratorError):
+        gen_fixed_sbm_multiplex(n, k, 0.5, RngSeed(1))
+    if k > 0:
+        with pytest.raises(GeneratorError):
+            gen_er_layer(n, 0.5, RngSeed(1))
+        with pytest.raises(GeneratorError):
+            gen_overlap_multiplex(2 * n, 0.9, 0.1, RngSeed(1))
 
 
 def test_fixed_sbm_planted_balance_and_structure():

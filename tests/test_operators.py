@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.errors import OperatorError, ParseError
@@ -349,6 +350,43 @@ def test_connected_components_first_appearance_order():
                         queue.append(j)
             count += 1
         np.testing.assert_array_equal(labels, expected)
+
+
+def csgraph_labels(adj, atol):
+    """The reference: scipy's undirected components of |A| > atol."""
+    return csgraph.connected_components(np.abs(adj) > atol, directed=False)[1]
+
+
+def test_connected_components_equals_csgraph():
+    rng = np.random.default_rng(14)
+    for trial in range(600):
+        m = int(rng.integers(0, 40))
+        atol = (0.0, 1e-12, 0.5)[trial % 3]
+        adj = (rng.random((m, m)) < rng.random() * 0.2) * rng.normal(size=(m, m))
+        if trial % 2:
+            adj = adj + adj.T
+        if m:  # entries exactly at +-atol are no edges
+            rows, cols = rng.integers(m, size=(2, 3))
+            adj[rows, cols] = atol * rng.choice([-1.0, 1.0], size=3)
+        labels = connected_components(adj, atol=atol)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, csgraph_labels(adj, atol))
+    for adj in (np.zeros((0, 0)), np.zeros((1, 1)), np.eye(5), np.zeros((6, 6))):
+        np.testing.assert_array_equal(connected_components(adj), csgraph_labels(adj, 0.0))
+    edge = np.zeros((4, 4))
+    edge[3, 1] = 1e-12  # one direction only, at and above atol
+    np.testing.assert_array_equal(connected_components(edge, atol=1e-12), [0, 1, 2, 3])
+    np.testing.assert_array_equal(connected_components(edge), [0, 1, 2, 1])
+    size = 2000
+    path = np.zeros((size, size))
+    path[np.arange(size - 1), np.arange(1, size)] = -1.0
+    np.testing.assert_array_equal(connected_components(path), np.zeros(size, dtype=int))
+    path[size // 2, size // 2 + 1] = 0.0
+    np.testing.assert_array_equal(connected_components(path), csgraph_labels(path, 0.0))
+    with pytest.raises(OperatorError):
+        connected_components(np.zeros((2, 3)))
+    with pytest.raises(OperatorError):
+        connected_components(np.zeros(4))
 
 
 def test_load_coupling_file(tmp_path):

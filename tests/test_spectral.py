@@ -13,7 +13,13 @@ from mxspec import spectral
 from mxspec.core import DynamicCoupling
 from mxspec.errors import SpectralError
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
-from mxspec.operators import build_dynamic, build_supra, disjoint_operator, laplacian
+from mxspec.operators import (
+    build_dynamic,
+    build_supra,
+    connected_components,
+    disjoint_operator,
+    laplacian,
+)
 from mxspec.spectral import (
     LANCZOS_MIN,
     RESTARTS,
@@ -477,6 +483,15 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.split() == ["False", "True"]
 
 
+def test_import_leaves_scipy_sparse_csgraph_unloaded():
+    """Connectivity is a search in `operators`; no scipy module for it."""
+    code = "import sys, mxspec\nprint('scipy.sparse.csgraph' in sys.modules)\n"
+    src = str(Path(mxspec.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 # --- the certified Lanczos path, from LANCZOS_MIN rows on --------------------
 
 # m = 1500, at LANCZOS_MIN: supra at w = 5 puts k*w = 50 above the
@@ -598,21 +613,36 @@ def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
             assert abs(dense.eigenvectors[750, 1]) <= spectral.ZERO_ENTRY_TOL
 
 
-def test_falls_apart_finds_a_disconnected_pattern():
+def test_lanczos_gate_finds_every_disconnected_pattern(monkeypatch):
     size = 40
     path = np.zeros((size, size))
     path[np.arange(size - 1), np.arange(1, size)] = path[np.arange(1, size), np.arange(size - 1)] = -1e-300
-    assert not spectral._falls_apart(np.abs(path))
+    assert not connected_components(path).any()
     split = path.copy()
     split[4, 5] = split[5, 4] = 0.0
-    assert spectral._falls_apart(np.abs(split))
-    # past REACH_STEPS, a search still growing counts as connected
+    assert connected_components(split).any()
+    # a split 34 steps from row 0 is found too
     far = path.copy()
     far[size - 6, size - 5] = far[size - 5, size - 6] = 0.0
-    assert size - 6 > spectral.REACH_STEPS
-    assert not spectral._falls_apart(np.abs(far))
-    assert not spectral._falls_apart(np.abs(block_clique_laplacian([3, 4], bridges=[(2, 3)])[0]))
-    assert spectral._falls_apart(np.abs(block_clique_laplacian([3, 4])[0]))
+    assert connected_components(far).any()
+    assert not connected_components(block_clique_laplacian([3, 4], bridges=[(2, 3)])[0]).any()
+    assert connected_components(block_clique_laplacian([3, 4])[0]).any()
+    # at LANCZOS_MIN rows: a path of 30 rows from row 0 (its split lies 29
+    # steps out), apart from a connected random graph, makes no eigsh call
+    m, tail = LANCZOS_MIN, 30
+    rng = np.random.default_rng(2)
+    adj = np.triu((rng.random((m, m)) < 0.01).astype(float), 1)
+    adj[:tail] = 0.0
+    adj[np.arange(tail - 1), np.arange(1, tail)] = 1.0
+    adj += adj.T
+    lap = laplacian(adj)
+    attempts = []
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "eigsh", lambda *args, **kwargs: attempts.append(1))
+        system = eig_sym(lap, 2)
+    assert attempts == []
+    assert system.zero_multiplicity == 2
+    assert_same_system(system, dense_eig_sym(monkeypatch, lap, 2))
 
 
 def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
