@@ -18,8 +18,11 @@ All indices 0-based.  Unlisted entries are zero; weights are finite and
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import re
+import stat
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -51,17 +54,33 @@ def zeros(shape: tuple, what: str, error=ParseError) -> np.ndarray:
         raise error(f"{what}: cannot allocate a {dims} float64 array ({gib:.3g} GiB)") from exc
 
 
-def read_lines(path) -> list:
-    """Lines of a UTF-8 text file; ParseError naming the file when it cannot
-    be read or decoded."""
+@contextlib.contextmanager
+def _text_file(path):
+    """The UTF-8 text file at `path`, open for reading; ParseError naming
+    the file when it cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+            yield fh
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ParseError(f"cannot read {path}: not UTF-8 text (byte 0x{byte:02x})") from exc
+
+
+def read_lines(path) -> list:
+    """Lines of a UTF-8 text file; ParseError naming the file when it cannot
+    be read or decoded."""
+    with _text_file(path) as fh:
+        return fh.readlines()
+
+
+def _read_text(path) -> tuple[str, bool]:
+    """(the text of a UTF-8 file, whether it is a regular file), read in
+    pieces: one whole-file read holds the bytes and the text at once."""
+    with _text_file(path) as fh:
+        text = "".join(iter(lambda: fh.read(1 << 16), ""))
+        return text, stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
 
 
 @dataclass(frozen=True)
@@ -185,6 +204,10 @@ def load_network(path: str | os.PathLike) -> MultiplexNetwork:
 _EDGE_DTYPE = np.dtype([("layer", np.int64), ("src", np.int64), ("dst", np.int64),
                         ("weight", np.float64)])
 _ASCII_DIGITS = frozenset("0123456789")
+# a line after the first that does not start with an ASCII digit
+_OTHER_LINE = re.compile(r"\n[^0-9]")
+# np.loadtxt opens a path with one of these suffixes as a compressed file
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def _read_layers(path) -> tuple[int, int, np.ndarray]:
@@ -197,12 +220,16 @@ def _read_layers(path) -> tuple[int, int, np.ndarray]:
     # ints that runs past int64 into floats
     layers, srcs, dsts, weights = columns
     layer, src, dst, weight = (np.asarray(col) for col in columns)
-    bad = ((layer < 0) | (layer >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-           | (src == dst) | ~np.isfinite(weight) | (weight < 0))
-    # an edge whose (layer, dst, src) entry an earlier line already set
-    key = (layer * n + dst) * n + src
-    order = np.argsort(key, kind="stable")
-    bad[order[1:]] |= key[order[1:]] == key[order[:-1]]
+    inside = (layer >= 0) & (layer < k) & (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    bad = ~inside | (src == dst) | ~np.isfinite(weight) | (weight < 0)
+    # an edge whose (layer, dst, src) entry an earlier line already set: the
+    # edge numbers, shifted below the stack's zeros, go to their entries
+    # through a minimum, so that each entry keeps the number of its first line
+    entry = ((layer * n + dst) * n + src)[inside].astype(np.intp, copy=False)
+    number = np.arange(-float(len(weight)), 0.0)[inside]
+    flat = mats.reshape(-1)
+    np.minimum.at(flat, entry, number)
+    bad[inside] |= flat[entry] != number
     if bad.any():
         first = int(bad.argmax())
         a, j, i, w = layers[first], srcs[first], dsts[first], weights[first]
@@ -215,7 +242,7 @@ def _read_layers(path) -> tuple[int, int, np.ndarray]:
         if j == i:
             raise ParseError(f"line {lineno}: self-loop on node {j}")
         check_weights(w, f"line {lineno}")
-        earlier = linenos[int(np.flatnonzero(key[:first] == key[first])[0])]
+        earlier = linenos[int(flat[(int(a) * n + int(i)) * n + int(j)]) + len(weight)]
         raise ParseError(
             f"line {lineno}: duplicate edge {a} {j} {i}, first given on line {earlier}")
     mats[layer, dst, src] = weight
@@ -227,12 +254,16 @@ def _read_edges(path) -> tuple:
     edge line and a 0 byte for every other line; `columns` is what
     _edge_columns makes of the edge lines.  The first malformed line raises
     ParseError, header and edge lines alike."""
-    lines = read_lines(path)
-    keep = bytearray(b"\x01") * len(lines)
+    text, regular = _read_text(path)
+    # one byte a line; the last line may lack its "\n"
+    keep = bytearray(b"\x01") * (text.count("\n") + (text[-1:] not in ("", "\n")))
     headers = {}  # "nodes"/"layers" -> (value, line number)
-    # a line that starts with an ASCII digit is an edge line
-    for index in [i for i, raw in enumerate(lines) if raw[0] not in _ASCII_DIGITS]:
-        line = lines[index].strip()
+    index = counted = 0  # the line index of text position `counted`
+    for start in _other_line_starts(text):
+        index += text.count("\n", counted, start)
+        counted = start
+        end = text.find("\n", start)
+        line = text[start:end if end >= 0 else len(text)].strip()
         if line and line[0] not in "%#":
             continue
         keep[index] = 0
@@ -240,13 +271,34 @@ def _read_edges(path) -> tuple:
             try:
                 name, value = _header(line, index + 1, headers)
             except ParseError:
-                _edge_columns(lines, keep[:index])  # an edge line above it fails first
+                _edge_columns(keep[:index], text[:start])  # an edge line above it fails first
                 raise
             headers[name] = (value, index + 1)
-    columns = _edge_columns(lines, keep)
+    # numpy's chunked file reader parses the edge lines by path (made
+    # absolute, so that loadtxt cannot take it for a URL) when the file is a
+    # regular one whose other lines all come first.  The text is let go
+    # first: kept through the parse, it grew the heap that the m = 2000
+    # benchmark's eigensolves reuse, and their peak RSS by 6 %
+    name = os.path.abspath(path)
+    if regular and not name.endswith(_COMPRESSED) and keep.find(0, keep.find(1)) < 0:
+        text = None
+        columns = _edge_columns(keep, path=name)
+    else:
+        columns = _edge_columns(keep, text)
     if "nodes" not in headers or "layers" not in headers:
         raise ParseError("missing #nodes or #layers header")
     return headers["nodes"][0], headers["layers"][0], keep, columns
+
+
+def _other_line_starts(text: str):
+    """The start of every line of `text` that does not begin with an ASCII
+    digit: a line that does is an edge line."""
+    if text and text[0] not in _ASCII_DIGITS:
+        yield 0
+    match = _OTHER_LINE.search(text)
+    while match:
+        yield match.start() + 1
+        match = _OTHER_LINE.search(text, match.start() + 1)
 
 
 def _header(line: str, lineno: int, headers: dict) -> tuple[str, int]:
@@ -266,21 +318,27 @@ def _header(line: str, lineno: int, headers: dict) -> tuple[str, int]:
     return parts[0], value
 
 
-def _edge_columns(lines: list, keep: bytearray):
+def _edge_columns(keep: bytearray, text: str | None = None, path: str | None = None):
     """(layer, src, dst, weight) columns of the lines whose `keep` byte is
     1, as arrays or as lists of Python numbers; None when there are none.
-    numpy's tokenizer parses the lines in one call.  When it refuses one,
-    the int()/float() loop below decides what is accepted and names the
-    first malformed line."""
-    if 1 not in keep:
+    numpy's tokenizer parses them in one call: from the lines of `text`, or
+    from the file at `path`, whose 0 bytes' lines all come before its first
+    edge line.  When it refuses one, the int()/float() loop below decides
+    what is accepted and names the first malformed line; it reads the text
+    of `path` once more."""
+    skip = keep.find(1)
+    if skip < 0:
         return None  # loadtxt warns on no data
     try:
-        table = np.loadtxt(compress(lines, keep), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        table = np.loadtxt(path or compress(text.split("\n"), keep), dtype=_EDGE_DTYPE,
+                           comments=None, ndmin=1, skiprows=skip if path else 0, encoding="utf-8")
         return table["layer"], table["src"], table["dst"], table["weight"]
     except ValueError:
         pass
+    if text is None:
+        text, _ = _read_text(path)
     layers, srcs, dsts, weights = [], [], [], []  # untracked by the GC, unlike tuples
-    for lineno, raw in compress(enumerate(lines, start=1), keep):
+    for lineno, raw in compress(enumerate(text.split("\n"), start=1), keep):
         line = raw.strip()
         parts = line.split()
         if len(parts) != 4:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 from scipy.linalg import blas, lapack
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from . import operators
 from .errors import SpectralError
@@ -137,8 +137,9 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     `count`, only the lowest max(count, SUBSET_MIN) eigenpairs, from one
     subset solve (LAPACK's MRRR driver); when the last of them still
     equals eigenvalue count-1, the subset may end inside that eigenspace,
-    and the full spectrum is solved instead.  So the eigenspace of every
-    returned eigenvalue up to index count-1 is always returned whole.
+    and it is solved once more at twice its size, then the full spectrum
+    instead.  So the eigenspace of every returned eigenvalue up to index
+    count-1 is always returned whole.
 
     From LANCZOS_MIN rows on, a `count` is first tried by the certified
     Lanczos path (`_certified_lanczos`), unless the nonzero pattern of M
@@ -177,9 +178,11 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     values = None
     if lanczos:
         values, vectors = _certified_lanczos(sym, count, norm, tol)
-    size = max(count or 1, SUBSET_MIN)
+    base = max(count or 1, SUBSET_MIN)
     try:
-        if values is None and count is not None and size < m:
+        for size in (base, 2 * base):
+            if values is not None or count is None or size >= m:
+                break
             values, vectors = linalg.eigh(
                 sym, driver="evr", subset_by_index=[0, size - 1], check_finite=False)
             if values[-1] - values[count - 1] <= tol:
@@ -208,7 +211,8 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     1. ARPACK's implicitly restarted Lanczos (`eigsh`, which="SA") from
        a fixed start vector, m standard normal draws of numpy's default
        generator seeded 0, with at most LANCZOS_MAXITER restarts and a
-       relative residual target of LANCZOS_TOL, gives Ritz pairs
+       relative residual target of LANCZOS_TOL, each product a BLAS
+       `dsymv` that reads one triangle of A, gives Ritz pairs
        (theta_j, v_j) and their residual norms
        r_j = ||A v_j - theta_j v_j||.  The same input gives the same bits.
     2. Count certificate: with mu = (theta_{count-1} + theta_count) / 2
@@ -236,8 +240,12 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     Cholesky factors one m x m buffer in place."""
     m = sym.shape[0]
     eps = np.finfo(float).eps
+    # sym is exactly symmetric, so sym.T is the same matrix: whichever of the
+    # two is Fortran-ordered reaches dsymv without a copy
+    upper = sym.T if sym.flags.c_contiguous else np.asfortranarray(sym)
+    product = LinearOperator((m, m), matvec=lambda x: blas.dsymv(1.0, upper, x), dtype=float)
     try:
-        values, vectors = eigsh(sym, k=count + 1, which="SA", tol=LANCZOS_TOL,
+        values, vectors = eigsh(product, k=count + 1, which="SA", tol=LANCZOS_TOL,
                                 maxiter=LANCZOS_MAXITER, v0=np.random.default_rng(0).standard_normal(m))
     except (ArpackNoConvergence, ArpackError):
         return None, None

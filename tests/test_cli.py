@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import io
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from mxspec import cli, cuts, experiments, spectral
 from mxspec.cli import main
 from mxspec.core import DynamicCoupling, MultiplexNetwork, load_network, save_network
+from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
 from mxspec.operators import build_dynamic, build_supra, reduce_indivisible
 
 
@@ -273,6 +276,45 @@ def test_cluster_rejects_undecodable_input(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         f"error[multiplex-core]: cannot read {net_path}: not UTF-8 text (byte 0xff)\n")
+
+
+def piped(data: bytes, read):
+    """read(name) of a /dev/fd name of a pipe that a thread fills with `data`."""
+    fd_in, fd_out = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(fd_out, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read(f"/dev/fd/{fd_in}")
+    finally:
+        os.close(fd_in)
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_piped_network_loads_as_the_file_does(tmp_path, capsys):
+    net, _ = gen_fixed_sbm_multiplex(60, 3, 0.3, RngSeed(4))
+    net_path = tmp_path / "net.mpx"
+    save_network(net, net_path)
+    data = net_path.read_bytes()
+    assert len(data) > 1 << 16  # more than one pipe buffer
+    layers = piped(data, lambda name: np.stack(load_network(name).layers))
+    assert layers.tobytes() == np.stack(load_network(net_path).layers).tobytes()
+    for bad in (b"#nodes 3\n#layers 1\n0 0 1 abc\n", b"#nodes 3\n0 0 1 1.0\n",
+                b"#nodes 3\n#layers 1\n0 0 1 1.0\n% c\n0 0 1 2.0\n"):
+        net_path.write_bytes(bad)
+        errors = []
+        for source in (str(net_path), None):
+            argv = ["cluster", "--model", "supra", "--out", str(tmp_path / "a.csv"), "--input"]
+            code = run(*argv, source) if source else piped(bad, lambda name: run(*argv, name))
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error[multiplex-core]: ") and errors[0] == errors[1]
 
 
 def test_cluster_rejects_header_too_large_to_allocate(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from mxspec.core import (
 )
 from mxspec.core import check_weights
 from mxspec.errors import ParseError
+from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
 
 from conftest import random_network
 
@@ -382,6 +384,56 @@ def test_round_trip_property(tmp_path_factory, n, k, seed):
     loaded = load_network(path)
     for a in range(k):
         np.testing.assert_array_equal(loaded.layers[a], net.layers[a])
+
+
+def test_comments_at_the_top_or_between_edges_load_the_same_bytes(tmp_path, monkeypatch):
+    # with every comment above the edge lines numpy reads the edges by path;
+    # with one between them, or with a name loadtxt would open as compressed,
+    # it parses the lines of the text already read
+    net = random_network(np.random.default_rng(5), n=30, k=3)
+    path = tmp_path / "net.mpx"
+    save_network(net, path)
+    lines = path.read_text().splitlines()
+    header, edges = lines[:2], lines[2:]
+    half = len(edges) // 2
+    comments = ["% a comment", "", "   ", "\t% indented"]
+    layouts = {
+        "top": header + comments + edges,
+        "between": header + edges[:half] + comments + edges[half:],
+        "top.gz": header + comments + edges,
+    }
+    by_path = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        by_path.append(isinstance(source, str))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    expected = np.stack(net.layers).tobytes()
+    for name, lines in layouts.items():
+        target = tmp_path / f"{name}.mpx" if name != "top.gz" else tmp_path / "net.mpx.gz"
+        target.write_text("\n".join(lines) + "\n")
+        assert np.stack(load_network(target).layers).tobytes() == expected, name
+    assert by_path == [True, False, False]
+
+
+def test_load_peak_memory_holds_no_per_line_objects(tmp_path):
+    net, _ = gen_fixed_sbm_multiplex(200, 4, 0.3, RngSeed(3))
+    path = tmp_path / "net.mpx"
+    save_network(net, path)
+    edges = sum(int(np.count_nonzero(layer)) for layer in net.layers)
+    tracemalloc.start()
+    try:
+        load_network(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the layer stack and its frozen copy, plus 56 bytes an edge for the text,
+    # the parsed table and the index arrays (about 49 are used); a list of the
+    # lines would add about 60 more, a str object and its pointer for each
+    stack = 8 * net.k * net.n * net.n
+    assert peak <= 2 * stack + 56 * edges, (peak - 2 * stack) / edges
 
 
 def test_flat_index_examples():

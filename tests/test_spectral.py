@@ -23,6 +23,7 @@ from mxspec.operators import (
 from mxspec.spectral import (
     LANCZOS_MIN,
     RESTARTS,
+    SUBSET_MIN,
     EigenSystem,
     Partition,
     _kmeans_pp_init,
@@ -667,14 +668,49 @@ def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
     assert_same_system(system, dense_eig_sym(monkeypatch, lap, 2))
 
 
-def test_eig_sym_lanczos_path_allocates_only_its_certificate_buffer():
+def test_eig_sym_lanczos_path_allocates_only_its_certificate_buffer(monkeypatch):
     lap = lanczos_net_laplacian("dynamic", 1)
     m = len(lap)
-    tracemalloc.start()
-    try:
+    real_eigsh = spectral.eigsh
+    lanczos = []  # bytes allocated at the most while eigsh ran
+
+    def eigsh(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = real_eigsh(*args, **kwargs)
+        lanczos.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(spectral, "eigsh", eigsh)
+    for mat in (lap, np.asfortranarray(lap)):
+        tracemalloc.start()
+        try:
+            system = eig_sym(mat, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(system.eigenvalues) == 3
+        assert peak <= 1.1 * m * m * 8, peak / (m * m * 8)
+        # in either memory order the products read the matrix in place
+        assert lanczos[-1] <= 0.1 * m * m * 8, lanczos[-1] / (m * m * 8)
+
+
+def _no_full_solve(*args, **kwargs):
+    raise AssertionError("eig_sym solved the full spectrum")
+
+
+def test_subset_ending_inside_a_repeated_fiedler_value_is_retried_before_a_full_solve(
+        monkeypatch):
+    # k*w = 5 lies below the community eigenvalue: lambda_2 = 5 nine times,
+    # past the subset of 8 and inside the retried subset of 16
+    net, _ = gen_fixed_sbm_multiplex(40, 10, 0.3, RngSeed(3))
+    lap = build_supra(net, 0.5).laplacian
+    full = eig_sym(lap)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", _no_full_solve)
         system = eig_sym(lap, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(system.eigenvalues) == 3
-    assert peak <= 1.1 * m * m * 8, peak / (m * m * 8)
+    assert len(system.eigenvalues) == 2 * SUBSET_MIN
+    assert system.zero_multiplicity == full.zero_multiplicity == 1
+    assert system.fiedler_multiplicity == full.fiedler_multiplicity == 9
+    np.testing.assert_array_equal(fiedler_bipartition(lap, system)[0].labels,
+                                  fiedler_bipartition(lap, full)[0].labels)
