@@ -55,12 +55,11 @@ def zeros(shape: tuple, what: str, error=ParseError) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _text_file(path):
-    """The UTF-8 text file at `path`, open for reading; ParseError naming
-    the file when it cannot be read or decoded."""
+def _reading(path):
+    """ParseError naming the file at `path` for an error in reading or
+    decoding it inside the block."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+        yield
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -71,16 +70,24 @@ def _text_file(path):
 def read_lines(path) -> list:
     """Lines of a UTF-8 text file; ParseError naming the file when it cannot
     be read or decoded."""
-    with _text_file(path) as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         return fh.readlines()
 
 
-def _read_text(path) -> tuple[str, bool]:
-    """(the text of a UTF-8 file, whether it is a regular file), read in
+def _read_text(path) -> tuple[str, os.stat_result]:
+    """(the text of a UTF-8 file, os.fstat of the file read), read in
     pieces: one whole-file read holds the bytes and the text at once."""
-    with _text_file(path) as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         text = "".join(iter(lambda: fh.read(1 << 16), ""))
-        return text, stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        return text, os.fstat(fh.fileno())
+
+
+def _names_regular_file(name: str, read: os.stat_result) -> bool:
+    """Whether `name` names the regular file whose os.fstat is `read`."""
+    try:
+        return stat.S_ISREG(read.st_mode) and os.path.samestat(read, os.stat(name))
+    except OSError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -254,7 +261,7 @@ def _read_edges(path) -> tuple:
     edge line and a 0 byte for every other line; `columns` is what
     _edge_columns makes of the edge lines.  The first malformed line raises
     ParseError, header and edge lines alike."""
-    text, regular = _read_text(path)
+    text, read = _read_text(path)
     # one byte a line; the last line may lack its "\n"
     keep = bytearray(b"\x01") * (text.count("\n") + (text[-1:] not in ("", "\n")))
     headers = {}  # "nodes"/"layers" -> (value, line number)
@@ -274,15 +281,18 @@ def _read_edges(path) -> tuple:
                 _edge_columns(keep[:index], text[:start])  # an edge line above it fails first
                 raise
             headers[name] = (value, index + 1)
-    # numpy's chunked file reader parses the edge lines by path (made
-    # absolute, so that loadtxt cannot take it for a URL) when the file is a
-    # regular one whose other lines all come first.  The text is let go
-    # first: kept through the parse, it grew the heap that the m = 2000
-    # benchmark's eigensolves reuse, and their peak RSS by 6 %
-    name = os.path.abspath(path)
-    if regular and not name.endswith(_COMPRESSED) and keep.find(0, keep.find(1)) < 0:
+    # numpy's chunked file reader parses the edge lines by path when the
+    # file is a regular one whose other lines all come first.  The path is
+    # absolute, so that loadtxt cannot take it for a URL, has its symlinks
+    # resolved before any "..", and must name the file just read.  The text
+    # is let go first: kept through the parse, it grew the heap that the
+    # m = 2000 benchmark's eigensolves reuse, and their peak RSS by 6 %
+    name = os.path.realpath(path)
+    if (keep.find(0, keep.find(1)) < 0 and not name.endswith(_COMPRESSED)
+            and _names_regular_file(name, read)):
         text = None
-        columns = _edge_columns(keep, path=name)
+        with _reading(path):
+            columns = _edge_columns(keep, path=name)
     else:
         columns = _edge_columns(keep, text)
     if "nodes" not in headers or "layers" not in headers:

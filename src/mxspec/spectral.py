@@ -137,9 +137,8 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     `count`, only the lowest max(count, SUBSET_MIN) eigenpairs, from one
     subset solve (LAPACK's MRRR driver); when the last of them still
     equals eigenvalue count-1, the subset may end inside that eigenspace,
-    and it is solved once more at twice its size, then the full spectrum
-    instead.  So the eigenspace of every returned eigenvalue up to index
-    count-1 is always returned whole.
+    and the full spectrum is solved instead.  So the eigenspace of every
+    returned eigenvalue up to index count-1 is always returned whole.
 
     From LANCZOS_MIN rows on, a `count` is first tried by the certified
     Lanczos path (`_certified_lanczos`), unless the nonzero pattern of M
@@ -178,11 +177,9 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     values = None
     if lanczos:
         values, vectors = _certified_lanczos(sym, count, norm, tol)
-    base = max(count or 1, SUBSET_MIN)
+    size = max(count or 1, SUBSET_MIN)
     try:
-        for size in (base, 2 * base):
-            if values is not None or count is None or size >= m:
-                break
+        if values is None and count is not None and size < m:
             values, vectors = linalg.eigh(
                 sym, driver="evr", subset_by_index=[0, size - 1], check_finite=False)
             if values[-1] - values[count - 1] <= tol:

@@ -1,3 +1,5 @@
+import os
+import re
 import tracemalloc
 import warnings
 
@@ -416,6 +418,32 @@ def test_comments_at_the_top_or_between_edges_load_the_same_bytes(tmp_path, monk
         target.write_text("\n".join(lines) + "\n")
         assert np.stack(load_network(target).layers).tobytes() == expected, name
     assert by_path == [True, False, False]
+
+
+def test_path_route_reads_the_file_the_text_came_from(tmp_path, monkeypatch):
+    # link/.. is the directory that holds link's target, not tmp_path: a
+    # path that collapsed ".." by text would parse the decoy's edges
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    try:
+        os.symlink(tmp_path / "real" / "sub", tmp_path / "link")
+    except OSError:
+        pytest.skip("cannot make a symlink")
+    net = random_network(np.random.default_rng(6), n=12, k=2)
+    save_network(net, tmp_path / "real" / "net.mpx")
+    save_network(MultiplexNetwork(net.n, net.k, tuple(2 * layer for layer in net.layers)),
+                 tmp_path / "net.mpx")
+    name = str(tmp_path / "link" / ".." / "net.mpx")
+    assert np.stack(load_network(name).layers).tobytes() == np.stack(net.layers).tobytes()
+    # a file that is gone when numpy opens it is a ParseError naming it
+    loadtxt = np.loadtxt
+
+    def removed(source, *args, **kwargs):
+        os.remove(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", removed)
+    with pytest.raises(ParseError, match=f"^cannot read {re.escape(name)}: "):
+        load_network(name)
 
 
 def test_load_peak_memory_holds_no_per_line_objects(tmp_path):
