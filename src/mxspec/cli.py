@@ -178,12 +178,14 @@ def _cmd_cluster(args) -> int:
         lap = _build_operator(args, net).laplacian
     if args.clusters == 2:
         system = eig_sym(lap, 2)
-        part, fiedler_value, degenerate = fiedler_bipartition(lap, system)
+        part, _, degenerate = fiedler_bipartition(lap, system)
         multiplicity = system.fiedler_multiplicity
         if multiplicity is None:
             # disconnected, and the Fiedler eigenspace runs past the subset
             multiplicity = eig_sym(lap).fiedler_multiplicity
-        meta = (f"% fiedler_value={fiedler_value!r} degenerate={int(degenerate)} "
+        # the smallest eigenvalue above zero, also when the operator is
+        # disconnected and fiedler_bipartition returns 0.0
+        meta = (f"% fiedler_value={system.fiedler_value!r} degenerate={int(degenerate)} "
                 f"fiedler_multiplicity={multiplicity}")
     else:
         part = spectral_kway(lap, args.clusters, seed)

@@ -331,17 +331,19 @@ def _header(line: str, lineno: int, headers: dict) -> tuple[str, int]:
 def _edge_columns(keep: bytearray, text: str | None = None, path: str | None = None):
     """(layer, src, dst, weight) columns of the lines whose `keep` byte is
     1, as arrays or as lists of Python numbers; None when there are none.
-    numpy's tokenizer parses them in one call: from the lines of `text`, or
-    from the file at `path`, whose 0 bytes' lines all come before its first
-    edge line.  When it refuses one, the int()/float() loop below decides
-    what is accepted and names the first malformed line; it reads the text
-    of `path` once more."""
+    numpy's tokenizer parses them in one call: from the lines of `text`,
+    split a piece at a time so that no list of all of them is held, or from
+    the file at `path`, whose 0 bytes' lines all come before its first edge
+    line.  When it refuses one, the int()/float() loop below decides what
+    is accepted and names the first malformed line; it reads the text of
+    `path` once more."""
     skip = keep.find(1)
     if skip < 0:
         return None  # loadtxt warns on no data
     try:
-        table = np.loadtxt(path or compress(text.split("\n"), keep), dtype=_EDGE_DTYPE,
-                           comments=None, ndmin=1, skiprows=skip if path else 0, encoding="utf-8")
+        lines = path or _kept_lines(text, keep)
+        table = np.loadtxt(lines, dtype=_EDGE_DTYPE, comments=None, ndmin=1,
+                           skiprows=skip if path else 0, encoding="utf-8")
         return table["layer"], table["src"], table["dst"], table["weight"]
     except ValueError:
         pass
@@ -363,6 +365,21 @@ def _edge_columns(keep: bytearray, text: str | None = None, path: str | None = N
         dsts.append(dst)
         weights.append(weight)
     return layers, srcs, dsts, weights
+
+
+def _kept_lines(text: str, keep: bytearray):
+    """The lines of `text` whose `keep` byte is 1, split from 16 KiB of
+    text at a time: a list of all of them would add about 50 bytes an
+    edge, and one a line cut by a Python loop takes twice the time."""
+    start = index = 0
+    while True:
+        end = text.find("\n", start + (1 << 14))
+        lines = text[start:end if end >= 0 else len(text)].split("\n")
+        yield from compress(lines, keep[index:index + len(lines)])
+        if end < 0:
+            return
+        index += len(lines)
+        start = end + 1
 
 
 def save_network(net: MultiplexNetwork, path: str | os.PathLike) -> None:

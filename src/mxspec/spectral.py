@@ -14,10 +14,13 @@ Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
 solver-arbitrary, so the bipartition falls back to connected components
 (component of index 0 vs the rest), which is deterministic and cuts no
-edges.  A repeated Fiedler eigenvalue (the supra layer-split value k*w
-has multiplicity k-1) is solver-arbitrary in the same way, so the split
-then follows the projection P e_a of the first copy a onto that
-eigenspace, which does not depend on the basis LAPACK returns.
+edges.  A Laplacian whose pattern falls apart is split from its
+components alone, before any eigensolve, since the solve could only
+report the zero eigenvalue repeated; its Fiedler value is 0.0.  A
+repeated Fiedler eigenvalue (the supra layer-split value k*w has
+multiplicity k-1) is solver-arbitrary in the same way, so the split then
+follows the projection P e_a of the first copy a onto that eigenspace,
+which does not depend on the basis LAPACK returns.
 """
 
 from __future__ import annotations
@@ -156,23 +159,12 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     within 1e-10 is replaced by (M + M^T) / 2 first.  A LAPACK failure
     raises SpectralError."""
     arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise SpectralError(f"expected a square matrix, got shape {arr.shape}")
     if count is not None and count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
+    norm, tol, exact = _validated(arr)
     m = arr.shape[0]
-    magnitude = np.abs(arr)
-    scale = max(1.0, float(magnitude.max(initial=0.0)))
-    norm = float(magnitude.sum(axis=1).max(initial=0.0))
-    if not np.isfinite(norm):
-        raise SpectralError("matrix has a non-finite entry or row sum")
-    tol = 1e-8 * max(1.0, norm)
-    del magnitude
     lanczos = (count is not None and LANCZOS_MIN <= m and count + 1 < m
                and not operators.connected_components(arr).any())
-    exact = linalg.issymmetric(arr)
-    if not (exact or linalg.issymmetric(arr, atol=1e-10 * scale)):
-        raise SpectralError("matrix is not symmetric within 1e-10")
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
     if lanczos:
@@ -196,6 +188,24 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     leading = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
+
+
+def _validated(arr: np.ndarray) -> tuple[float, float, bool]:
+    """(||M||_inf, the zero tolerance, whether M is exactly symmetric) of a
+    square float matrix M with finite row sums that is symmetric within
+    1e-10 max(1, max |M_ij|); any other input raises SpectralError."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise SpectralError(f"expected a square matrix, got shape {arr.shape}")
+    magnitude = np.abs(arr)
+    scale = max(1.0, float(magnitude.max(initial=0.0)))
+    norm = float(magnitude.sum(axis=1).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise SpectralError("matrix has a non-finite entry or row sum")
+    del magnitude
+    exact = linalg.issymmetric(arr)
+    if not (exact or linalg.issymmetric(arr, atol=1e-10 * scale)):
+        raise SpectralError("matrix is not symmetric within 1e-10")
+    return norm, 1e-8 * max(1.0, norm), exact
 
 
 def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> tuple:
@@ -283,26 +293,34 @@ def fiedler_bipartition(
 
     Returns (partition, fiedler_value, degenerate).  Entries with
     |v_i| <= 1e-12 join the positive cluster (label 0).  When the zero
-    eigenvalue is multiple the operator is disconnected: degenerate is True
-    and the partition separates connected components instead of relying on
-    an arbitrary nullspace basis.  When the Fiedler value is repeated, v is
-    P e_a: the projection onto its eigenspace of the first index a that the
-    eigenspace reaches, which is the same for every basis of it.
+    eigenvalue is multiple the operator is disconnected: degenerate is True,
+    the Fiedler value (the algebraic connectivity) is 0.0, and the
+    partition separates connected components, the one of index 0 against
+    the rest, instead of relying on an arbitrary nullspace basis.  When
+    the Fiedler value is repeated, v is P e_a: the projection onto its
+    eigenspace of the first index a that the eigenspace reaches, which is
+    the same for every basis of it.
 
     `system` is an already computed `eig_sym(lap, 2)` (or a larger count),
     for a caller that also reads the spectrum; it is trusted to belong to
-    `lap`.  When omitted, the decomposition is computed here.
+    `lap`.  When omitted, the components are searched first
+    (`_splits_exactly`), and a Laplacian that falls apart is split with no
+    eigensolve; any other matrix is decomposed here.
     """
     arr = np.asarray(lap, dtype=float)
     if arr.shape[0] < 2:
         raise SpectralError("bipartition needs a matrix of size >= 2")
     if system is None:
+        # a matrix that is not square goes on to eig_sym, which rejects it
+        if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+            # edges are the off-diagonal entries; the diagonal adds only self-loops
+            comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
+            if comp.any() and _splits_exactly(arr):
+                return Partition(labels=comp != comp[0], c=2), 0.0, True
         system = eig_sym(arr, 2)
-    fiedler_value = system.fiedler_value
     if system.zero_multiplicity > 1:
-        # edges are the off-diagonal entries; the diagonal adds only self-loops
         comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
-        return Partition(labels=comp != comp[0], c=2), fiedler_value, True
+        return Partition(labels=comp != comp[0], c=2), 0.0, True
     basis = system.eigenvectors[:, system.fiedler_mask()]
     if basis.shape[1] == 1:
         vec = basis[:, 0]
@@ -310,7 +328,26 @@ def fiedler_bipartition(
         anchor = int(np.argmax(np.linalg.norm(basis, axis=1) > ZERO_ENTRY_TOL))
         vec = basis @ basis[anchor]
     labels = (vec < -ZERO_ENTRY_TOL).astype(int)
-    return Partition(labels=labels, c=2), fiedler_value, False
+    return Partition(labels=labels, c=2), system.fiedler_value, False
+
+
+def _splits_exactly(arr: np.ndarray) -> bool:
+    """Whether `eig_sym(arr)` is bound to count more than one zero
+    eigenvalue, decided with no eigensolve: the off-diagonal pattern of
+    the square `arr` has more than one component even at atol 0, so the
+    matrix that eig_sym solves, (M + M^T) / 2, is block diagonal, and every
+    row of it sums to within half the zero tolerance of 0.  Then each
+    block B has an eigenvalue within half the tolerance of 0, as its
+    all-ones vector 1_B has ||B 1_B|| <= max |row sum| ||1_B||, and a
+    backward-stable solver moves it by m eps ||M||, far less than the
+    other half.  A Laplacian's rows sum to 0, so it qualifies whenever
+    its pattern falls apart.  Input that does is validated here, with the
+    messages of eig_sym."""
+    if not operators.connected_components(arr).any():
+        return False
+    _, tol, _ = _validated(arr)
+    rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))
+    return bool(np.abs(rows).max() <= 0.5 * tol)
 
 
 def _kmeans_pp_init(points: np.ndarray, c: int, rngs: list) -> np.ndarray:

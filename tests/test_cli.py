@@ -268,6 +268,31 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
     assert labels == lifted.tolist()
 
 
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_cluster_on_a_disconnected_operator_prints_its_fiedler_eigenvalue(tmp_path, model):
+    # p = 0: every layer falls apart into the same blocks.  The metadata
+    # line keeps the solved smallest eigenvalue above zero, where
+    # fiedler_bipartition reports 0.0, the algebraic connectivity
+    net_path = tmp_path / "net.mpx"
+    assert run("generate", "--type", "sbm-fixed", "--n", "10", "--k", "3",
+               "--p", "0", "--seed", "3", "--out", str(net_path)) == 0
+    net = load_network(net_path)
+    if model == "supra":
+        lap = build_supra(net, 1.5).laplacian
+    else:
+        lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
+    system = spectral.eig_sym(lap)
+    part, value, degenerate = spectral.fiedler_bipartition(lap)
+    assert degenerate and value == 0.0 < system.fiedler_value
+    out = tmp_path / "a.csv"
+    assert run("cluster", "--input", str(net_path), "--model", model,
+               "--supra-weight", "1.5", "--clusters", "2", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == (f"% fiedler_value={system.fiedler_value!r} degenerate=1 "
+                        f"fiedler_multiplicity={system.fiedler_multiplicity}")
+    assert [int(row.split(",")[-1]) for row in lines[2:]] == part.labels.tolist()
+
+
 def test_cluster_rejects_undecodable_input(tmp_path, capsys):
     net_path = tmp_path / "net.mpx"
     net_path.write_bytes(b"#nodes 3\n#layers 1\n0 0 1 1.\xff\n")

@@ -464,6 +464,41 @@ def test_load_peak_memory_holds_no_per_line_objects(tmp_path):
     assert peak <= 2 * stack + 56 * edges, (peak - 2 * stack) / edges
 
 
+def test_line_route_peak_memory_stays_near_the_path_route(tmp_path, monkeypatch):
+    # a comment between two edge lines sends the text's lines to numpy; they
+    # are split a piece of text at a time, so the route holds no list of all
+    # of them (one added about 46 bytes an edge)
+    net, _ = gen_fixed_sbm_multiplex(200, 4, 0.3, RngSeed(3))
+    path = tmp_path / "net.mpx"
+    save_network(net, path)
+    lines = path.read_text().splitlines()
+    between = tmp_path / "between.mpx"
+    between.write_text("\n".join(lines[:len(lines) // 2] + ["% a comment"]
+                                 + lines[len(lines) // 2:]) + "\n")
+    edges = sum(int(np.count_nonzero(layer)) for layer in net.layers)
+    stack = 8 * net.k * net.n * net.n
+    by_path = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        by_path.append(isinstance(source, str))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    per_edge, loaded = {}, []
+    for name in (path, between):
+        tracemalloc.start()
+        try:
+            loaded.append(np.stack(load_network(name).layers).tobytes())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_edge[name.stem] = (peak - 2 * stack) / edges
+    assert by_path == [True, False]
+    assert loaded[0] == loaded[1]
+    assert per_edge["between"] <= per_edge["net"] + 8, per_edge
+
+
 def test_flat_index_examples():
     # prose (layer 1, node 1) is 0-based (0, 0); (layer 2, node 1) is (1, 0)
     assert flat_index(0, 0, n=4) == 0

@@ -342,15 +342,19 @@ def test_sweeps_at_the_default_n_stay_below_lanczos_min(monkeypatch, grid):
     # every desk and --full sweep keeps the dense solve, and with it its
     # CSV bytes: run one instance of each model at the point with the
     # largest k (n and k alone set the operator's order n k) with the
-    # defaults of `mxspec experiment`, and record what eig_sym is handed
+    # defaults of `mxspec experiment`, and record the order of what the
+    # sweeps hand the spectral selectors (a disconnected operator, as at
+    # fixed-sbm's first point p = 0, reaches no eig_sym call)
     orders = []
-    real_eig_sym = spectral.eig_sym
 
-    def recording_eig_sym(mat, count=None):
-        orders.append(len(mat))
-        return real_eig_sym(mat, count)
+    def recording(fn):
+        def wrapper(mat, *args):
+            orders.append(len(mat))
+            return fn(mat, *args)
+        return wrapper
 
-    monkeypatch.setattr(spectral, "eig_sym", recording_eig_sym)
+    for name in ("fiedler_bipartition", "spectral_kway"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
     for name, spec in experiments.EXPERIMENTS.items():
         args = cli._build_parser().parse_args(["experiment", name, "--out", "unused.csv"])
         grids = dict(n=[args.n], w=[args.supra_weight], intra=[args.intra], inter=[args.inter])

@@ -268,6 +268,114 @@ def test_fiedler_rejects_tiny_matrix():
         fiedler_bipartition(np.zeros((1, 1)))
 
 
+def disconnected_laplacians():
+    """(name, Laplacian) of operators whose pattern falls apart."""
+    for k in (2, 6):
+        net, _ = gen_fixed_sbm_multiplex(30, k, 0.0, RngSeed(k, ("split",)))
+        yield f"supra k={k}", build_supra(net, 1.0).laplacian
+        yield f"dynamic k={k}", build_dynamic(net, DynamicCoupling.identity(30, k)).laplacian
+        for model in ("supra", "dynamic"):
+            yield f"disjoint {model} k={k}", disjoint_operator(net, model).laplacian
+    yield "cliques", block_clique_laplacian([4, 3, 5])[0]
+    # more zero eigenvalues than the subset holds: the eigensolve takes them all
+    yield "nine cliques", block_clique_laplacian([3, 2, 4, 1, 3, 2, 5, 2, 3])[0]
+    yield "edgeless", np.zeros((5, 5))
+
+
+def counting_eig_sym(monkeypatch):
+    """Route spectral.eig_sym through a wrapper; returns its list of calls."""
+    calls = []
+    real = spectral.eig_sym
+
+    def counted(mat, count=None):
+        calls.append(len(mat))
+        return real(mat, count)
+
+    monkeypatch.setattr(spectral, "eig_sym", counted)
+    return calls
+
+
+def test_disconnected_split_needs_no_eigensolve_and_matches_it(monkeypatch):
+    calls = counting_eig_sym(monkeypatch)
+    for name, lap in disconnected_laplacians():
+        system = eig_sym(lap, 2)
+        assert system.zero_multiplicity > 1, name
+        solved, solved_value, solved_degenerate = fiedler_bipartition(lap, system)
+        del calls[:]
+        part, value, degenerate = fiedler_bipartition(lap)
+        assert calls == [], name
+        np.testing.assert_array_equal(part.labels, solved.labels, err_msg=name)
+        assert degenerate is solved_degenerate is True, name
+        assert value == solved_value == 0.0, name
+
+
+@pytest.mark.parametrize("weight", [1e-13, 1e-12])
+def test_split_joined_by_tiny_weights_is_solved(monkeypatch, weight):
+    # connected only through weights the zero-entry tolerance ignores: the
+    # pattern falls apart at 1e-12 but not at 0, so the eigensolve decides
+    _, adj = block_clique_laplacian([4, 4])
+    adj[3, 4] = adj[4, 3] = weight
+    lap = laplacian(adj)
+    assert connected_components(lap, atol=spectral.ZERO_ENTRY_TOL).any()
+    assert not connected_components(lap).any()
+    expected, expected_value, expected_degenerate = fiedler_bipartition(lap, eig_sym(lap, 2))
+    calls = counting_eig_sym(monkeypatch)
+    part, value, degenerate = fiedler_bipartition(lap)
+    assert calls == [8]
+    np.testing.assert_array_equal(part.labels, expected.labels)
+    assert (value, degenerate) == (expected_value, expected_degenerate)
+
+
+def test_block_diagonal_matrix_with_rows_off_zero_is_solved(monkeypatch):
+    # falls apart, but no block has a zero eigenvalue: not a Laplacian, so
+    # the pattern alone does not make the zero eigenvalue repeat
+    block = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    mat = scipy.linalg.block_diag(block, block, 0.5 * block)
+    expected, expected_value, expected_degenerate = fiedler_bipartition(mat, eig_sym(mat, 2))
+    assert not expected_degenerate
+    calls = counting_eig_sym(monkeypatch)
+    part, value, degenerate = fiedler_bipartition(mat)
+    assert calls == [6]
+    np.testing.assert_array_equal(part.labels, expected.labels)
+    assert (value, degenerate) == (expected_value, False)
+
+
+def test_bad_disconnected_input_is_rejected_as_eig_sym_rejects_it():
+    lap, _ = block_clique_laplacian([3, 3])
+    asymmetric = lap.copy()
+    asymmetric[0, 1] += 1e-6
+    nan = lap.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    infinite = lap.copy()
+    infinite[0, 1] = infinite[1, 0] = np.inf
+    messages = []
+    for bad in (asymmetric, nan, infinite, lap[:, :5], lap[0]):
+        with pytest.raises(SpectralError) as solved:
+            eig_sym(bad, 2)
+        with pytest.raises(SpectralError) as split:
+            fiedler_bipartition(bad)
+        assert str(split.value) == str(solved.value)
+        messages.append(str(split.value))
+    assert messages == ["matrix is not symmetric within 1e-10"] + [
+        "matrix has a non-finite entry or row sum"] * 2 + [
+        "expected a square matrix, got shape (6, 5)", "expected a square matrix, got shape (6,)"]
+
+
+def test_fiedler_value_is_zero_whenever_degenerate():
+    cases = list(disconnected_laplacians()) + [
+        ("tiny bridge", laplacian(block_clique_laplacian([3, 3], bridges=[(2, 3)])[1] * 1e-13)),
+        ("bridge", block_clique_laplacian([5, 5], bridges=[(4, 5)])[0]),
+    ]
+    for name, lap in cases:
+        system = eig_sym(lap, 2)
+        for _, value, degenerate in (fiedler_bipartition(lap), fiedler_bipartition(lap, system)):
+            assert degenerate == (system.zero_multiplicity > 1), name
+            if degenerate:
+                assert value == 0.0, name
+            else:
+                assert value == system.fiedler_value > 0.0, name
+
+
 def test_kway_agrees_with_fiedler_on_two_cliques():
     lap, _ = block_clique_laplacian([5, 5], bridges=[(4, 5)])
     fiedler_part, _, _ = fiedler_bipartition(lap)
