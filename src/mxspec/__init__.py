@@ -9,10 +9,8 @@ experiment families as deterministic seeded sweeps.
 from .core import (
     DynamicCoupling,
     MultiplexNetwork,
-    flat_index,
     load_network,
     save_network,
-    unflatten,
 )
 from .cuts import (
     CutReport,
@@ -38,7 +36,6 @@ from .operators import (
     build_supra,
     disjoint_operator,
     laplacian,
-    reduce_indivisible,
     symmetrize,
 )
 from .spectral import (
@@ -53,11 +50,8 @@ from .experiments import (
     SweepResult,
     classify_regime,
     fraction_copies_together,
-    run_er_experiment,
     run_fixed_sbm_experiment,
-    run_overlap_experiment,
     run_overlap_kway,
-    run_overlap_supra_experiment,
 )
 
 __version__ = "0.1.0"

@@ -291,6 +291,10 @@ def main(argv=None) -> int:
     except MxspecError as exc:
         print(f"error[{exc.module}]: {exc.message}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a read fails as ParseError, so a named file is an output
+        reason = f"cannot write {exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error[cli]: {reason}", file=sys.stderr)
+        return 2
     except Exception as exc:  # malformed input must never escape as a traceback
         print(f"error[cli]: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -127,22 +127,6 @@ class MultiplexNetwork:
         return self.n * self.k
 
 
-def flat_index(layer: int, node: int, n: int, k: int | None = None) -> int:
-    """Map (layer, node) to the layer-major flat copy index layer*n + node."""
-    if node < 0 or node >= n:
-        raise ParseError(f"node index {node} out of range [0, {n})")
-    if layer < 0 or (k is not None and layer >= k):
-        raise ParseError(f"layer index {layer} out of range [0, {k})")
-    return layer * n + node
-
-
-def unflatten(idx: int, n: int) -> tuple[int, int]:
-    """Inverse of flat_index: flat copy index -> (layer, node)."""
-    if idx < 0:
-        raise ParseError(f"flat index {idx} is negative")
-    return idx // n, idx % n
-
-
 @dataclass(frozen=True)
 class DynamicCoupling:
     """Coupling for the dynamical model: per layer pair (a, b) a diagonal

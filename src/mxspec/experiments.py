@@ -81,21 +81,15 @@ def fraction_copies_together(part: Partition, n: int, k: int, mode: str = "all")
     raise ExperimentError(f"unknown mode {mode!r}")
 
 
-def layer_split_partition(n: int, k: int = 2) -> Partition:
+def layer_split_partition(n: int) -> Partition:
     """The bipartition separating layer 1's copies from layer 2's."""
-    if k != 2:
-        raise ExperimentError("layer-split reference partition is defined for k = 2")
     return Partition(labels=np.repeat([0, 1], n), c=2)
 
 
-def classify_regime(
-    part: Partition, planted1: Partition, planted2: Partition, k: int = 2
-) -> str:
+def classify_regime(part: Partition, planted1: Partition, planted2: Partition) -> str:
     """Name the outcome of a two-layer bipartition: layers_split when it
     equals the layer-vs-layer split, layer1/layer2 when it equals a planted
     partition lifted to all copies, other otherwise (all up to relabeling)."""
-    if k != 2:
-        raise ExperimentError("regime classification is defined for k = 2 layers")
     n = len(part) // 2
     for label, target in (
         ("layers_split", layer_split_partition(n)),
@@ -414,15 +408,6 @@ EXPERIMENTS = {
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def run_er_experiment(
-    p_grid, k_grid, instances: int, model: str = "both",
-    seed: int = DEFAULT_SEED, n: int = 100, w: float = 1.0, jobs: int = 1,
-) -> SweepResult:
-    """Random ER layers, both operator models, fraction of node copies
-    grouped together by the Fiedler bipartition."""
-    return run_experiment("er", instances, model, seed, jobs, p=p_grid, k=k_grid, n=[n], w=[w])
-
-
 def run_fixed_sbm_experiment(
     p_grid, w_grid, k_grid, instances: int, model: str = "both",
     seed: int = DEFAULT_SEED, n: int = 100, jobs: int = 1,
@@ -432,25 +417,6 @@ def run_fixed_sbm_experiment(
     model (C = I) sweeps (p, k) with an empty w column."""
     return run_experiment("fixed-sbm", instances, model, seed, jobs,
                           p=p_grid, w=w_grid, k=k_grid, n=[n])
-
-
-def run_overlap_experiment(
-    p_grid, q_grid, instances: int, seed: int = DEFAULT_SEED,
-    n: int = 100, intra: float = 0.9, inter: float = 0.1, jobs: int = 1,
-) -> SweepResult:
-    """Two overlapping planted structures, dynamic model over the layer
-    relevance knobs (p, q); classifies the regime of each bipartition."""
-    return run_experiment("overlap", instances, "both", seed, jobs,
-                          p=p_grid, q=q_grid, n=[n], intra=[intra], inter=[inter])
-
-
-def run_overlap_supra_experiment(
-    w_grid, instances: int, seed: int = DEFAULT_SEED,
-    n: int = 100, intra: float = 0.9, inter: float = 0.1, jobs: int = 1,
-) -> SweepResult:
-    """Same planted structures under the supra operator, sweeping w."""
-    return run_experiment("overlap-supra", instances, "both", seed, jobs,
-                          w=w_grid, n=[n], intra=[intra], inter=[inter])
 
 
 def run_overlap_kway(

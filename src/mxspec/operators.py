@@ -1,4 +1,4 @@
-"""Construction of the two nk x nk multiplex operators and their reductions.
+"""Construction of the two nk x nk multiplex operators and their Laplacians.
 
 Both operators share the node-copy index space (layer-major).  The supra
 model couples the k copies of each node into a clique of fixed weight w;
@@ -22,21 +22,12 @@ from .errors import OperatorError, ParseError
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Return (M + M^T) / 2.  A sum past the float range is left as inf,
-    for `laplacian` or `reduce_indivisible` to reject."""
+    for `laplacian` to reject."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise OperatorError(f"cannot symmetrize non-square matrix of shape {arr.shape}")
     with np.errstate(over="ignore"):
         return 0.5 * (arr + arr.T)
-
-
-def _check_bounded(row_sums: np.ndarray, what: str) -> None:
-    """OperatorError unless every row of |L| sums (`row_sums`, or a bound
-    on them) within the float range.  Then every entry of L is finite, and
-    so is the Gershgorin bound on its eigenvalues that eig_sym takes its
-    zero tolerance from."""
-    if not np.isfinite(row_sums).all():
-        raise OperatorError(f"{what}: the weights sum past the float range")
 
 
 def laplacian(sym: np.ndarray) -> np.ndarray:
@@ -48,8 +39,11 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
         magnitude = np.abs(arr)
         scale = max(1.0, float(magnitude.max(initial=0.0)))
         degree = arr.sum(axis=1)
-        # |D - S| sums to at most |degree| + sum |S| along each row
-        _check_bounded(np.abs(degree) + magnitude.sum(axis=1), "operator Laplacian")
+        # |D - S| sums to at most |degree| + sum |S| along each row.  When
+        # that bound is finite, so is every entry of L and the Gershgorin
+        # bound on its eigenvalues that eig_sym takes its zero tolerance from
+        if not np.isfinite(np.abs(degree) + magnitude.sum(axis=1)).all():
+            raise OperatorError("operator Laplacian: the weights sum past the float range")
         if not (linalg.issymmetric(arr) or linalg.issymmetric(arr, atol=1e-12 * scale)):
             raise OperatorError("laplacian requires a symmetric matrix")
     np.subtract(0.0, arr, out=magnitude)  # |S| becomes L: 0.0 - S, as -S gives -0.0
@@ -149,19 +143,6 @@ def disjoint_operator(net: MultiplexNetwork, model: str) -> SupraOperator:
     if model == "dynamic":
         return build_dynamic(net, DynamicCoupling.disjoint(net.n, net.k))
     raise OperatorError(f"unknown model {model!r}")
-
-
-def reduce_indivisible(op: SupraOperator) -> np.ndarray:
-    """Bind all copies of each node together: the n x n Laplacian J^T L J,
-    with J the stack of k identities.  For the supra model it equals the
-    Laplacian of the summed symmetrized layers for every w (the coupling
-    cliques cancel), for the dynamic model the Laplacian of the
-    coupling-weighted aggregate."""
-    n, k = op.n, op.k
-    with np.errstate(over="ignore", invalid="ignore"):
-        reduced = symmetrize(op.laplacian.reshape(k, n, k, n).sum(axis=(0, 2)))
-        _check_bounded(np.abs(reduced).sum(axis=1), "aggregate Laplacian")
-    return reduced
 
 
 def connected_components(adjacency: np.ndarray, atol: float = 0.0) -> np.ndarray:

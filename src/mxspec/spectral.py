@@ -308,7 +308,7 @@ def fiedler_bipartition(
     eigensolve; any other matrix is decomposed here.
     """
     arr = np.asarray(lap, dtype=float)
-    if arr.shape[0] < 2:
+    if arr.ndim == 2 and arr.shape[0] < 2:  # any other shape eig_sym rejects
         raise SpectralError("bipartition needs a matrix of size >= 2")
     if system is None:
         # a matrix that is not square goes on to eig_sym, which rejects it

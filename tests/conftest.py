@@ -18,3 +18,10 @@ def random_network(rng, n=None, k=None):
 
 def random_coupling(rng, n, k):
     return DynamicCoupling(rng.random((k, k, n)) * 2)
+
+
+def reduced_laplacian(op):
+    """J^T L J of an operator, with J the stack of k n x n identities: the
+    n x n Laplacian with all copies of each node bound together."""
+    n, k = op.n, op.k
+    return op.laplacian.reshape(k, n, k, n).sum(axis=(0, 2))

@@ -7,16 +7,14 @@ stochastic criteria all use the fixed default master seed.
 import numpy as np
 import pytest
 
-from conftest import random_coupling, random_network
+from conftest import random_coupling, random_network, reduced_laplacian
 from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.cuts import brute_force_min_cut, cut_cost, decompose_dynamic, decompose_supra
 from mxspec.experiments import (
     DEFAULT_SEED,
-    run_er_experiment,
+    run_experiment,
     run_fixed_sbm_experiment,
-    run_overlap_experiment,
     run_overlap_kway,
-    run_overlap_supra_experiment,
     write_results_csv,
 )
 from mxspec.generators import RngSeed
@@ -26,7 +24,6 @@ from mxspec.operators import (
     connected_components,
     disjoint_operator,
     laplacian,
-    reduce_indivisible,
     symmetrize,
 )
 from mxspec.spectral import Partition, eig_sym, fiedler_bipartition
@@ -62,7 +59,7 @@ def test_criterion_1_exact_identities():
             worst_cut = max(worst_cut, abs(cut_cost(op, part) - 0.5 * quad))
             worst_terms = max(worst_terms, abs(decompose(part).terms_sum - quad))
 
-        supra_reduced = reduce_indivisible(build_supra(net, w))
+        supra_reduced = reduced_laplacian(build_supra(net, w))
         supra_oracle = laplacian(sum(symmetrize(layer) for layer in net.layers))
         worst_reduce = max(worst_reduce, np.abs(supra_reduced - supra_oracle).max())
 
@@ -73,7 +70,7 @@ def test_criterion_1_exact_identities():
                     coupling.diag[a, b][:, None] * net.layers[b]
                     + (coupling.diag[b, a][:, None] * net.layers[a]).T
                 )
-        dyn_reduced = reduce_indivisible(build_dynamic(net, coupling))
+        dyn_reduced = reduced_laplacian(build_dynamic(net, coupling))
         worst_reduce = max(worst_reduce, np.abs(dyn_reduced - laplacian(agg)).max())
 
     ok = worst_cut < 1e-10 and worst_terms < 1e-10 and worst_reduce < 1e-10
@@ -226,8 +223,8 @@ def test_criterion_5_fixed_sbm_supra_qualitative():
 def test_criterion_6_er_experiment():
     p_grid = [0.05, 0.15, 0.25, 0.35, 0.45]
     k_grid = [2, 3, 5]
-    result = run_er_experiment(p_grid, k_grid, instances=20, model="both",
-                               seed=DEFAULT_SEED, n=100, w=1.0)
+    result = run_experiment("er", 20, "both", DEFAULT_SEED,
+                            p=p_grid, k=k_grid, n=[100], w=[1.0])
     pair_means = {
         (p, k): result.mean_metric("frac_copies_pairwise", model="dynamic", p=p, k=k)
         for p in p_grid for k in k_grid
@@ -256,8 +253,8 @@ def test_criterion_7_overlap_dynamic_regimes():
     cells = [(0.05, 0.05, "layers_split"), (0.9, 0.1, "layer1"), (0.1, 0.9, "layer2")]
     fractions = {}
     for p, q, expected in cells:
-        result = run_overlap_experiment([p], [q], instances=20, seed=DEFAULT_SEED,
-                                        n=100, intra=0.9, inter=0.1)
+        result = run_experiment("overlap", 20, seed=DEFAULT_SEED,
+                                p=[p], q=[q], n=[100], intra=[0.9], inter=[0.1])
         fractions[(p, q)] = result.regime_fraction(expected, p=p, q=q)
     ok = all(frac >= 0.80 for frac in fractions.values())
     report(7, ok, "overlap dynamic: " + ", ".join(
@@ -267,8 +264,8 @@ def test_criterion_7_overlap_dynamic_regimes():
 
 
 def test_criterion_8_overlap_supra():
-    split = run_overlap_supra_experiment([0.5], instances=20, seed=DEFAULT_SEED,
-                                         n=100, intra=0.9, inter=0.1)
+    split = run_experiment("overlap-supra", 20, seed=DEFAULT_SEED,
+                           w=[0.5], n=[100], intra=[0.9], inter=[0.1])
     split_frac = split.regime_fraction("layers_split", w=0.5)
     kway = run_overlap_kway("supra", instances=20, seed=DEFAULT_SEED,
                             w_grid=[5.0], n=100, intra=0.9, inter=0.1)
@@ -282,14 +279,16 @@ def test_criterion_8_overlap_supra():
 
 def test_criterion_9_determinism(tmp_path):
     runs = {
-        "er": lambda jobs: run_er_experiment([0.3], [2], 3, model="both",
-                                             seed=DEFAULT_SEED, n=10, jobs=jobs),
+        "er": lambda jobs: run_experiment("er", 3, "both", DEFAULT_SEED, jobs,
+                                          p=[0.3], k=[2], n=[10], w=[1.0]),
         "fixed-sbm": lambda jobs: run_fixed_sbm_experiment(
             [0.2], [1.0], [2], 3, seed=DEFAULT_SEED, n=8, jobs=jobs),
-        "overlap": lambda jobs: run_overlap_experiment(
-            [0.1], [0.9], 3, seed=DEFAULT_SEED, n=8, jobs=jobs),
-        "overlap-supra": lambda jobs: run_overlap_supra_experiment(
-            [0.5], 3, seed=DEFAULT_SEED, n=8, jobs=jobs),
+        "overlap": lambda jobs: run_experiment(
+            "overlap", 3, "both", DEFAULT_SEED, jobs,
+            p=[0.1], q=[0.9], n=[8], intra=[0.9], inter=[0.1]),
+        "overlap-supra": lambda jobs: run_experiment(
+            "overlap-supra", 3, "both", DEFAULT_SEED, jobs,
+            w=[0.5], n=[8], intra=[0.9], inter=[0.1]),
         "overlap-kway": lambda jobs: run_overlap_kway(
             "supra", 3, seed=DEFAULT_SEED, w_grid=[5.0], n=8, jobs=jobs),
     }

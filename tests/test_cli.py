@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -17,7 +18,9 @@ from mxspec import cli, cuts, experiments, spectral
 from mxspec.cli import main
 from mxspec.core import DynamicCoupling, MultiplexNetwork, load_network, save_network
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
-from mxspec.operators import build_dynamic, build_supra, reduce_indivisible
+from mxspec.operators import build_dynamic, build_supra
+
+from conftest import reduced_laplacian
 
 
 def run(*argv):
@@ -29,6 +32,27 @@ def test_missing_input_exits_2_with_module_prefix(tmp_path, capsys):
                "--model", "supra", "--out", str(tmp_path / "a.csv"))
     assert code == 2
     assert "error[multiplex-core]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "cluster", "experiment", "heatmap"])
+def test_unwritable_out_exits_2_naming_the_file(tmp_path, capsys, command):
+    net, results = tmp_path / "net.mpx", tmp_path / "r.csv"
+    sweep = ["experiment", "er", "--instances", "1", "--n", "6", "--p-grid", "0.3",
+             "--k-grid", "2", "--jobs", "1"]
+    assert run("generate", "--type", "er", "--n", "6", "--out", str(net)) == 0
+    assert run(*sweep, "--out", str(results)) == 0
+    argv = {
+        "generate": ["generate", "--type", "er", "--n", "6"],
+        "cluster": ["cluster", "--input", str(net), "--model", "supra"],
+        "experiment": sweep,
+        "heatmap": ["heatmap", str(results), "--x", "p", "--y", "k", "--metric", "frac_copies"],
+    }[command]
+    out = tmp_path / "missing" / "out.csv"
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[cli]: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+    assert captured.out == ""
 
 
 def test_usage_error_exits_1(capsys):
@@ -98,6 +122,9 @@ def test_cluster_and_cut_pipeline(tmp_path, capsys):
     lines = [l for l in assign.read_text().splitlines() if not l.startswith("%")]
     assert lines[0] == "copy_index,layer,node,cluster"
     assert len(lines) == 21
+    for row in csv.reader(lines[1:]):  # copies are indexed layer-major
+        copy_index, layer, node, _ = map(int, row)
+        assert (layer, node) == divmod(copy_index, 10)
     capsys.readouterr()
     assert run("cut", "--input", str(net_path), "--model", "supra",
                "--supra-weight", "2.0", "--partition", str(assign),
@@ -231,7 +258,7 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
         lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
     else:
         # the reference: J^T L J of the nk x nk supra operator
-        lap = reduce_indivisible(build_supra(net, 0.0))
+        lap = reduced_laplacian(build_supra(net, 0.0))
     # the metadata line as built from two separate decompositions
     part, fiedler_value, degenerate = spectral.fiedler_bipartition(lap)
     system = spectral.eig_sym(lap)

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from mxspec.core import (
     DynamicCoupling,
     MultiplexNetwork,
-    flat_index,
     load_network,
     read_lines,
     save_network,
-    unflatten,
     zeros,
 )
 from mxspec.core import check_weights
@@ -497,33 +495,6 @@ def test_line_route_peak_memory_stays_near_the_path_route(tmp_path, monkeypatch)
     assert by_path == [True, False]
     assert loaded[0] == loaded[1]
     assert per_edge["between"] <= per_edge["net"] + 8, per_edge
-
-
-def test_flat_index_examples():
-    # prose (layer 1, node 1) is 0-based (0, 0); (layer 2, node 1) is (1, 0)
-    assert flat_index(0, 0, n=4) == 0
-    assert flat_index(1, 0, n=4) == 4
-    assert unflatten(5, n=4) == (1, 1)
-
-
-def test_flat_index_bijective_exhaustive():
-    for n in range(1, 11):
-        for k in range(1, 11):
-            seen = set()
-            for layer in range(k):
-                for node in range(n):
-                    idx = flat_index(layer, node, n, k)
-                    assert 0 <= idx < n * k
-                    assert unflatten(idx, n) == (layer, node)
-                    seen.add(idx)
-            assert len(seen) == n * k
-
-
-def test_flat_index_out_of_range():
-    with pytest.raises(ParseError):
-        flat_index(0, 4, n=4)
-    with pytest.raises(ParseError):
-        flat_index(2, 0, n=4, k=2)
 
 
 def test_network_rejects_bad_matrices():

@@ -21,11 +21,9 @@ from mxspec.experiments import (
     layer_split_partition,
     overlap_coupling,
     read_results_csv,
-    run_er_experiment,
+    run_experiment,
     run_fixed_sbm_experiment,
-    run_overlap_experiment,
     run_overlap_kway,
-    run_overlap_supra_experiment,
     write_aggregate_csv,
     write_results_csv,
 )
@@ -98,12 +96,6 @@ def test_classify_regime_other_for_random_labels():
     assert classify_regime(part, planted1, planted2) == "other"
 
 
-def test_classify_regime_k_not_two():
-    planted1, planted2 = planted_pair()
-    with pytest.raises(ExperimentError):
-        classify_regime(planted1, planted1, planted2, k=3)
-
-
 def test_overlap_coupling_rows_are_convex_mixes():
     coupling = overlap_coupling(0.9, 0.1, 3)
     np.testing.assert_allclose(coupling.diag[0, 0], 0.9)  # 1 - q
@@ -121,9 +113,7 @@ def test_kway_target_shape():
 
 
 def tiny_er(jobs=1, seed=123):
-    return run_er_experiment(
-        p_grid=[0.3], k_grid=[2], instances=3, model="both", seed=seed, n=10, jobs=jobs
-    )
+    return run_experiment("er", 3, "both", seed, jobs, p=[0.3], k=[2], n=[10], w=[1.0])
 
 
 def test_er_sweep_row_structure():
@@ -212,8 +202,8 @@ def test_rows_recomputable_from_seed_and_params():
 
 
 def test_adding_grid_points_preserves_existing_rows():
-    small = run_er_experiment([0.3], [2], 2, model="supra", seed=5, n=10)
-    bigger = run_er_experiment([0.3, 0.4], [2], 3, model="supra", seed=5, n=10)
+    small = run_experiment("er", 2, "supra", 5, p=[0.3], k=[2], n=[10], w=[1.0])
+    bigger = run_experiment("er", 3, "supra", 5, p=[0.3, 0.4], k=[2], n=[10], w=[1.0])
     small_set = set(small.rows)
     assert small_set <= set(bigger.rows)
 
@@ -244,8 +234,8 @@ def test_fixed_sbm_sweep_dynamic_and_supra_rows():
 
 
 def test_overlap_sweep_emits_regimes():
-    result = run_overlap_experiment([0.05], [0.05], instances=2, seed=11, n=8,
-                                    intra=1.0, inter=0.0)
+    result = run_experiment("overlap", 2, seed=11, p=[0.05], q=[0.05], n=[8],
+                            intra=[1.0], inter=[0.0])
     regimes = result.metric_values("regime", p=0.05, q=0.05)
     assert len(regimes) == 2
     assert set(regimes) <= {"layers_split", "layer1", "layer2", "other"}
@@ -254,8 +244,8 @@ def test_overlap_sweep_emits_regimes():
 
 
 def test_overlap_supra_sweep():
-    result = run_overlap_supra_experiment([0.5], instances=2, seed=12, n=8,
-                                          intra=1.0, inter=0.0)
+    result = run_experiment("overlap-supra", 2, seed=12, w=[0.5], n=[8],
+                            intra=[1.0], inter=[0.0])
     assert len(result.metric_values("regime", w=0.5)) == 2
 
 
@@ -273,8 +263,7 @@ def test_overlap_kway_sweep():
 def test_er_supra_small_p_groups_copies_in_lopsided_clusters():
     # sparse layers, supra w=1: copies bind, but mostly because one cluster
     # is much larger than the other
-    result = run_er_experiment([0.05], [2], instances=10, model="supra",
-                               seed=31, n=100)
+    result = run_experiment("er", 10, "supra", 31, p=[0.05], k=[2], n=[100], w=[1.0])
     fractions = [float(v) for v in result.metric_values("frac_copies", p=0.05)]
     assert np.mean(fractions) >= 0.5
     sizes = []

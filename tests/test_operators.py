@@ -16,12 +16,11 @@ from mxspec.operators import (
     disjoint_operator,
     laplacian,
     load_coupling,
-    reduce_indivisible,
     symmetrize,
 )
 from mxspec.spectral import eig_sym
 
-from conftest import random_coupling, random_network
+from conftest import random_coupling, random_network, reduced_laplacian
 
 
 def two_layer_example():
@@ -210,7 +209,7 @@ def test_reduce_supra_equals_aggregate_laplacian():
     for _ in range(20):
         net = random_network(rng)
         w = float(rng.random() * 5)
-        reduced = reduce_indivisible(build_supra(net, w))
+        reduced = reduced_laplacian(build_supra(net, w))
         aggregate = sum(symmetrize(layer) for layer in net.layers)
         np.testing.assert_allclose(reduced, laplacian(aggregate), atol=1e-10)
         np.testing.assert_allclose(-reduced + np.diag(np.diag(reduced)), aggregate, atol=1e-10)
@@ -219,7 +218,7 @@ def test_reduce_supra_equals_aggregate_laplacian():
 def test_reduce_supra_example_independent_of_w():
     net = two_layer_example()
     for w in (0.0, 0.7, 3.0):
-        reduced = reduce_indivisible(build_supra(net, w))
+        reduced = reduced_laplacian(build_supra(net, w))
         np.testing.assert_allclose(
             reduced, np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12
         )
@@ -231,7 +230,7 @@ def test_reduce_dynamic_closed_form():
     for _ in range(20):
         net = random_network(rng)
         coupling = random_coupling(rng, net.n, net.k)
-        reduced = reduce_indivisible(build_dynamic(net, coupling))
+        reduced = reduced_laplacian(build_dynamic(net, coupling))
         agg = np.zeros((net.n, net.n))
         for a in range(net.k):
             for b in range(net.k):
@@ -243,7 +242,7 @@ def test_reduce_dynamic_closed_form():
 
 def test_reduce_dynamic_identity_coupling_is_k_times_aggregate():
     net = two_layer_example()
-    reduced = reduce_indivisible(build_dynamic(net, DynamicCoupling.identity(2, 2)))
+    reduced = reduced_laplacian(build_dynamic(net, DynamicCoupling.identity(2, 2)))
     np.testing.assert_allclose(-reduced + np.diag(np.diag(reduced)),
                                np.array([[0.0, 2.0], [2.0, 0.0]]))
 
@@ -251,7 +250,7 @@ def test_reduce_dynamic_identity_coupling_is_k_times_aggregate():
 def test_reduce_zero_network_is_zero():
     net = MultiplexNetwork(n=3, k=2, layers=(np.zeros((3, 3)), np.zeros((3, 3))))
     for op in (build_supra(net, 1.0), build_dynamic(net, DynamicCoupling.identity(3, 2))):
-        reduced = reduce_indivisible(op)
+        reduced = reduced_laplacian(op)
         np.testing.assert_allclose(reduced, np.zeros((3, 3)), atol=1e-12)
 
 

@@ -349,7 +349,7 @@ def test_bad_disconnected_input_is_rejected_as_eig_sym_rejects_it():
     infinite = lap.copy()
     infinite[0, 1] = infinite[1, 0] = np.inf
     messages = []
-    for bad in (asymmetric, nan, infinite, lap[:, :5], lap[0]):
+    for bad in (asymmetric, nan, infinite, lap[:, :5], lap[0], np.float64(1.0)):
         with pytest.raises(SpectralError) as solved:
             eig_sym(bad, 2)
         with pytest.raises(SpectralError) as split:
@@ -358,7 +358,8 @@ def test_bad_disconnected_input_is_rejected_as_eig_sym_rejects_it():
         messages.append(str(split.value))
     assert messages == ["matrix is not symmetric within 1e-10"] + [
         "matrix has a non-finite entry or row sum"] * 2 + [
-        "expected a square matrix, got shape (6, 5)", "expected a square matrix, got shape (6,)"]
+        "expected a square matrix, got shape (6, 5)", "expected a square matrix, got shape (6,)",
+        "expected a square matrix, got shape ()"]
 
 
 def test_fiedler_value_is_zero_whenever_degenerate():
