@@ -34,7 +34,6 @@ from .operators import (
     SupraOperator,
     build_dynamic,
     build_supra,
-    disjoint_operator,
     laplacian,
     symmetrize,
 )

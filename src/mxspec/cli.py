@@ -179,14 +179,10 @@ def _cmd_cluster(args) -> int:
     if args.clusters == 2:
         system = eig_sym(lap, 2)
         part, _, degenerate = fiedler_bipartition(lap, system)
-        multiplicity = system.fiedler_multiplicity
-        if multiplicity is None:
-            # disconnected, and the Fiedler eigenspace runs past the subset
-            multiplicity = eig_sym(lap).fiedler_multiplicity
         # the smallest eigenvalue above zero, also when the operator is
         # disconnected and fiedler_bipartition returns 0.0
         meta = (f"% fiedler_value={system.fiedler_value!r} degenerate={int(degenerate)} "
-                f"fiedler_multiplicity={multiplicity}")
+                f"fiedler_multiplicity={system.fiedler_multiplicity}")
     else:
         part = spectral_kway(lap, args.clusters, seed)
         meta = f"% clusters={args.clusters} restarts={RESTARTS}"

@@ -163,14 +163,6 @@ class DynamicCoupling:
         return cls(np.ones((k, k, n)))
 
     @classmethod
-    def disjoint(cls, n: int, k: int) -> "DynamicCoupling":
-        """C = I on the diagonal pairs, 0 off-diagonal (decoupled layers)."""
-        diag = np.zeros((k, k, n))
-        for a in range(k):
-            diag[a, a, :] = 1.0
-        return cls(diag)
-
-    @classmethod
     def uniform(cls, values: Sequence[Sequence[float]], n: int) -> "DynamicCoupling":
         """Each pair (a, b) gets values[a][b] * I."""
         vals = np.asarray(values, dtype=float)

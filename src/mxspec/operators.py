@@ -135,16 +135,6 @@ def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOper
     return SupraOperator(model="dynamic", n=n, k=k, adjacency=adj, coupling=coupling)
 
 
-def disjoint_operator(net: MultiplexNetwork, model: str) -> SupraOperator:
-    """The zero-coupling limit: block-diagonal operator whose Laplacian has
-    one zero eigenvalue per connected layer component."""
-    if model == "supra":
-        return build_supra(net, 0.0)
-    if model == "dynamic":
-        return build_dynamic(net, DynamicCoupling.disjoint(net.n, net.k))
-    raise OperatorError(f"unknown model {model!r}")
-
-
 def connected_components(adjacency: np.ndarray, atol: float = 0.0) -> np.ndarray:
     """Component label per index of the undirected graph with an edge {i, j}
     where |A_ij| > atol or |A_ji| > atol, 0-based in order of first

@@ -89,14 +89,10 @@ class EigenSystem:
             return np.abs(self.eigenvalues - self.fiedler_value) <= self.zero_tolerance
 
     @property
-    def fiedler_multiplicity(self) -> int | None:
-        """Multiplicity of the Fiedler value (0 when there is none), or None
-        when a subset ends inside its eigenspace, so that the rest of it was
-        not computed."""
-        mask = self.fiedler_mask()
-        if mask[-1] and self.eigenvalues.size < self.eigenvectors.shape[0]:
-            return None
-        return int(mask.sum())
+    def fiedler_multiplicity(self) -> int:
+        """Multiplicity of the Fiedler value (0 when there is none); whole,
+        as `eig_sym` returns no subset that ends inside its eigenspace."""
+        return int(self.fiedler_mask().sum())
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,10 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     With `count` None, the full spectrum (`np.linalg.eigh`).  With a
     `count`, only the lowest max(count, SUBSET_MIN) eigenpairs, from one
     subset solve (LAPACK's MRRR driver); when the last of them still
-    equals eigenvalue count-1, the subset may end inside that eigenspace,
-    and the full spectrum is solved instead.  So the eigenspace of every
-    returned eigenvalue up to index count-1 is always returned whole.
+    equals eigenvalue count-1 or the Fiedler value, the subset may end
+    inside that eigenspace, and the full spectrum is solved instead.  So
+    the eigenspace of every returned eigenvalue up to index count-1, and
+    of the Fiedler value, is always returned whole.
 
     From LANCZOS_MIN rows on, a `count` is first tried by the certified
     Lanczos path (`_certified_lanczos`), unless the nonzero pattern of M
@@ -174,8 +171,10 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
         if values is None and count is not None and size < m:
             values, vectors = linalg.eigh(
                 sym, driver="evr", subset_by_index=[0, size - 1], check_finite=False)
-            if values[-1] - values[count - 1] <= tol:
-                values = None  # eigenvalue count-1 may repeat past the subset
+            # eigenvalue count-1, or the Fiedler value, may repeat past the subset
+            last_is_fiedler = EigenSystem(values, vectors, tol).fiedler_mask()[-1]
+            if values[-1] - values[count - 1] <= tol or last_is_fiedler:
+                values = None
         if values is None:
             values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -293,13 +292,17 @@ def fiedler_bipartition(
 
     Returns (partition, fiedler_value, degenerate).  Entries with
     |v_i| <= 1e-12 join the positive cluster (label 0).  When the zero
-    eigenvalue is multiple the operator is disconnected: degenerate is True,
-    the Fiedler value (the algebraic connectivity) is 0.0, and the
-    partition separates connected components, the one of index 0 against
-    the rest, instead of relying on an arbitrary nullspace basis.  When
-    the Fiedler value is repeated, v is P e_a: the projection onto its
-    eigenspace of the first index a that the eigenspace reaches, which is
-    the same for every basis of it.
+    eigenvalue is multiple, at eig_sym's zero tolerance, degenerate is
+    True, the Fiedler value (the algebraic connectivity) is 0.0, and the
+    partition separates the components of the pattern |L_ij| > 1e-12, the
+    one of index 0 against the rest, instead of relying on an arbitrary
+    nullspace basis.  A disconnected operator always takes this exit, but
+    so does a connected one whose second eigenvalue is below the
+    tolerance, such as two blocks joined by weights far below ||L||_inf:
+    when those weights pass 1e-12 it is one component, and every entry
+    gets label 0.  When the Fiedler value is repeated, v is P e_a: the
+    projection onto its eigenspace of the first index a that the
+    eigenspace reaches, which is the same for every basis of it.
 
     `system` is an already computed `eig_sym(lap, 2)` (or a larger count),
     for a caller that also reads the spectrum; it is trusted to belong to
@@ -310,15 +313,10 @@ def fiedler_bipartition(
     arr = np.asarray(lap, dtype=float)
     if arr.ndim == 2 and arr.shape[0] < 2:  # any other shape eig_sym rejects
         raise SpectralError("bipartition needs a matrix of size >= 2")
-    if system is None:
-        # a matrix that is not square goes on to eig_sym, which rejects it
-        if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-            # edges are the off-diagonal entries; the diagonal adds only self-loops
-            comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
-            if comp.any() and _splits_exactly(arr):
-                return Partition(labels=comp != comp[0], c=2), 0.0, True
+    if system is None and not _splits_exactly(arr):
         system = eig_sym(arr, 2)
-    if system.zero_multiplicity > 1:
+    if system is None or system.zero_multiplicity > 1:
+        # edges are the off-diagonal entries; the diagonal adds only self-loops
         comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
         return Partition(labels=comp != comp[0], c=2), 0.0, True
     basis = system.eigenvectors[:, system.fiedler_mask()]
@@ -333,8 +331,8 @@ def fiedler_bipartition(
 
 def _splits_exactly(arr: np.ndarray) -> bool:
     """Whether `eig_sym(arr)` is bound to count more than one zero
-    eigenvalue, decided with no eigensolve: the off-diagonal pattern of
-    the square `arr` has more than one component even at atol 0, so the
+    eigenvalue, decided with no eigensolve: `arr` is square, its
+    off-diagonal pattern has more than one component even at atol 0, so the
     matrix that eig_sym solves, (M + M^T) / 2, is block diagonal, and every
     row of it sums to within half the zero tolerance of 0.  Then each
     block B has an eigenvalue within half the tolerance of 0, as its
@@ -342,8 +340,9 @@ def _splits_exactly(arr: np.ndarray) -> bool:
     backward-stable solver moves it by m eps ||M||, far less than the
     other half.  A Laplacian's rows sum to 0, so it qualifies whenever
     its pattern falls apart.  Input that does is validated here, with the
-    messages of eig_sym."""
-    if not operators.connected_components(arr).any():
+    messages of eig_sym; a matrix that is not square is left to it."""
+    square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    if not (square and operators.connected_components(arr).any()):
         return False
     _, tol, _ = _validated(arr)
     rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))

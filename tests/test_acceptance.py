@@ -22,7 +22,6 @@ from mxspec.operators import (
     build_dynamic,
     build_supra,
     connected_components,
-    disjoint_operator,
     laplacian,
     symmetrize,
 )
@@ -135,9 +134,10 @@ def test_criterion_3_spectral_correctness():
         elif kind == 1:
             op = build_dynamic(net, random_coupling(rng, net.n, net.k))
         elif kind == 2:
-            op = disjoint_operator(net, "supra")  # w = 0 limit
+            op = build_supra(net, 0.0)  # w = 0 limit
         else:
-            op = disjoint_operator(net, "dynamic")  # off-diagonal C = 0 limit
+            # off-diagonal C = 0 limit
+            op = build_dynamic(net, DynamicCoupling.uniform(np.eye(net.k), net.n))
         system = eig_sym(op.laplacian)
         lam_max = system.eigenvalues[-1]
         if system.eigenvalues[0] < -1e-9 * max(1.0, lam_max):

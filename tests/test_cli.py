@@ -248,25 +248,13 @@ def test_cluster_rejects_non_finite_supra_weight(tmp_path, capsys):
 
 @pytest.mark.parametrize("model", ["supra", "dynamic", "aggregate"])
 def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
-    net_path = tmp_path / "net.mpx"
+    sbm_path, cliques_path = tmp_path / "sbm.mpx", tmp_path / "cliques.mpx"
     assert run("generate", "--type", "sbm-fixed", "--n", "10", "--k", "3",
-               "--p", "0.2", "--seed", "3", "--out", str(net_path)) == 0
-    net = load_network(net_path)
-    if model == "supra":
-        lap = build_supra(net, 1.5).laplacian
-    elif model == "dynamic":
-        lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
-    else:
-        # the reference: J^T L J of the nk x nk supra operator
-        lap = reduced_laplacian(build_supra(net, 0.0))
-    # the metadata line as built from two separate decompositions
-    part, fiedler_value, degenerate = spectral.fiedler_bipartition(lap)
-    system = spectral.eig_sym(lap)
-    multiplicity = int(np.sum(
-        np.abs(system.eigenvalues - fiedler_value) <= system.zero_tolerance))
-    expected = (f"% fiedler_value={fiedler_value!r} degenerate={int(degenerate)} "
-                f"fiedler_multiplicity={multiplicity}")
-
+               "--p", "0.2", "--seed", "3", "--out", str(sbm_path)) == 0
+    # two disjoint 8-cliques on one layer: eigenvalues 0, 0 and 8 fourteen
+    # times, a Fiedler eigenspace that runs past the 8-pair subset
+    cliques = np.kron(np.eye(2), np.ones((8, 8))) - np.eye(16)
+    save_network(MultiplexNetwork(n=16, k=1, layers=(cliques,)), cliques_path)
     calls = []
 
     def counted(fn):
@@ -278,21 +266,42 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
     def no_supra(*args):
         raise AssertionError("the aggregate Laplacian is built from the layers")
 
-    monkeypatch.setattr(spectral, "eig_sym", counted(spectral.eig_sym))
-    monkeypatch.setattr(cli, "eig_sym", counted(cli.eig_sym))
-    if model == "aggregate":
-        monkeypatch.setattr(cli, "build_supra", no_supra)
-    out = tmp_path / "a.csv"
-    assert run("cluster", "--input", str(net_path), "--model", model,
-               "--supra-weight", "1.5", "--clusters", "2", "--seed", "3",
-               "--out", str(out)) == 0
-    assert len(calls) == 1
-    assert calls[0].tobytes() == lap.tobytes()
-    lines = out.read_text().splitlines()
-    assert lines[0] == expected
-    labels = [int(row.split(",")[-1]) for row in lines[2:]]
-    lifted = np.tile(part.labels, net.k) if model == "aggregate" else part.labels
-    assert labels == lifted.tolist()
+    for net_path in (sbm_path, cliques_path):
+        net = load_network(net_path)
+        if model == "supra":
+            lap = build_supra(net, 1.5).laplacian
+        elif model == "dynamic":
+            lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
+        else:
+            # the reference: J^T L J of the nk x nk supra operator
+            lap = reduced_laplacian(build_supra(net, 0.0))
+        # the metadata line as built from separate decompositions
+        part, _, degenerate = spectral.fiedler_bipartition(lap)
+        fiedler_value = spectral.eig_sym(lap, 2).fiedler_value
+        system = spectral.eig_sym(lap)
+        multiplicity = int(np.sum(
+            np.abs(system.eigenvalues - fiedler_value) <= system.zero_tolerance))
+        expected = (f"% fiedler_value={fiedler_value!r} degenerate={int(degenerate)} "
+                    f"fiedler_multiplicity={multiplicity}")
+        del calls[:]
+        out = tmp_path / "a.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "eig_sym", counted(spectral.eig_sym))
+            patch.setattr(cli, "eig_sym", counted(cli.eig_sym))
+            if model == "aggregate":
+                patch.setattr(cli, "build_supra", no_supra)
+            assert run("cluster", "--input", str(net_path), "--model", model,
+                       "--supra-weight", "1.5", "--clusters", "2", "--seed", "3",
+                       "--out", str(out)) == 0
+        assert len(calls) == 1, net_path
+        assert calls[0].tobytes() == lap.tobytes()
+        lines = out.read_text().splitlines()
+        assert lines[0] == expected
+        if net_path == cliques_path:
+            assert lines[0].endswith(" degenerate=1 fiedler_multiplicity=14")
+        labels = [int(row.split(",")[-1]) for row in lines[2:]]
+        lifted = np.tile(part.labels, net.k) if model == "aggregate" else part.labels
+        assert labels == lifted.tolist()
 
 
 @pytest.mark.parametrize("model", ["supra", "dynamic"])

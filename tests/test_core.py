@@ -518,5 +518,5 @@ def test_coupling_config_validation():
     coupling = DynamicCoupling.identity(3, 2)
     assert coupling.k == 2 and coupling.n == 3
     assert np.all(coupling.diag == 1.0)
-    disjoint = DynamicCoupling.disjoint(3, 2)
+    disjoint = DynamicCoupling.uniform(np.eye(2), 3)
     assert np.all(disjoint.diag[0, 0] == 1.0) and np.all(disjoint.diag[0, 1] == 0.0)

@@ -13,7 +13,7 @@ from mxspec.cuts import (
 )
 from mxspec.errors import CutError
 from mxspec.generators import RngSeed, gen_er_multiplex
-from mxspec.operators import build_dynamic, build_supra, disjoint_operator
+from mxspec.operators import build_dynamic, build_supra
 from mxspec.spectral import Partition, fiedler_bipartition
 
 
@@ -145,7 +145,7 @@ def test_decompose_dynamic_disjoint_coupling_no_inter_terms():
     rng = np.random.default_rng(6)
     net = random_network(rng, n=4, k=3)
     part = random_bipartition(rng, 12)
-    report = decompose_dynamic(net, DynamicCoupling.disjoint(4, 3), part)
+    report = decompose_dynamic(net, DynamicCoupling.uniform(np.eye(3), 4), part)
     for a in range(3):
         for b in range(3):
             if a != b:
@@ -269,8 +269,8 @@ def test_disjoint_operator_zero_cost_layer_split():
     rng = np.random.default_rng(12)
     net = random_network(rng, n=3, k=2)
     part = Partition(labels=np.repeat([0, 1], 3), c=2)
-    for model in ("supra", "dynamic"):
-        assert cut_cost(disjoint_operator(net, model), part) == pytest.approx(0.0)
+    for op in (build_supra(net, 0.0), build_dynamic(net, DynamicCoupling.uniform(np.eye(2), 3))):
+        assert cut_cost(op, part) == pytest.approx(0.0)
 
 
 def test_empty_layers_supra_min_cut_keeps_copies_together():

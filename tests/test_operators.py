@@ -13,7 +13,6 @@ from mxspec.operators import (
     build_dynamic,
     build_supra,
     connected_components,
-    disjoint_operator,
     laplacian,
     load_coupling,
     symmetrize,
@@ -167,7 +166,7 @@ def test_build_dynamic_example():
 
 def test_build_dynamic_disjoint_coupling_block_diagonal():
     net = random_network(np.random.default_rng(5), n=4, k=3)
-    op = build_dynamic(net, DynamicCoupling.disjoint(4, 3))
+    op = build_dynamic(net, DynamicCoupling.uniform(np.eye(3), 4))
     for a in range(3):
         for b in range(3):
             if a == b:
@@ -263,14 +262,14 @@ def test_disjoint_operator_zero_eigenvalue_per_component():
     # two connected layers -> 2 zero eigenvalues
     path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     net = MultiplexNetwork(n=3, k=2, layers=(path, path))
-    for model in ("supra", "dynamic"):
-        assert zero_multiplicity(disjoint_operator(net, model)) == 2
+    supra = build_supra(net, 0.0)
+    dynamic = build_dynamic(net, DynamicCoupling.uniform(np.eye(2), 3))
+    assert zero_multiplicity(supra) == zero_multiplicity(dynamic) == 2
+    # the two zero-coupling limits are the same operator, bit for bit
+    assert supra.adjacency.tobytes() == dynamic.adjacency.tobytes()
     # three empty layers on two nodes -> 6 isolated copies
     empty = MultiplexNetwork(n=2, k=3, layers=(np.zeros((2, 2)),) * 3)
-    assert zero_multiplicity(disjoint_operator(empty, "supra")) == 6
-    np.testing.assert_array_equal(
-        disjoint_operator(empty, "supra").adjacency, build_supra(empty, 0.0).adjacency
-    )
+    assert zero_multiplicity(build_supra(empty, 0.0)) == 6
 
 
 def test_operator_invariants_random():

@@ -17,7 +17,6 @@ from mxspec.operators import (
     build_dynamic,
     build_supra,
     connected_components,
-    disjoint_operator,
     laplacian,
 )
 from mxspec.spectral import (
@@ -174,13 +173,12 @@ def test_eig_sym_count_never_ends_inside_requested_eigenvalue():
         values = system.eigenvalues
         complete = len(values) == len(lap)
         assert complete or values[-1] - values[count - 1] > system.zero_tolerance, count
-    # count 2 needs only the zero eigenspace whole: its subset stops inside the
-    # 14-fold eigenvalue, which the multiplicity then reports as unknown
-    subset = eig_sym(lap, 2)
-    assert len(subset.eigenvalues) == 8 and subset.zero_multiplicity == 2
-    assert subset.fiedler_value == pytest.approx(8.0)
-    assert subset.fiedler_multiplicity is None
-    assert eig_sym(lap).fiedler_multiplicity == 14
+    # at count 2 the 8-pair subset would stop inside the 14-fold Fiedler
+    # value (indices 2-15), so the full spectrum is solved and counts it whole
+    system = eig_sym(lap, 2)
+    assert len(system.eigenvalues) == 16 and system.zero_multiplicity == 2
+    assert system.fiedler_value == pytest.approx(8.0)
+    assert system.fiedler_multiplicity == eig_sym(lap).fiedler_multiplicity == 14
     assert len(eig_sym(lap, 4).eigenvalues) == 16
 
 
@@ -274,8 +272,9 @@ def disconnected_laplacians():
         net, _ = gen_fixed_sbm_multiplex(30, k, 0.0, RngSeed(k, ("split",)))
         yield f"supra k={k}", build_supra(net, 1.0).laplacian
         yield f"dynamic k={k}", build_dynamic(net, DynamicCoupling.identity(30, k)).laplacian
-        for model in ("supra", "dynamic"):
-            yield f"disjoint {model} k={k}", disjoint_operator(net, model).laplacian
+        yield f"disjoint supra k={k}", build_supra(net, 0.0).laplacian
+        zero = DynamicCoupling.uniform(np.eye(k), 30)
+        yield f"disjoint dynamic k={k}", build_dynamic(net, zero).laplacian
     yield "cliques", block_clique_laplacian([4, 3, 5])[0]
     # more zero eigenvalues than the subset holds: the eigensolve takes them all
     yield "nine cliques", block_clique_laplacian([3, 2, 4, 1, 3, 2, 5, 2, 3])[0]
@@ -363,9 +362,13 @@ def test_bad_disconnected_input_is_rejected_as_eig_sym_rejects_it():
 
 
 def test_fiedler_value_is_zero_whenever_degenerate():
+    # connected at 1e-12, but lambda_2 (about 4e-10) is below the zero tolerance
+    _, weak = block_clique_laplacian([5, 5])
+    weak[4, 5] = weak[5, 4] = 1e-9
     cases = list(disconnected_laplacians()) + [
         ("tiny bridge", laplacian(block_clique_laplacian([3, 3], bridges=[(2, 3)])[1] * 1e-13)),
         ("bridge", block_clique_laplacian([5, 5], bridges=[(4, 5)])[0]),
+        ("weak bridge", laplacian(weak)),
     ]
     for name, lap in cases:
         system = eig_sym(lap, 2)
@@ -692,7 +695,7 @@ def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
         # k*w = 25 lies below the community eigenvalue: a 4-fold Fiedler value
         "repeated-fiedler": build_supra(net, 5.0).laplacian,
         # one component per layer: a 5-fold zero eigenvalue, and no attempt
-        "disconnected": disjoint_operator(net, "dynamic").laplacian,
+        "disconnected": build_dynamic(net, DynamicCoupling.uniform(np.eye(5), 300)).laplacian,
         "zero-entry": mirrored_blocks_laplacian(),
         "no-convergence": lanczos_net_laplacian("dynamic", 1),
     }
