@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import os
 import subprocess
@@ -572,6 +573,22 @@ FULL_POINTS = {
 }
 
 
+# SHA-256 of the stubbed task lists (experiment, sorted parameters, instance
+# seed) at --instances 1 and --seed unset, over the models in MODELS order
+TASK_DIGESTS = {
+    ('er', False): "c5d5e4ff834730310048be2ec86e1f478f8fa80aaaaafd3350d75481ef787eac",
+    ('fixed-sbm', False): "53a2625b8f8b5f8dab58e5a359c478edbe076fab11b180788220c987ad79bc6f",
+    ('overlap', False): "057a3047ef19d5b03b53a21d124ce1813da504e6d91e45f16f4439e18babfb7f",
+    ('overlap-kway', False): "30ae70afe51a7e48e52bcffef3c2d571d715d092674eaaccb3ed294a4c7c36f1",
+    ('overlap-supra', False): "1ac439ae5a4d7ca013f809cb611c1795d73c23ab01740c9f81f18c123bee41e5",
+    ('er', True): "d791dfec21410e6cb6951b48440767a32e2ab4df7a94da99737acc6ee58cc06f",
+    ('fixed-sbm', True): "647133e526ed93040e3234f79374e38557f19aade8b2e26e7b699eb0a382ed9b",
+    ('overlap', True): "3b6c9d5091df3996346c851b6558a82fc87d4563d819ccecd71742d4172f67e7",
+    ('overlap-kway', True): "53f44001d1e611ee3482afe32c9ec25573e8272451f8b46b04bbb3f93e0bab1e",
+    ('overlap-supra', True): "9d338c5b642eb0970ed1634e7e76543e5a05dcd4fd1887ac23b54e40ad8805d3",
+}
+
+
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("name", sorted(DESK_POINTS))
 def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
@@ -584,6 +601,8 @@ def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
         return []
 
     monkeypatch.setattr(experiments, "compute_instance", stub)
+    monkeypatch.delenv("MXSPEC_SEED", raising=False)
+    digest = hashlib.sha256()
     for model, points in (FULL_POINTS if full else DESK_POINTS)[name].items():
         calls.clear()
         argv = ["experiment", name, "--instances", "1", "--model", model,
@@ -591,6 +610,9 @@ def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
         assert run(*argv, *(["--full"] if full else [])) == 0
         assert len(calls) == len(set(calls)) == points, model
         assert {experiment for experiment, _, _ in calls} == {name}
+        digest.update(repr(calls).encode())
+    # the sweep points and their seeds, for every --model value, need no BLAS
+    assert digest.hexdigest() == TASK_DIGESTS[name, full]
 
 
 @pytest.mark.parametrize("flags, instances", [
