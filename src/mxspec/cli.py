@@ -66,12 +66,14 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="generate a synthetic multiplex network")
     gen.add_argument("--type", required=True, choices=["er", "sbm-fixed", "sbm-overlap"])
     gen.add_argument("--n", type=int, default=100, help="nodes per layer")
-    gen.add_argument("--k", type=int, default=2, help="number of layers")
-    gen.add_argument("--p", type=float, default=0.1,
+    # --k and --p are read by er and sbm-fixed, --intra and --inter by
+    # sbm-overlap; their defaults are set in _cmd_generate
+    gen.add_argument("--k", type=int, default=argparse.SUPPRESS, help="number of layers")
+    gen.add_argument("--p", type=float, default=argparse.SUPPRESS,
                      help="ER wiring probability / SBM inter-block probability")
-    gen.add_argument("--intra", type=float, default=0.9,
+    gen.add_argument("--intra", type=float, default=argparse.SUPPRESS,
                      help="overlap SBM intra-block probability")
-    gen.add_argument("--inter", type=float, default=0.1,
+    gen.add_argument("--inter", type=float, default=argparse.SUPPRESS,
                      help="overlap SBM inter-block probability")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output .mpx path")
@@ -95,17 +97,15 @@ def _build_parser() -> _Parser:
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--instances", type=int, default=None,
                      help="instances per grid point (default: 20, or 100 with --full)")
-    exp.add_argument("--n", type=int, default=100)
+    exp.add_argument("--n", type=int, default=None, help="nodes per layer")
     exp.add_argument("--model", default="both", choices=["both", "supra", "dynamic"],
                      help="operator model (er, fixed-sbm, overlap-kway)")
     exp.add_argument("--p-grid", type=_float_list, default=None, help="comma-separated values")
     exp.add_argument("--q-grid", type=_float_list, default=None)
     exp.add_argument("--w-grid", type=_float_list, default=None)
     exp.add_argument("--k-grid", type=_int_list, default=None)
-    exp.add_argument("--supra-weight", type=float, default=1.0,
-                     help="supra coupling weight for the er experiment")
-    exp.add_argument("--intra", type=float, default=0.9)
-    exp.add_argument("--inter", type=float, default=0.1)
+    exp.add_argument("--intra", type=float, default=None)
+    exp.add_argument("--inter", type=float, default=None)
     exp.add_argument("--full", action="store_true",
                      help="paper-scale grids and 100 instances instead of desk-scale defaults")
     exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
@@ -144,16 +144,19 @@ def _build_operator(args, net):
 
 
 def _cmd_generate(args) -> int:
+    defaults = dict(intra=0.9, inter=0.1) if args.type == "sbm-overlap" else dict(k=2, p=0.1)
+    unread = sorted(vars(args).keys() & {"k", "p", "intra", "inter"} - defaults.keys())
+    if unread:
+        raise MxspecError(f"generate --type {args.type} reads no --{unread[0]}")
+    args = argparse.Namespace(**{**defaults, **vars(args)})
     seed = RngSeed(_resolve_seed(args), ("generate", args.type))
     planted = []
     if args.type == "er":
         net = gen_er_multiplex(args.n, args.k, args.p, seed)
     elif args.type == "sbm-fixed":
-        net, part = gen_fixed_sbm_multiplex(args.n, args.k, args.p, seed)
-        planted = [part]
+        net, *planted = gen_fixed_sbm_multiplex(args.n, args.k, args.p, seed)
     else:
-        net, part1, part2 = gen_overlap_multiplex(args.n, args.intra, args.inter, seed)
-        planted = [part1, part2]
+        net, *planted = gen_overlap_multiplex(args.n, args.intra, args.inter, seed)
     save_network(net, args.out)
     base = args.out[:-4] if args.out.endswith(".mpx") else args.out
     for idx, part in enumerate(planted):
@@ -250,10 +253,10 @@ def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args)
     spec = xp.EXPERIMENTS[args.name]
     instances = (100 if args.full else 20) if args.instances is None else args.instances
-    grids = dict(n=[args.n], w=[args.supra_weight], intra=[args.intra], inter=[args.inter])
-    for name, default in (spec.full if args.full else spec.desk).items():
-        flag = getattr(args, f"{name}_grid")  # every swept parameter has a --<name>-grid flag
-        grids[name] = default if flag is None else flag
+    given = dict(p=args.p_grid, q=args.q_grid, w=args.w_grid, k=args.k_grid,
+                 n=[args.n], intra=[args.intra], inter=[args.inter])
+    grids = {**spec.desk, **(spec.full if args.full else {})}  # the table's defaults
+    grids.update((name, value) for name, value in given.items() if value not in (None, [None]))
     result = xp.run_experiment(args.name, instances, args.model, seed, args.jobs, **grids)
     xp.write_results_csv(result, args.out)
     if args.aggregate:

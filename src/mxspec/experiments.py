@@ -10,8 +10,8 @@ Instances are independent jobs: with jobs > 1 they run in a process pool,
 but rows are always emitted in deterministic (parameter point, instance)
 order, so the CSV bytes do not depend on the job count.
 
-Experiments, one :data:`EXPERIMENTS` entry each (parameter columns,
-model columns, default grids and the per-instance function):
+Experiments, one :data:`EXPERIMENTS` entry each (every parameter with its
+default grid, the model column and the per-instance function):
 
 * ``er`` - k random layers with no structure; measures how often node
   copies stay grouped under bipartition, for both operator models.
@@ -235,10 +235,15 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
     `grids` maps each parameter to its values; a fixed parameter such as n
     is a one-value list.  `model` is "both", "supra" or "dynamic"; "both"
     runs the entry's `models`, and entries without a model column ignore
-    it.  Every parameter the selected models use needs a non-empty grid,
-    `instances` (per grid point) must be >= 0 and `jobs` >= 1.
+    it.  A grid may name only a parameter of the entry.  Every parameter
+    the selected models use needs a non-empty grid that repeats no value
+    (compared by `canon`, so 0.3 and 0.30 are one value), `instances` (per
+    grid point) must be >= 0 and `jobs` >= 1.
     """
     spec = EXPERIMENTS[experiment]
+    unknown = sorted(grids.keys() - spec.desk.keys())
+    if unknown:
+        raise ExperimentError(f"{experiment} has no parameter {unknown[0]}")
     if model not in ("both", "supra", "dynamic"):
         raise ExperimentError(f"unknown model {model!r}")
     if instances < 0:
@@ -254,12 +259,13 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
             elif name in spec.empty.get(current, ()):
                 values = [""]
             else:
-                values = [] if grids.get(name) is None else list(grids[name])
-                if not values:
-                    raise ExperimentError(f"{experiment} sweep needs a non-empty {name} grid")
+                values = [] if grids.get(name) is None else [canon(v) for v in grids[name]]
+                if not values or len(set(values)) < len(values):
+                    raise ExperimentError(f"{experiment} sweep needs a non-empty {name} grid "
+                                          f"with no repeated value, got {grids.get(name)}")
             axes.append(values)
         for point in itertools.product(*axes):
-            params = tuple(zip(spec.params, map(canon, point)))
+            params = tuple(zip(spec.params, point))
             for instance in range(instances):
                 tasks.append((experiment, params, instance,
                               instance_seed(seed, experiment, params, instance)))
@@ -347,39 +353,39 @@ def _kway_instance(params: dict, rng: RngSeed) -> list:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One sweep family: its CSV columns, default grids and instance function."""
+    """One sweep family: its parameters and their default grids, its model
+    column and its instance function."""
 
-    params: tuple  # parameter columns in CSV order
-    desk: dict  # default grids of `mxspec experiment`
-    full: dict  # default grids with --full
+    desk: dict  # every parameter in CSV order -> its default grid
+    full: dict  # the grids that --full replaces
     compute: Callable  # (params, RngSeed) -> [(metric, value-string), ...]
     models: tuple = ()  # model-column values that model "both" runs, in row order
     empty: dict = field(default_factory=dict)  # model -> parameters it leaves blank
 
+    @property
+    def params(self) -> tuple:
+        """The parameter columns in CSV order: model first when it has one."""
+        return ("model",) * bool(self.models) + tuple(self.desk)
+
 
 EXPERIMENTS = {
     "er": Experiment(
-        params=("model", "p", "k", "n", "w"),
         models=("supra", "dynamic"),
-        desk=dict(p=[0.05, 0.15, 0.25, 0.35, 0.45], k=[2, 3, 5]),
+        desk=dict(p=[0.05, 0.15, 0.25, 0.35, 0.45], k=[2, 3, 5], n=[100], w=[1.0]),
         full=dict(p=[round(0.05 + 0.01 * i, 2) for i in range(46)], k=list(range(2, 11))),
         compute=_er_instance,
     ),
     "fixed-sbm": Experiment(
-        params=("model", "p", "w", "k", "n"),
         models=("dynamic", "supra"),
         empty={"dynamic": ("w",)},
-        desk=dict(p=[round(0.1 * i, 1) for i in range(11)], w=[0.1, 1.0, 2.0, 5.0], k=[2, 6]),
-        full=dict(
-            p=[round(0.1 * i, 1) for i in range(11)],
-            w=[round(0.1 * i, 1) for i in range(51)],
-            k=list(range(2, 11)),
-        ),
+        desk=dict(p=[round(0.1 * i, 1) for i in range(11)], w=[0.1, 1.0, 2.0, 5.0], k=[2, 6],
+                  n=[100]),
+        full=dict(w=[round(0.1 * i, 1) for i in range(51)], k=list(range(2, 11))),
         compute=_fixed_sbm_instance,
     ),
     "overlap": Experiment(
-        params=("p", "q", "n", "intra", "inter"),
-        desk=dict(p=[0.05, 0.1, 0.5, 0.9], q=[0.05, 0.1, 0.5, 0.9]),
+        desk=dict(p=[0.05, 0.1, 0.5, 0.9], q=[0.05, 0.1, 0.5, 0.9], n=[100], intra=[0.9],
+                  inter=[0.1]),
         full=dict(
             p=[round(0.05 * i, 2) for i in range(1, 20)],
             q=[round(0.05 * i, 2) for i in range(1, 20)],
@@ -387,18 +393,16 @@ EXPERIMENTS = {
         compute=_regime_instance,
     ),
     "overlap-supra": Experiment(
-        params=("w", "n", "intra", "inter"),
-        desk=dict(w=[0.5, 1.0, 2.0, 3.0, 5.0]),
+        desk=dict(w=[0.5, 1.0, 2.0, 3.0, 5.0], n=[100], intra=[0.9], inter=[0.1]),
         full=dict(w=[round(0.1 * i, 1) for i in range(1, 51)]),
         compute=_regime_instance,
     ),
     "overlap-kway": Experiment(
-        params=("model", "w", "p", "q", "n", "intra", "inter"),
         models=("supra",),
         empty={"supra": ("p", "q"), "dynamic": ("w",)},
-        desk=dict(w=[2.0, 5.0, 30.0], p=[0.3, 0.5, 0.7], q=[0.3, 0.5, 0.7]),
-        full=dict(w=[round(0.5 * i, 1) for i in range(1, 61)], p=[0.3, 0.5, 0.7],
-                  q=[0.3, 0.5, 0.7]),
+        desk=dict(w=[2.0, 5.0, 30.0], p=[0.3, 0.5, 0.7], q=[0.3, 0.5, 0.7], n=[100],
+                  intra=[0.9], inter=[0.1]),
+        full=dict(w=[round(0.5 * i, 1) for i in range(1, 61)]),
         compute=_kway_instance,
     ),
 }

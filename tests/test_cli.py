@@ -71,7 +71,7 @@ def test_help_exits_zero_and_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--seed", "--instances", "--jobs", "--out", "--aggregate",
                  "--p-grid", "--q-grid", "--w-grid", "--k-grid", "--full",
-                 "--model", "--n", "--intra", "--inter", "--supra-weight"):
+                 "--model", "--n", "--intra", "--inter"):
         assert flag in out
 
 
@@ -555,6 +555,38 @@ def test_bad_size_probability_or_jobs_exits_2_with_module_error(tmp_path, capsys
     assert not out.exists()
 
 
+def test_experiment_er_reads_w_from_the_w_grid(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run("experiment", "er", "--model", "supra", "--p-grid", "0.3", "--k-grid", "2",
+               "--n", "10", "--w-grid", "7", "--instances", "1", "--jobs", "1",
+               "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {row["param:w"] for row in rows} == {"7.0"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("experiment", "er", "--q-grid", "0.3"), "error[experiments]: er has no parameter q"),
+    (("experiment", "overlap", "--w-grid", "1"), "error[experiments]: overlap has no parameter w"),
+    (("experiment", "overlap-supra", "--k-grid", "2"),
+     "error[experiments]: overlap-supra has no parameter k"),
+    (("experiment", "er", "--intra", "0.5"), "error[experiments]: er has no parameter intra"),
+    (("experiment", "er", "--p-grid", "0.3,0.30"),
+     "error[experiments]: er sweep needs a non-empty p grid with no repeated value, "
+     "got [0.3, 0.3]"),
+    (("generate", "--type", "sbm-overlap", "--n", "8", "--k", "5"),
+     "error[cli]: generate --type sbm-overlap reads no --k"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_a_parameter_flag_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
+                                                            argv, message):
+    # refused before any instance runs, and nothing is written
+    monkeypatch.setattr(experiments, "compute_instance", lambda *task: pytest.fail(str(task)))
+    flags = ("--instances", "1", "--jobs", "1") if argv[0] == "experiment" else ()
+    assert run(*argv, *flags, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 MODELS = ("both", "supra", "dynamic")
 # grid points per --model value of the default grids
 DESK_POINTS = {
@@ -576,16 +608,16 @@ FULL_POINTS = {
 # SHA-256 of the stubbed task lists (experiment, sorted parameters, instance
 # seed) at --instances 1 and --seed unset, over the models in MODELS order
 TASK_DIGESTS = {
-    ('er', False): "c5d5e4ff834730310048be2ec86e1f478f8fa80aaaaafd3350d75481ef787eac",
-    ('fixed-sbm', False): "53a2625b8f8b5f8dab58e5a359c478edbe076fab11b180788220c987ad79bc6f",
-    ('overlap', False): "057a3047ef19d5b03b53a21d124ce1813da504e6d91e45f16f4439e18babfb7f",
-    ('overlap-kway', False): "30ae70afe51a7e48e52bcffef3c2d571d715d092674eaaccb3ed294a4c7c36f1",
-    ('overlap-supra', False): "1ac439ae5a4d7ca013f809cb611c1795d73c23ab01740c9f81f18c123bee41e5",
-    ('er', True): "d791dfec21410e6cb6951b48440767a32e2ab4df7a94da99737acc6ee58cc06f",
-    ('fixed-sbm', True): "647133e526ed93040e3234f79374e38557f19aade8b2e26e7b699eb0a382ed9b",
-    ('overlap', True): "3b6c9d5091df3996346c851b6558a82fc87d4563d819ccecd71742d4172f67e7",
-    ('overlap-kway', True): "53f44001d1e611ee3482afe32c9ec25573e8272451f8b46b04bbb3f93e0bab1e",
-    ('overlap-supra', True): "9d338c5b642eb0970ed1634e7e76543e5a05dcd4fd1887ac23b54e40ad8805d3",
+    ("er", False): "c5d5e4ff834730310048be2ec86e1f478f8fa80aaaaafd3350d75481ef787eac",
+    ("fixed-sbm", False): "53a2625b8f8b5f8dab58e5a359c478edbe076fab11b180788220c987ad79bc6f",
+    ("overlap", False): "057a3047ef19d5b03b53a21d124ce1813da504e6d91e45f16f4439e18babfb7f",
+    ("overlap-kway", False): "30ae70afe51a7e48e52bcffef3c2d571d715d092674eaaccb3ed294a4c7c36f1",
+    ("overlap-supra", False): "1ac439ae5a4d7ca013f809cb611c1795d73c23ab01740c9f81f18c123bee41e5",
+    ("er", True): "d791dfec21410e6cb6951b48440767a32e2ab4df7a94da99737acc6ee58cc06f",
+    ("fixed-sbm", True): "647133e526ed93040e3234f79374e38557f19aade8b2e26e7b699eb0a382ed9b",
+    ("overlap", True): "3b6c9d5091df3996346c851b6558a82fc87d4563d819ccecd71742d4172f67e7",
+    ("overlap-kway", True): "53f44001d1e611ee3482afe32c9ec25573e8272451f8b46b04bbb3f93e0bab1e",
+    ("overlap-supra", True): "9d338c5b642eb0970ed1634e7e76543e5a05dcd4fd1887ac23b54e40ad8805d3",
 }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mxspec import cli, experiments, spectral
+from mxspec import experiments, spectral
 from mxspec.errors import ExperimentError
 from mxspec.experiments import (
     InstanceRow,
@@ -331,9 +331,9 @@ def test_sweeps_at_the_default_n_stay_below_lanczos_min(monkeypatch, grid):
     # every desk and --full sweep keeps the dense solve, and with it its
     # CSV bytes: run one instance of each model at the point with the
     # largest k (n and k alone set the operator's order n k) with the
-    # defaults of `mxspec experiment`, and record the order of what the
-    # sweeps hand the spectral selectors (a disconnected operator, as at
-    # fixed-sbm's first point p = 0, reaches no eig_sym call)
+    # table's grids, as `mxspec experiment` does, and record the order of
+    # what the sweeps hand the spectral selectors (a disconnected operator,
+    # as at fixed-sbm's first point p = 0, reaches no eig_sym call)
     orders = []
 
     def recording(fn):
@@ -345,12 +345,11 @@ def test_sweeps_at_the_default_n_stay_below_lanczos_min(monkeypatch, grid):
     for name in ("fiedler_bipartition", "spectral_kway"):
         monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
     for name, spec in experiments.EXPERIMENTS.items():
-        args = cli._build_parser().parse_args(["experiment", name, "--out", "unused.csv"])
-        grids = dict(n=[args.n], w=[args.supra_weight], intra=[args.intra], inter=[args.inter])
-        for param, values in getattr(spec, grid).items():
-            grids[param] = [max(values)] if param == "k" else values[:1]
+        grids = {**spec.desk, **(spec.full if grid == "full" else {})}
+        grids = {param: [max(values)] if param == "k" else values[:1]
+                 for param, values in grids.items()}
         before = len(orders)
-        experiments.run_experiment(name, 1, args.model, 1, 1, **grids)
+        experiments.run_experiment(name, 1, "both", 1, 1, **grids)
         assert len(orders) > before, name
     assert max(orders) == (1000 if grid == "full" else 600)
     assert max(orders) < spectral.LANCZOS_MIN
