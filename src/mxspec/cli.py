@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiments as xp
 from .core import DynamicCoupling, load_network, read_lines, save_network
-from .errors import MxspecError, ParseError
+from .errors import ExperimentError, MxspecError, ParseError
 from .generators import (
     RngSeed,
     gen_er_multiplex,
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--type", required=True, choices=["er", "sbm-fixed", "sbm-overlap"])
     gen.add_argument("--n", type=int, default=100, help="nodes per layer")
     # --k and --p are read by er and sbm-fixed, --intra and --inter by
-    # sbm-overlap; their defaults are set in _cmd_generate
+    # sbm-overlap; their defaults are set in _cmd_generate (_read_flags)
     gen.add_argument("--k", type=int, default=argparse.SUPPRESS, help="number of layers")
     gen.add_argument("--p", type=float, default=argparse.SUPPRESS,
                      help="ER wiring probability / SBM inter-block probability")
@@ -126,10 +126,32 @@ def _build_parser() -> _Parser:
 
 def _model_flags(parser) -> None:
     parser.add_argument("--model", required=True, choices=["supra", "dynamic", "aggregate"])
-    parser.add_argument("--supra-weight", type=float, default=1.0,
-                        help="inter-layer weight w (supra model)")
-    parser.add_argument("--coupling", default=None,
+    # each read by one model; the defaults are set in _model_args (_read_flags)
+    parser.add_argument("--supra-weight", type=float, default=argparse.SUPPRESS,
+                        help="inter-layer weight w (supra model; default 1.0)")
+    parser.add_argument("--coupling", default=argparse.SUPPRESS,
                         help=".cpl coupling file (dynamic model; default C = I)")
+
+
+def _read_flags(args, option: str, reads: dict) -> argparse.Namespace:
+    """`args` with the defaults of the flags that the value of --`option`
+    reads, `reads[value]` ({dest: default}), set where not given.  Every
+    flag that `reads` names is parsed with argparse.SUPPRESS, so it is in
+    `args` only when given; one given that the value does not read raises
+    MxspecError, before any file is read or written."""
+    value = getattr(args, option)
+    unread = sorted(vars(args).keys() & set().union(*reads.values()) - reads[value].keys())
+    if unread:
+        flag = unread[0].replace("_", "-")
+        raise MxspecError(f"{args.command} --{option} {value} reads no --{flag}")
+    return argparse.Namespace(**{**reads[value], **vars(args)})
+
+
+def _model_args(args) -> argparse.Namespace:
+    """cluster's and cut's `args`: --supra-weight (default 1.0) is read by
+    supra, --coupling (default C = I) by dynamic, neither by aggregate."""
+    return _read_flags(args, "model", dict(supra=dict(supra_weight=1.0),
+                                           dynamic=dict(coupling=None), aggregate={}))
 
 
 def _build_operator(args, net):
@@ -144,11 +166,8 @@ def _build_operator(args, net):
 
 
 def _cmd_generate(args) -> int:
-    defaults = dict(intra=0.9, inter=0.1) if args.type == "sbm-overlap" else dict(k=2, p=0.1)
-    unread = sorted(vars(args).keys() & {"k", "p", "intra", "inter"} - defaults.keys())
-    if unread:
-        raise MxspecError(f"generate --type {args.type} reads no --{unread[0]}")
-    args = argparse.Namespace(**{**defaults, **vars(args)})
+    args = _read_flags(args, "type", {"er": dict(k=2, p=0.1), "sbm-fixed": dict(k=2, p=0.1),
+                                      "sbm-overlap": dict(intra=0.9, inter=0.1)})
     seed = RngSeed(_resolve_seed(args), ("generate", args.type))
     planted = []
     if args.type == "er":
@@ -170,6 +189,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    args = _model_args(args)
     net = load_network(args.input)
     seed = RngSeed(_resolve_seed(args), ("cluster",))
     if args.model == "aggregate":
@@ -229,6 +249,7 @@ def _read_partition_csv(path, expected: int) -> Partition:
 
 
 def _cmd_cut(args) -> int:
+    args = _model_args(args)
     net = load_network(args.input)
     if args.model == "aggregate":
         raise ParseError("cut analysis is defined on the full operators; "
@@ -255,8 +276,13 @@ def _cmd_experiment(args) -> int:
     instances = (100 if args.full else 20) if args.instances is None else args.instances
     given = dict(p=args.p_grid, q=args.q_grid, w=args.w_grid, k=args.k_grid,
                  n=[args.n], intra=[args.intra], inter=[args.inter])
-    grids = {**spec.desk, **(spec.full if args.full else {})}  # the table's defaults
-    grids.update((name, value) for name, value in given.items() if value not in (None, [None]))
+    given = {name: value for name, value in given.items() if value not in (None, [None])}
+    # a parameter that every model of the run leaves blank reads no grid
+    unread = sorted(set(given).intersection(*(spec.empty.get(model, ())
+                                              for model in spec.runs(args.model))))
+    if unread:
+        raise ExperimentError(f"{args.name} --model {args.model} reads no {unread[0]} grid")
+    grids = {**spec.desk, **(spec.full if args.full else {}), **given}  # the table's defaults
     result = xp.run_experiment(args.name, instances, args.model, seed, args.jobs, **grids)
     xp.write_results_csv(result, args.out)
     if args.aggregate:

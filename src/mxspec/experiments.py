@@ -251,7 +251,7 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     tasks = []
-    for current in (spec.models if model == "both" else (model,)) or (None,):
+    for current in spec.runs(model):
         axes = []
         for name in spec.params:
             if name == "model":
@@ -366,6 +366,12 @@ class Experiment:
     def params(self) -> tuple:
         """The parameter columns in CSV order: model first when it has one."""
         return ("model",) * bool(self.models) + tuple(self.desk)
+
+    def runs(self, model: str) -> tuple:
+        """The model-column values that `model` ("both", "supra" or
+        "dynamic") runs, in row order: `models` for "both", and (None,) for
+        "both" on an entry without a model column."""
+        return (self.models if model == "both" else (model,)) or (None,)
 
 
 EXPERIMENTS = {
@@ -495,7 +501,8 @@ def heatmap_grid(rows, x: str, y: str, metric: str) -> tuple:
 
     Numeric metrics aggregate to their mean; label-valued metrics to the
     modal label (ties break lexicographically).  Returns (x_values,
-    y_values, grid) with axis values sorted numerically when possible.
+    y_values, grid).  Each axis lists its non-numeric values first, in text
+    order (so a blank value leads), then its numbers in numeric order.
     """
     cells: dict = {}
     for row in rows:
@@ -509,10 +516,8 @@ def heatmap_grid(rows, x: str, y: str, metric: str) -> tuple:
         raise ExperimentError(f"no rows with metric {metric!r}")
 
     def _axis(values):
-        try:
-            return sorted(values, key=float)
-        except ValueError:
-            return sorted(values)
+        numbers = {value for value in values if _mean([value]) is not None}
+        return sorted(values - numbers) + sorted(numbers, key=float)
 
     x_values = _axis({key[0] for key in cells})
     y_values = _axis({key[1] for key in cells})

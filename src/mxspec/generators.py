@@ -79,10 +79,6 @@ class SbmSpec:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
 
 def _check_sizes(n: int, k: int = 1) -> None:
     """GeneratorError unless n >= 1 and k >= 1; called before any draw."""

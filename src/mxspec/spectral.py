@@ -8,7 +8,9 @@ included) and runs seeded Lloyd k-means with k-means++ initialization.
 Both read only the lowest eigenpairs, which `eig_sym(mat, count)` computes
 without the rest of the spectrum: by a subset solve, or from LANCZOS_MIN
 rows on by a Lanczos solve whose decisions it proves to be the exact
-matrix's before it uses them.
+matrix's before it uses them.  Its certificates alone decide: a solve
+they refuse, such as one of a disconnected matrix, whose zero eigenvalue
+repeats, falls through to the subset solve.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -140,15 +142,16 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     the eigenspace of every returned eigenvalue up to index count-1, and
     of the Fiedler value, is always returned whole.
 
-    From LANCZOS_MIN rows on, a `count` is first tried by the certified
-    Lanczos path (`_certified_lanczos`), unless the nonzero pattern of M
-    is disconnected (`operators.connected_components`), so that the zero
-    eigenvalue repeats: it returns count + 1 pairs when it proves that
-    their zero, repeat and sign decisions are those of the exact matrix,
-    and the subset solve above runs only when it cannot.  That proof
-    covers what `fiedler_bipartition` reads.  `spectral_kway` also reads
-    the vectors' values, which are the exact ones only to within the
-    residuals, so its labels on this path are not certified.
+    From LANCZOS_MIN rows on, a `count` below m - 1 is first tried by the
+    certified Lanczos path (`_certified_lanczos`), with no connectivity
+    search: it returns count + 1 pairs when it proves that their zero,
+    repeat and sign decisions are those of the exact matrix, and the
+    subset solve above runs only when it cannot, as on a disconnected M,
+    whose repeated zero eigenvalue fails the separation check or the
+    count certificate.  That proof covers what `fiedler_bipartition`
+    reads.  `spectral_kway` also reads the vectors' values, which are the
+    exact ones only to within the residuals, so its labels on this path
+    are not certified.
 
     An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
     bounds every eigenvalue's magnitude (Gershgorin).  An exactly
@@ -160,11 +163,9 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
     norm, tol, exact = _validated(arr)
     m = arr.shape[0]
-    lanczos = (count is not None and LANCZOS_MIN <= m and count + 1 < m
-               and not operators.connected_components(arr).any())
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
-    if lanczos:
+    if count is not None and LANCZOS_MIN <= m and count + 1 < m:
         values, vectors = _certified_lanczos(sym, count, norm, tol)
     size = max(count or 1, SUBSET_MIN)
     try:

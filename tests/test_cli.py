@@ -28,6 +28,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def supra_weight(model, weight):
+    """The --supra-weight flag, which only the supra model reads."""
+    return ["--supra-weight", weight] if model == "supra" else []
+
+
 def test_missing_input_exits_2_with_module_prefix(tmp_path, capsys):
     code = run("cluster", "--input", str(tmp_path / "missing.mpx"),
                "--model", "supra", "--out", str(tmp_path / "a.csv"))
@@ -110,6 +115,21 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert run(*argv, "--out", str(out_default)) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
     assert out_env.read_bytes() != out_default.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["generate", "cluster", "experiment"])
+def test_env_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch, command):
+    net = tmp_path / "net.mpx"
+    net.write_text("#nodes 2\n#layers 1\n0 0 1 1.0\n")
+    argv = {"generate": ["generate", "--type", "er", "--n", "4"],
+            "cluster": ["cluster", "--input", str(net), "--model", "supra"],
+            "experiment": ["experiment", "er", "--instances", "1", "--jobs", "1"]}[command]
+    out = tmp_path / "out"
+    monkeypatch.setenv("MXSPEC_SEED", "abc")
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error[multiplex-core]: MXSPEC_SEED is not an integer: 'abc'\n")
+    assert not out.exists()
 
 
 def test_cluster_and_cut_pipeline(tmp_path, capsys):
@@ -292,7 +312,7 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
             if model == "aggregate":
                 patch.setattr(cli, "build_supra", no_supra)
             assert run("cluster", "--input", str(net_path), "--model", model,
-                       "--supra-weight", "1.5", "--clusters", "2", "--seed", "3",
+                       *supra_weight(model, "1.5"), "--clusters", "2", "--seed", "3",
                        "--out", str(out)) == 0
         assert len(calls) == 1, net_path
         assert calls[0].tobytes() == lap.tobytes()
@@ -323,7 +343,7 @@ def test_cluster_on_a_disconnected_operator_prints_its_fiedler_eigenvalue(tmp_pa
     assert degenerate and value == 0.0 < system.fiedler_value
     out = tmp_path / "a.csv"
     assert run("cluster", "--input", str(net_path), "--model", model,
-               "--supra-weight", "1.5", "--clusters", "2", "--out", str(out)) == 0
+               *supra_weight(model, "1.5"), "--clusters", "2", "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == (f"% fiedler_value={system.fiedler_value!r} degenerate=1 "
                         f"fiedler_multiplicity={system.fiedler_multiplicity}")
@@ -422,6 +442,13 @@ def test_cut_rejects_aggregate_model(tmp_path, capsys):
      "cluster 99999999999999999999 for copy_index 1 is past int64"),
     (b"copy_index,cluster\n1,0\n", "no cluster assigned to copy_index 0"),
     (b"copy_index,cluster\n0,0\n", "no cluster assigned to copy_index 1"),
+    (b"copy_index,label\n0,0\n1,1\n", "expected columns copy_index, cluster"),
+    (b"", "expected columns copy_index, cluster"),
+    (b"copy_index,cluster\n0,0\n1,x\n",
+     "bad assignment row {'copy_index': '1', 'cluster': 'x'}"),
+    (b"copy_index,cluster\n0,0\n1\n", "bad assignment row {'copy_index': '1', 'cluster': None}"),
+    (b"copy_index,cluster\n0,0\n2,1\n", "copy_index 2 out of range [0, 2)"),
+    (b"copy_index,cluster\n-1,0\n", "copy_index -1 out of range [0, 2)"),
 ])
 def test_cut_rejects_undecodable_or_repeated_partition(tmp_path, capsys, content, message):
     net_path = tmp_path / "net.mpx"
@@ -463,7 +490,7 @@ def test_cut_decompose_builds_the_operator_once(tmp_path, monkeypatch, capsys, m
                "--seed", "2", "--out", str(net_path)) == 0
     assign = tmp_path / "assign.csv"
     assert run("cluster", "--input", str(net_path), "--model", model,
-               "--supra-weight", "1.5", "--out", str(assign)) == 0
+               *supra_weight(model, "1.5"), "--out", str(assign)) == 0
     net = load_network(net_path)
     rows = [l.split(",") for l in assign.read_text().splitlines()[2:]]
     part = spectral.Partition(labels=np.array([int(r[-1]) for r in rows]), c=2)
@@ -487,10 +514,35 @@ def test_cut_decompose_builds_the_operator_once(tmp_path, monkeypatch, capsys, m
         for name in ("build_supra", "build_dynamic"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
     capsys.readouterr()
-    assert run("cut", "--input", str(net_path), "--model", model, "--supra-weight", "1.5",
+    assert run("cut", "--input", str(net_path), "--model", model, *supra_weight(model, "1.5"),
                "--partition", str(assign), "--decompose") == 0
     assert builds == [f"build_{model}"]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_cut_of_a_bipartition_prints_total_and_quadratic_form(tmp_path, capsys, model):
+    net_path, assign = tmp_path / "net.mpx", tmp_path / "assign.csv"
+    assert run("generate", "--type", "sbm-fixed", "--n", "10", "--k", "2",
+               "--p", "0.1", "--seed", "4", "--out", str(net_path)) == 0
+    assert run("cluster", "--input", str(net_path), "--model", model,
+               *supra_weight(model, "2.0"), "--out", str(assign)) == 0
+    net = load_network(net_path)
+    if model == "supra":
+        op = build_supra(net, 2.0)
+    else:
+        op = build_dynamic(net, DynamicCoupling.identity(net.n, net.k))
+    rows = [l.split(",") for l in assign.read_text().splitlines()[2:]]
+    part = spectral.Partition(labels=np.array([int(r[-1]) for r in rows]), c=2)
+    assert 0 < part.labels.sum() < len(part)
+    capsys.readouterr()
+    assert run("cut", "--input", str(net_path), "--model", model, *supra_weight(model, "2.0"),
+               "--partition", str(assign)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["term,value", f"total,{cuts.cut_cost(op, part)!r}",
+                   f"quadratic_form,{cuts.quadratic_form(op, part)!r}"]
+    report = dict(csv.reader(out[1:]))
+    assert float(report["total"]) == pytest.approx(float(report["quadratic_form"]), abs=1e-9)
 
 
 def test_cut_decompose_rejects_more_than_two_clusters(tmp_path, capsys):
@@ -555,6 +607,50 @@ def test_bad_size_probability_or_jobs_exits_2_with_module_error(tmp_path, capsys
     assert not out.exists()
 
 
+def test_heatmap_lists_a_blank_value_first_then_numbers_in_numeric_order(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the dynamic rows leave w blank: the axis mixes text and numbers, and
+    # each model leaves the other's cells empty
+    monkeypatch.delenv("MXSPEC_SEED", raising=False)
+    results = tmp_path / "r.csv"
+    assert run("experiment", "fixed-sbm", "--instances", "1", "--n", "10", "--k-grid", "2",
+               "--p-grid", "0.3", "--w-grid", "2,10,30", "--jobs", "1",
+               "--out", str(results)) == 0
+    capsys.readouterr()
+    assert run("heatmap", str(results), "--x", "w", "--y", "model", "--metric", "recovered") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "model\\w,,2.0,10.0,30.0", "dynamic,1.0,,,", "supra,,1.0,1.0,1.0"]
+
+
+def test_experiment_aggregate_fractions_of_each_regime_sum_to_one(tmp_path, monkeypatch):
+    monkeypatch.delenv("MXSPEC_SEED", raising=False)
+    results, means = tmp_path / "r.csv", tmp_path / "a.csv"
+    assert run("experiment", "overlap", "--instances", "3", "--n", "8", "--p-grid", "0.1,0.9",
+               "--q-grid", "0.5", "--jobs", "1", "--out", str(results),
+               "--aggregate", str(means)) == 0
+    point = "overlap,{},0.5,8,0.9,0.1,"
+    assert means.read_text().splitlines() == [
+        "experiment,param:p,param:q,param:n,param:intra,param:inter,metric,value",
+        point.format(0.1) + "frac:layers_split,0.0",
+        point.format(0.1) + "frac:layer1,0.0",
+        point.format(0.1) + "frac:layer2,0.3333333333333333",
+        point.format(0.1) + "frac:other,0.6666666666666666",
+        point.format(0.1) + "mean:degenerate,0.0",
+        point.format(0.9) + "frac:layers_split,0.0",
+        point.format(0.9) + "frac:layer1,1.0",
+        point.format(0.9) + "frac:layer2,0.0",
+        point.format(0.9) + "frac:other,0.0",
+        point.format(0.9) + "mean:degenerate,0.0",
+    ]
+    with open(means, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for p in ("0.1", "0.9"):
+        fractions = [float(row["value"]) for row in rows
+                     if row["param:p"] == p and row["metric"].startswith("frac:")]
+        assert len(fractions) == len(experiments.REGIME_LABELS)
+        assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_experiment_er_reads_w_from_the_w_grid(tmp_path):
     out = tmp_path / "r.csv"
     assert run("experiment", "er", "--model", "supra", "--p-grid", "0.3", "--k-grid", "2",
@@ -576,14 +672,36 @@ def test_experiment_er_reads_w_from_the_w_grid(tmp_path):
      "got [0.3, 0.3]"),
     (("generate", "--type", "sbm-overlap", "--n", "8", "--k", "5"),
      "error[cli]: generate --type sbm-overlap reads no --k"),
+    (("experiment", "fixed-sbm", "--model", "dynamic", "--w-grid", "7", "--p-grid", "0.3"),
+     "error[experiments]: fixed-sbm --model dynamic reads no w grid"),
+    (("experiment", "overlap-kway", "--p-grid", "0.3", "--n", "8"),
+     "error[experiments]: overlap-kway --model both reads no p grid"),
+    (("experiment", "overlap-kway", "--model", "dynamic", "--w-grid", "2"),
+     "error[experiments]: overlap-kway --model dynamic reads no w grid"),
+    (("cluster", "--model", "supra", "--coupling", "does-not-exist.cpl"),
+     "error[cli]: cluster --model supra reads no --coupling"),
+    (("cluster", "--model", "dynamic", "--supra-weight", "7"),
+     "error[cli]: cluster --model dynamic reads no --supra-weight"),
+    (("cluster", "--model", "aggregate", "--supra-weight", "7", "--coupling", "nope.cpl"),
+     "error[cli]: cluster --model aggregate reads no --coupling"),
+    (("cut", "--model", "supra", "--coupling", "nope.cpl"),
+     "error[cli]: cut --model supra reads no --coupling"),
+    (("cut", "--model", "aggregate", "--supra-weight", "1"),
+     "error[cli]: cut --model aggregate reads no --supra-weight"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_a_parameter_flag_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
                                                             argv, message):
-    # refused before any instance runs, and nothing is written
+    # refused before any instance runs or any file is read, and nothing is
+    # written: the named input files do not exist
     monkeypatch.setattr(experiments, "compute_instance", lambda *task: pytest.fail(str(task)))
-    flags = ("--instances", "1", "--jobs", "1") if argv[0] == "experiment" else ()
-    assert run(*argv, *flags, "--out", str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err == message + "\n"
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    flags = {"experiment": ("--instances", "1", "--jobs", "1", "--out", out),
+             "generate": ("--out", out),
+             "cluster": ("--input", missing, "--out", out),
+             "cut": ("--input", missing, "--partition", missing)}[argv[0]]
+    assert run(*argv, *flags) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (message + "\n", "")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ import scipy.linalg
 
 import mxspec
 
-from mxspec import spectral
+from mxspec import operators, spectral
 from mxspec.core import DynamicCoupling
 from mxspec.errors import SpectralError
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
@@ -694,7 +694,8 @@ def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
     cases = {
         # k*w = 25 lies below the community eigenvalue: a 4-fold Fiedler value
         "repeated-fiedler": build_supra(net, 5.0).laplacian,
-        # one component per layer: a 5-fold zero eigenvalue, and no attempt
+        # one component per layer: a 5-fold zero eigenvalue, which the
+        # certificates refuse
         "disconnected": build_dynamic(net, DynamicCoupling.uniform(np.eye(5), 300)).laplacian,
         "zero-entry": mirrored_blocks_laplacian(),
         "no-convergence": lanczos_net_laplacian("dynamic", 1),
@@ -716,7 +717,7 @@ def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
         dense = dense_eig_sym(monkeypatch, lap, 2)
         assert len(system.eigenvalues) > 3, name
         assert_same_system(system, dense)
-        assert len(attempts) == (name != "disconnected"), name
+        assert len(attempts) == 1, name
         if name == "repeated-fiedler":
             assert dense.fiedler_multiplicity == 4
         if name == "disconnected":
@@ -740,21 +741,53 @@ def test_lanczos_gate_finds_every_disconnected_pattern(monkeypatch):
     assert not connected_components(block_clique_laplacian([3, 4], bridges=[(2, 3)])[0]).any()
     assert connected_components(block_clique_laplacian([3, 4])[0]).any()
     # at LANCZOS_MIN rows: a path of 30 rows from row 0 (its split lies 29
-    # steps out), apart from a connected random graph, makes no eigsh call
+    # steps out), apart from a connected random graph, makes one eigsh call
+    # that the certificates refuse, and the dense answer follows
+    lap = path_beside_random_graph_laplacian()
+    attempts = []
+    real_eigsh = spectral.eigsh
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "eigsh", lambda *args, **kwargs: (
+            attempts.append(1) or real_eigsh(*args, **kwargs)))
+        system = eig_sym(lap, 2)
+    assert attempts == [1]
+    assert system.zero_multiplicity == 2
+    assert_same_system(system, dense_eig_sym(monkeypatch, lap, 2))
+
+
+def path_beside_random_graph_laplacian():
+    """Laplacian of LANCZOS_MIN rows: a path over the first 30 beside a
+    connected random graph on the rest, two components."""
     m, tail = LANCZOS_MIN, 30
     rng = np.random.default_rng(2)
     adj = np.triu((rng.random((m, m)) < 0.01).astype(float), 1)
     adj[:tail] = 0.0
     adj[np.arange(tail - 1), np.arange(1, tail)] = 1.0
     adj += adj.T
-    lap = laplacian(adj)
-    attempts = []
+    return laplacian(adj)
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_eig_sym_searches_no_components(monkeypatch, connected):
+    # the certificates alone decide whether the Lanczos answer is used:
+    # only fiedler_bipartition searches the components
+    if connected:
+        lap = lanczos_net_laplacian("dynamic", 1)
+    else:
+        lap = path_beside_random_graph_laplacian()
+    assert len(lap) == LANCZOS_MIN
+    searches = []
+
+    def search(*args, **kwargs):
+        searches.append(args)
+        return connected_components(*args, **kwargs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "eigsh", lambda *args, **kwargs: attempts.append(1))
+        patch.setattr(operators, "connected_components", search)
         system = eig_sym(lap, 2)
-    assert attempts == []
-    assert system.zero_multiplicity == 2
-    assert_same_system(system, dense_eig_sym(monkeypatch, lap, 2))
+    assert searches == []
+    assert len(system.eigenvalues) == (3 if connected else spectral.SUBSET_MIN)
+    assert system.zero_multiplicity == (1 if connected else 2)
 
 
 def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
