@@ -79,14 +79,15 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True, help="output .mpx path")
 
     clu = sub.add_parser("cluster", help="spectral clustering of a .mpx network")
-    _model_flags(clu)
+    _model_flags(clu, ["supra", "dynamic", "aggregate"])
     clu.add_argument("--input", required=True)
     clu.add_argument("--clusters", type=int, default=2)
     clu.add_argument("--seed", type=int, default=None)
     clu.add_argument("--out", required=True, help="output assignment CSV")
 
     cut = sub.add_parser("cut", help="cut cost of a partition, with optional decomposition")
-    _model_flags(cut)
+    # cut analysis is defined on the full operators only
+    _model_flags(cut, ["supra", "dynamic"])
     cut.add_argument("--input", required=True)
     cut.add_argument("--partition", required=True, help="assignment CSV (copy_index, cluster)")
     cut.add_argument("--decompose", action="store_true",
@@ -124,8 +125,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _model_flags(parser) -> None:
-    parser.add_argument("--model", required=True, choices=["supra", "dynamic", "aggregate"])
+def _model_flags(parser, models: list) -> None:
+    parser.add_argument("--model", required=True, choices=models)
     # each read by one model; the defaults are set in _model_args (_read_flags)
     parser.add_argument("--supra-weight", type=float, default=argparse.SUPPRESS,
                         help="inter-layer weight w (supra model; default 1.0)")
@@ -149,7 +150,8 @@ def _read_flags(args, option: str, reads: dict) -> argparse.Namespace:
 
 def _model_args(args) -> argparse.Namespace:
     """cluster's and cut's `args`: --supra-weight (default 1.0) is read by
-    supra, --coupling (default C = I) by dynamic, neither by aggregate."""
+    supra, --coupling (default C = I) by dynamic, neither by aggregate
+    (which only cluster takes)."""
     return _read_flags(args, "model", dict(supra=dict(supra_weight=1.0),
                                            dynamic=dict(coupling=None), aggregate={}))
 
@@ -250,11 +252,7 @@ def _read_partition_csv(path, expected: int) -> Partition:
 
 def _cmd_cut(args) -> int:
     args = _model_args(args)
-    net = load_network(args.input)
-    if args.model == "aggregate":
-        raise ParseError("cut analysis is defined on the full operators; "
-                         "use --model supra or dynamic")
-    op = _build_operator(args, net)
+    op = _build_operator(args, load_network(args.input))
     part = _read_partition_csv(args.partition, op.num_copies)
     if args.decompose:
         report = decompose(op, part)

@@ -234,11 +234,11 @@ def run_experiment(experiment: str, instances: int, model: str = "both",
 
     `grids` maps each parameter to its values; a fixed parameter such as n
     is a one-value list.  `model` is "both", "supra" or "dynamic"; "both"
-    runs the entry's `models`, and entries without a model column ignore
-    it.  A grid may name only a parameter of the entry.  Every parameter
-    the selected models use needs a non-empty grid that repeats no value
-    (compared by `canon`, so 0.3 and 0.30 are one value), `instances` (per
-    grid point) must be >= 0 and `jobs` >= 1.
+    runs the entry's `models`, and an entry without a model column takes
+    "both" alone.  A grid may name only a parameter of the entry.  Every
+    parameter the selected models use needs a non-empty grid that repeats
+    no value (compared by `canon`, so 0.3 and 0.30 are one value),
+    `instances` (per grid point) must be >= 0 and `jobs` >= 1.
     """
     spec = EXPERIMENTS[experiment]
     unknown = sorted(grids.keys() - spec.desk.keys())
@@ -310,7 +310,7 @@ def _operator(net, params: dict):
 def _er_instance(params: dict, rng: RngSeed) -> list:
     n, k = int(params["n"]), int(params["k"])
     net = gen_er_multiplex(n, k, float(params["p"]), rng.spawn("net"))
-    part, _, degenerate = fiedler_bipartition(_operator(net, params).laplacian)
+    part, _, degenerate = fiedler_bipartition(_operator(net, params))
     return [
         ("frac_copies", canon(fraction_copies_together(part, n, k, "all"))),
         ("frac_copies_pairwise", canon(fraction_copies_together(part, n, k, "pairwise"))),
@@ -321,7 +321,7 @@ def _er_instance(params: dict, rng: RngSeed) -> list:
 def _fixed_sbm_instance(params: dict, rng: RngSeed) -> list:
     net, planted = gen_fixed_sbm_multiplex(
         int(params["n"]), int(params["k"]), float(params["p"]), rng.spawn("net"))
-    part, _, degenerate = fiedler_bipartition(_operator(net, params).laplacian)
+    part, _, degenerate = fiedler_bipartition(_operator(net, params))
     equal, _ = match_partitions(part, planted)
     return [("recovered", canon(equal)), ("degenerate", canon(degenerate))]
 
@@ -329,7 +329,7 @@ def _fixed_sbm_instance(params: dict, rng: RngSeed) -> list:
 def _regime_instance(params: dict, rng: RngSeed) -> list:
     net, planted1, planted2 = gen_overlap_multiplex(
         int(params["n"]), float(params["intra"]), float(params["inter"]), rng.spawn("net"))
-    part, _, degenerate = fiedler_bipartition(_operator(net, params).laplacian)
+    part, _, degenerate = fiedler_bipartition(_operator(net, params))
     return [("regime", classify_regime(part, planted1, planted2)),
             ("degenerate", canon(degenerate))]
 
@@ -370,7 +370,12 @@ class Experiment:
     def runs(self, model: str) -> tuple:
         """The model-column values that `model` ("both", "supra" or
         "dynamic") runs, in row order: `models` for "both", and (None,) for
-        "both" on an entry without a model column."""
+        "both" on an entry without a model column, whose one model is fixed
+        by its parameters; any other `model` raises ExperimentError there."""
+        if not self.models and model != "both":
+            columned = ", ".join(name for name, spec in EXPERIMENTS.items() if spec.models)
+            raise ExperimentError(f"--model {model} needs an experiment with a model column "
+                                  f"({columned})")
         return (self.models if model == "both" else (model,)) or (None,)
 
 

@@ -85,6 +85,15 @@ class SupraOperator:
     def num_copies(self) -> int:
         return self.n * self.k
 
+    def layer_split_value(self) -> float | None:
+        """k w: the eigenvalue, k - 1 times repeated, of a supra Laplacian
+        on the layer split {x (x) 1_n : x orthogonal to 1_k}, whose
+        vectors are constant on each layer.  None for the dynamic model
+        and for k = 1, which have no such eigenspace."""
+        if self.model != "supra" or self.k < 2:
+            return None
+        return self.k * float(self.coupling)
+
     def block(self, a: int, b: int) -> np.ndarray:
         """The (a, b) layer block of the symmetric adjacency."""
         n = self.n

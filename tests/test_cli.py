@@ -425,13 +425,16 @@ def test_cluster_without_fiedler_eigenvalue_reports_multiplicity_zero(tmp_path):
 
 
 def test_cut_rejects_aggregate_model(tmp_path, capsys):
-    net_path = tmp_path / "net.mpx"
-    run("generate", "--type", "er", "--n", "6", "--k", "2", "--p", "0.5",
-        "--seed", "1", "--out", str(net_path))
-    code = run("cut", "--input", str(net_path), "--model", "aggregate",
-               "--partition", str(net_path))
-    assert code == 2
-    assert "error[multiplex-core]:" in capsys.readouterr().err
+    # a usage error of the parser, before any file is read (the input is
+    # missing), also with a flag that only supra reads
+    missing = str(tmp_path / "missing.mpx")
+    for flags in ((), ("--supra-weight", "1")):
+        code = run("cut", "--input", missing, "--model", "aggregate", "--partition", missing,
+                   *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error[cli]: argument --model: invalid choice: 'aggregate'" in err
+        assert "missing" not in err
 
 
 @pytest.mark.parametrize("content, message", [
@@ -686,8 +689,14 @@ def test_experiment_er_reads_w_from_the_w_grid(tmp_path):
      "error[cli]: cluster --model aggregate reads no --coupling"),
     (("cut", "--model", "supra", "--coupling", "nope.cpl"),
      "error[cli]: cut --model supra reads no --coupling"),
-    (("cut", "--model", "aggregate", "--supra-weight", "1"),
-     "error[cli]: cut --model aggregate reads no --supra-weight"),
+    (("cut", "--model", "dynamic", "--supra-weight", "1"),
+     "error[cli]: cut --model dynamic reads no --supra-weight"),
+    (("experiment", "overlap-supra", "--model", "dynamic"),
+     "error[experiments]: --model dynamic needs an experiment with a model column "
+     "(er, fixed-sbm, overlap-kway)"),
+    (("experiment", "overlap", "--model", "supra"),
+     "error[experiments]: --model supra needs an experiment with a model column "
+     "(er, fixed-sbm, overlap-kway)"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_a_parameter_flag_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
                                                             argv, message):
@@ -710,32 +719,33 @@ MODELS = ("both", "supra", "dynamic")
 DESK_POINTS = {
     "er": {"both": 30, "supra": 15, "dynamic": 15},
     "fixed-sbm": {"both": 110, "supra": 88, "dynamic": 22},
-    "overlap": dict.fromkeys(MODELS, 16),
-    "overlap-supra": dict.fromkeys(MODELS, 5),
+    "overlap": {"both": 16},
+    "overlap-supra": {"both": 5},
     "overlap-kway": {"both": 3, "supra": 3, "dynamic": 9},
 }
 FULL_POINTS = {
     "er": {"both": 828, "supra": 414, "dynamic": 414},
     "fixed-sbm": {"both": 5148, "supra": 5049, "dynamic": 99},
-    "overlap": dict.fromkeys(MODELS, 361),
-    "overlap-supra": dict.fromkeys(MODELS, 50),
+    "overlap": {"both": 361},
+    "overlap-supra": {"both": 50},
     "overlap-kway": {"both": 60, "supra": 60, "dynamic": 9},
 }
 
 
 # SHA-256 of the stubbed task lists (experiment, sorted parameters, instance
 # seed) at --instances 1 and --seed unset, over the models in MODELS order
+# that the entry runs (overlap and overlap-supra take --model both alone)
 TASK_DIGESTS = {
     ("er", False): "c5d5e4ff834730310048be2ec86e1f478f8fa80aaaaafd3350d75481ef787eac",
     ("fixed-sbm", False): "53a2625b8f8b5f8dab58e5a359c478edbe076fab11b180788220c987ad79bc6f",
-    ("overlap", False): "057a3047ef19d5b03b53a21d124ce1813da504e6d91e45f16f4439e18babfb7f",
+    ("overlap", False): "ea77e805b1c7676191c4c1e75e23bfd06080be904a9a15de2a40fe7f7cf36d87",
     ("overlap-kway", False): "30ae70afe51a7e48e52bcffef3c2d571d715d092674eaaccb3ed294a4c7c36f1",
-    ("overlap-supra", False): "1ac439ae5a4d7ca013f809cb611c1795d73c23ab01740c9f81f18c123bee41e5",
+    ("overlap-supra", False): "d545ff81a289e6c507b3421c43078d9e02acdbc13d5606f137fa7ace6d0de0fe",
     ("er", True): "d791dfec21410e6cb6951b48440767a32e2ab4df7a94da99737acc6ee58cc06f",
     ("fixed-sbm", True): "647133e526ed93040e3234f79374e38557f19aade8b2e26e7b699eb0a382ed9b",
-    ("overlap", True): "3b6c9d5091df3996346c851b6558a82fc87d4563d819ccecd71742d4172f67e7",
+    ("overlap", True): "8a2061dff62d59ebeec898587b46e8d8ba2a7f377cb57a078e09ba88ea181007",
     ("overlap-kway", True): "53f44001d1e611ee3482afe32c9ec25573e8272451f8b46b04bbb3f93e0bab1e",
-    ("overlap-supra", True): "9d338c5b642eb0970ed1634e7e76543e5a05dcd4fd1887ac23b54e40ad8805d3",
+    ("overlap-supra", True): "60d15f874ad5f0d265fd3515091f7001453f25e63882980aa76a99702dcb7b97",
 }
 
 
@@ -753,12 +763,17 @@ def test_experiment_grids_and_dispatch(tmp_path, monkeypatch, name, full):
     monkeypatch.setattr(experiments, "compute_instance", stub)
     monkeypatch.delenv("MXSPEC_SEED", raising=False)
     digest = hashlib.sha256()
-    for model, points in (FULL_POINTS if full else DESK_POINTS)[name].items():
+    grid_points = (FULL_POINTS if full else DESK_POINTS)[name]
+    for model in MODELS:
         calls.clear()
         argv = ["experiment", name, "--instances", "1", "--model", model,
                 "--jobs", "1", "--out", str(tmp_path / "r.csv")]
-        assert run(*argv, *(["--full"] if full else [])) == 0
-        assert len(calls) == len(set(calls)) == points, model
+        code = run(*argv, *(["--full"] if full else []))
+        if model not in grid_points:  # refused before any instance runs
+            assert (code, calls) == (2, []), model
+            continue
+        assert code == 0
+        assert len(calls) == len(set(calls)) == grid_points[model], model
         assert {experiment for experiment, _, _ in calls} == {name}
         digest.update(repr(calls).encode())
     # the sweep points and their seeds, for every --model value, need no BLAS

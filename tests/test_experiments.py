@@ -332,14 +332,15 @@ def test_sweeps_at_the_default_n_stay_below_lanczos_min(monkeypatch, grid):
     # CSV bytes: run one instance of each model at the point with the
     # largest k (n and k alone set the operator's order n k) with the
     # table's grids, as `mxspec experiment` does, and record the order of
-    # what the sweeps hand the spectral selectors (a disconnected operator,
-    # as at fixed-sbm's first point p = 0, reaches no eig_sym call)
+    # what the sweeps hand the spectral selectors, an operator or its
+    # Laplacian (a disconnected operator, as at fixed-sbm's first point
+    # p = 0, reaches no eig_sym call)
     orders = []
 
     def recording(fn):
-        def wrapper(mat, *args):
-            orders.append(len(mat))
-            return fn(mat, *args)
+        def wrapper(lap, *args):
+            orders.append(lap.num_copies if hasattr(lap, "num_copies") else len(lap))
+            return fn(lap, *args)
         return wrapper
 
     for name in ("fiedler_bipartition", "spectral_kway"):

@@ -122,6 +122,15 @@ def test_build_supra_rejects_negative_w():
         build_supra(two_layer_example(), -1.0)
 
 
+def test_layer_split_value_is_k_times_w_for_supra_alone():
+    net = two_layer_example()
+    assert build_supra(net, 0.5).layer_split_value() == 1.0
+    assert build_supra(net, 0.0).layer_split_value() == 0.0
+    assert build_dynamic(net, DynamicCoupling.identity(net.n, 2)).layer_split_value() is None
+    one_layer = MultiplexNetwork(n=net.n, k=1, layers=net.layers[:1])
+    assert build_supra(one_layer, 2.0).layer_split_value() is None
+
+
 def test_supra_layer_split_eigenvalue_is_k_times_w():
     # Each layer Laplacian annihilates 1_n and the weight-w clique between
     # copies acts on layer vectors as w (k I - J), so x (x) 1_n with x

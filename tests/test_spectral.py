@@ -10,9 +10,14 @@ import scipy.linalg
 import mxspec
 
 from mxspec import operators, spectral
-from mxspec.core import DynamicCoupling
+from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.errors import SpectralError
-from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
+from mxspec.generators import (
+    RngSeed,
+    gen_er_multiplex,
+    gen_fixed_sbm_multiplex,
+    gen_overlap_multiplex,
+)
 from mxspec.operators import (
     build_dynamic,
     build_supra,
@@ -839,3 +844,180 @@ def test_eig_sym_lanczos_path_allocates_only_its_certificate_buffer(monkeypatch)
         assert peak <= 1.1 * m * m * 8, peak / (m * m * 8)
         # in either memory order the products read the matrix in place
         assert lanczos[-1] <= 0.1 * m * m * 8, lanczos[-1] / (m * m * 8)
+
+
+# --- the certified supra layer split, before any eigensolve -----------------
+
+def desk_supra_operators():
+    """(name, operator) of desk-shaped supra nets (n = 100) whose k w lies
+    below the community eigenvalue, as at most desk points."""
+    for k in (2, 6):
+        for p, w in ((0.3, 1.0), (0.9, 0.1), (1.0, 5.0)):
+            net, _ = gen_fixed_sbm_multiplex(100, k, p, RngSeed(k, ("certified", p)))
+            yield f"fixed-sbm k={k} p={p} w={w}", build_supra(net, w)
+        net = gen_er_multiplex(100, k, 0.25, RngSeed(k, ("certified", "er")))
+        yield f"er k={k}", build_supra(net, 1.0)
+    for w in (0.5, 5.0):
+        net, _, _ = gen_overlap_multiplex(100, 0.9, 0.1, RngSeed(2, ("certified", w)))
+        yield f"overlap-supra w={w}", build_supra(net, w)
+
+
+def certificate_spy(monkeypatch):
+    """Route spectral._certifies_layer_split through a wrapper; returns the
+    list of its answers."""
+    answers = []
+    real = spectral._certifies_layer_split
+
+    def spied(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(spectral, "_certifies_layer_split", spied)
+    return answers
+
+
+def test_certified_layer_split_equals_the_dense_path(monkeypatch):
+    calls = counting_eig_sym(monkeypatch)
+    answers = certificate_spy(monkeypatch)
+    for name, op in desk_supra_operators():
+        expected, _, expected_degenerate = fiedler_bipartition(op.laplacian)
+        assert calls == [op.num_copies] and answers == [], name
+        del calls[:]
+        part, value, degenerate = fiedler_bipartition(op)
+        assert (calls, answers) == ([], [True]), name
+        del answers[:]
+        np.testing.assert_array_equal(part.labels, expected.labels, err_msg=name)
+        assert degenerate is expected_degenerate is False, name
+        assert value == op.layer_split_value() == op.k * op.coupling, name
+        np.testing.assert_array_equal(part.labels, np.arange(op.num_copies) >= op.n)
+
+
+def transformed_net(net, perm=None, scale=1.0):
+    """`net` with every layer's nodes relabeled by the same permutation and
+    every weight scaled."""
+    perm = np.arange(net.n) if perm is None else perm
+    layers = tuple(scale * layer[np.ix_(perm, perm)] for layer in net.layers)
+    return MultiplexNetwork(n=net.n, k=net.k, layers=layers)
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_certified_split_survives_relabeling_and_scaling(monkeypatch, k):
+    rng = np.random.default_rng(k)
+    net, _ = gen_fixed_sbm_multiplex(100, k, 0.3, RngSeed(k, ("metamorphic",)))
+    answers = certificate_spy(monkeypatch)
+    reference, value, _ = fiedler_bipartition(build_supra(net, 1.0))
+    perm = rng.permutation(net.n)
+    copies = (np.arange(k)[:, None] * net.n + perm).ravel()  # copy j of the new net
+    for name, other, w in (("relabeled", transformed_net(net, perm=perm), 1.0),
+                           ("scaled by 3", transformed_net(net, scale=3.0), 3.0),
+                           ("scaled by 0.25", transformed_net(net, scale=0.25), 0.25)):
+        part, other_value, degenerate = fiedler_bipartition(build_supra(other, w))
+        assert not degenerate and other_value == k * w, name
+        labels = reference.labels[copies] if name == "relabeled" else reference.labels
+        np.testing.assert_array_equal(part.labels, labels, err_msg=name)
+    assert answers == [True] * 4
+
+
+def hand_built_supra(net, w, coupling_diag):
+    """A SupraOperator(model="supra") that claims weight w but couples the
+    copies of node i by coupling_diag[i]."""
+    n, k = net.n, net.k
+    adj = np.zeros((n * k, n * k))
+    for a in range(k):
+        for b in range(k):
+            block = adj[a * n:(a + 1) * n, b * n:(b + 1) * n]
+            block[...] = operators.symmetrize(net.layers[a]) if a == b else np.diag(coupling_diag)
+    return operators.SupraOperator(model="supra", n=n, k=k, adjacency=adj, coupling=w)
+
+
+def refused_supra_operators():
+    """(name, operator, whether the certificate is reached, whether its
+    Cholesky runs) of supra operators the certificate must refuse."""
+    net, _ = gen_fixed_sbm_multiplex(30, 6, 0.0, RngSeed(1, ("refused",)))
+    yield "p = 0", build_supra(net, 1.0), False, False
+    net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
+    yield "w = 0", build_supra(net, 0.0), False, False
+    # connected at atol 0, but k w is far below the zero tolerance
+    yield "k w below the zero tolerance", build_supra(net, 1e-13), True, False
+    one = MultiplexNetwork(n=30, k=1, layers=net.layers[:1])
+    yield "k = 1", build_supra(one, 1.0), True, False
+    # the cluster-large shape (p = 0.1, k = 10, w = 5) at n = 30: k w = 50
+    # lies above the community eigenvalue, about 3
+    large, _ = gen_fixed_sbm_multiplex(30, 10, 0.1, RngSeed(1, ("refused",)))
+    yield "k w above the community eigenvalue", build_supra(large, 5.0), True, True
+    diag = np.full(30, 1.0)
+    diag[7] = 1.5
+    yield "coupling not w I", hand_built_supra(net, 1.0, diag), True, False
+    adj = build_supra(net, 1.0).adjacency.copy()
+    adj[0, 1] += 1e-14  # within laplacian's symmetry tolerance, not exact
+    inexact = operators.SupraOperator(model="supra", n=30, k=2, adjacency=adj, coupling=1.0)
+    yield "not exactly symmetric", inexact, True, False
+
+
+def test_refused_layer_split_falls_through_bitwise(monkeypatch):
+    answers = certificate_spy(monkeypatch)
+    factorizations = []
+    real_dpotrf = spectral.lapack.dpotrf
+
+    def counted_dpotrf(*args, **kwargs):
+        factorizations.append(1)
+        return real_dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.lapack, "dpotrf", counted_dpotrf)
+    for name, op, reached, factored in refused_supra_operators():
+        expected, expected_value, expected_degenerate = fiedler_bipartition(op.laplacian)
+        del answers[:], factorizations[:]
+        part, value, degenerate = fiedler_bipartition(op)
+        assert answers == ([False] if reached else []), name
+        assert factorizations == ([1] if factored else []), name
+        assert part.labels.tobytes() == expected.labels.tobytes(), name
+        assert (value, degenerate) == (expected_value, expected_degenerate), name
+        assert np.float64(value).tobytes() == np.float64(expected_value).tobytes(), name
+
+
+def test_layer_split_refusals_are_the_ones_named():
+    # each refusal above is for its stated reason: k w is not the Fiedler
+    # value, or the operator is not the supra Laplacian the proof is about
+    cases = {name: op for name, op, _, _ in refused_supra_operators()}
+    for name in ("p = 0", "w = 0", "k w below the zero tolerance"):
+        assert eig_sym(cases[name].laplacian, 2).zero_multiplicity > 1, name
+    assert cases["k = 1"].layer_split_value() is None
+    above = cases["k w above the community eigenvalue"]
+    assert eig_sym(above.laplacian, 2).fiedler_value < above.layer_split_value() - 40
+    assert not scipy.linalg.issymmetric(cases["not exactly symmetric"].laplacian)
+    # the hand-built operator certifies once its coupling is w I
+    net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
+    op = hand_built_supra(net, 1.0, np.full(30, 1.0))
+    np.testing.assert_array_equal(op.laplacian, build_supra(net, 1.0).laplacian)
+    assert spectral._certifies_layer_split(op.laplacian, op.n, op.k, op.layer_split_value())
+
+
+def components_spy(monkeypatch):
+    """Route operators.connected_components through a wrapper; returns the
+    atol of each call."""
+    atols = []
+    real = operators.connected_components
+
+    def spied(arr, atol=0.0):
+        atols.append(atol)
+        return real(arr, atol)
+
+    monkeypatch.setattr(operators, "connected_components", spied)
+    return atols
+
+
+def test_disconnected_split_searches_again_only_for_entries_below_1e_12(monkeypatch):
+    plain, _ = block_clique_laplacian([3, 3, 3])
+    _, adj = block_clique_laplacian([3, 3, 3])
+    adj[2, 3] = adj[3, 2] = 1e-13  # joins the first two cliques at atol 0 only
+    tiny = laplacian(adj)
+    atols = components_spy(monkeypatch)
+    for name, lap, searches in (("plain", plain, [0.0]), ("tiny", tiny, [0.0, 1e-12])):
+        del atols[:]
+        part, value, degenerate = fiedler_bipartition(lap)
+        assert atols == searches, name
+        comp = connected_components(lap, atol=spectral.ZERO_ENTRY_TOL)
+        np.testing.assert_array_equal(part.labels, comp != comp[0], err_msg=name)
+        assert (value, degenerate) == (0.0, True), name
+    # at 1e-12 the tiny edge is no edge: the first clique against the rest
+    np.testing.assert_array_equal(part.labels, np.repeat([0, 1, 1], 3))

@@ -5,7 +5,9 @@ Runs ``mxspec experiment <name> --seed 1 --jobs 2`` for every experiment
 into a temporary directory, with the package taken from this checkout's
 ``src/``, and prints one ``<name> <sha256>`` line per CSV.  The sweep
 workers run BLAS at one thread whatever the environment says, and the
-results do not depend on the BLAS thread count.
+results do not depend on the BLAS thread count.  Each sweep's wall
+seconds, start of its process to exit, go to stderr as ``<name> <seconds>
+s`` lines, so stdout holds the hashes alone.
 
     python3 tools/desk_hashes.py                                  # print
     python3 tools/desk_hashes.py --expect tools/desk_hashes.txt   # check
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,10 +40,12 @@ def desk_hashes() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name in EXPERIMENTS:
             out = Path(tmp) / f"{name}.csv"
+            start = time.perf_counter()
             subprocess.run(
                 [sys.executable, "-m", "mxspec.cli", "experiment", name,
                  "--seed", "1", "--jobs", "2", "--out", str(out)],
                 env=env, check=True)
+            print(f"{name} {time.perf_counter() - start:.2f} s", file=sys.stderr)
             hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     return hashes
 
