@@ -16,9 +16,12 @@ Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
 solver-arbitrary, so the bipartition falls back to connected components
 (component of index 0 vs the rest), which is deterministic and cuts no
-edges.  A Laplacian whose pattern falls apart is split from its
-components alone, before any eigensolve, since the solve could only
-report the zero eigenvalue repeated; its Fiedler value is 0.0.  A
+edges.  The pattern |L_ij| > 1e-12 is searched once per bipartition.  A
+Laplacian whose pattern falls apart there, and is exactly block diagonal
+(no nonzero entry between two components), is split from its components
+alone, before any eigensolve, since the solve could only report the zero
+eigenvalue repeated; its Fiedler value is 0.0.  Any other matrix whose
+zero eigenvalue the solve finds repeated reuses the same components.  A
 repeated Fiedler eigenvalue (the supra layer-split value k*w has
 multiplicity k-1) is solver-arbitrary in the same way, so the split then
 follows the projection P e_a of the first copy a onto that eigenspace,
@@ -30,11 +33,12 @@ split, and its P e_0 is known in closed form: layer 0 against the rest.
 one Cholesky factorization instead of an eigensolve
 (`_certifies_layer_split`): the block sums of L bound how far the
 layer-constant vectors are from invariant, a Cholesky of L + sigma P_S -
-mu I with mu just above k*w shows that no other eigenvalue lies within
-the zero tolerance of k*w, and a Davis-Kahan bound keeps every sign of
-P e_0 on its side of 1e-12.  The margins cover the zero tolerance, the
-residual, the dense solver's error and the Cholesky's backward error, so
-a certified split is the one the dense path returns.  The dynamic model,
+mu I with mu just above k*w shows that no other eigenvalue lies within a
+window above k*w (the zero tolerance, or 2 k n times the residual when
+that is wider), and a Davis-Kahan bound keeps every sign of P e_0 on its
+side of 1e-12.  The margins cover the zero tolerance, the residual, the
+dense solver's error and the Cholesky's backward error, so a certified
+split is the one the dense path returns.  The dynamic model,
 a bare matrix, k = 1, and any failed check go to `eig_sym` unchanged.  At
 n = 100 (BLAS at one thread, a shared 2-core host) it takes about 0.8 ms
 at k = 2 and 7-8 ms at k = 6, where `eig_sym(lap, 2)` takes 2.7 and 22 ms;
@@ -328,9 +332,9 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
        and the solver's own error.  With 2 r <= tol, eig_sym's zero
        tolerance, and v - r > tol, one of them counts as zero and the
        other k - 1 as one repeated Fiedler value.
-    2. Count.  Let floor = v + tol + r + m eps ||L||_inf, and mu above it
-       by the Cholesky error of H = L + sigma P_S - mu I, with sigma =
-       ||L||_inf + mu and P_S = I_k (x) J_n / n (so sigma P_S adds to the
+    2. Count.  Let the window be max(tol + r, 2 k n r), floor = v +
+       window + m eps ||L||_inf, and mu above it by the Cholesky error of
+       H = L + sigma P_S - mu I, with sigma = ||L||_inf + mu and P_S = I_k (x) J_n / n (so sigma P_S adds to the
        k diagonal blocks alone).  A Cholesky of H that succeeds makes
        L - floor I + sigma P_S positive definite, so at most k
        eigenvalues of L lie at or below floor (Courant-Fischer on the
@@ -340,17 +344,21 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
     3. Signs (Davis & Kahan's sin theta theorem).  That eigenspace's
        projector lies within beta = r / delta of the projector onto
        Z = {x (x) 1_n : x orthogonal to 1_k}, with delta = min(v - r,
-       tol + r) its distance to the rest of the spectrum.  P_Z e_0 is
+       window) its distance to the rest of the spectrum.  P_Z e_0 is
        (k - 1) / (k n) on layer 0 and -1 / (k n) elsewhere.  So with
        1 / (k n) > beta + 1e-12, row 0 is the anchor a, and the signs of
        P e_0 split layer 0 from the rest, whatever basis the solve
-       returns.
+       returns.  The window keeps beta at most 1 / (2 k n) when v - r
+       exceeds it, however small tol is beside r.  With a zero block-sum residual r is the rounding
+       term 3 m eps ||L||_inf alone, and the window is tol + r up to m of
+       about 2700; tol + r alone would leave beta above 1 / (k n), and
+       refuse every operator, from m of about 3900 on.
 
     It refuses: no layer split value (dynamic, or k = 1); an `arr` that
     is not exactly symmetric; k w within r of the zero tolerance; a
     residual too large, as from a coupling that is not w I; a gap too
     small for the signs; or a failed Cholesky, when an eigenvalue off S
-    lies below k w.  The checks run cheapest first, and the Cholesky
+    lies below k w plus the window.  The checks run cheapest first, and the Cholesky
     factors one m x m buffer in place."""
     if value is None:
         return False
@@ -367,10 +375,10 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
     radius = float(np.linalg.norm(block_sums)) / np.sqrt(n) + 3 * slack
     if not (2 * radius <= tol and value - radius > tol):
         return False
-    gap = min(value - radius, tol + radius)
-    if not 1.0 / (k * n) > radius / gap + ZERO_ENTRY_TOL:
+    window = max(tol + radius, 2 * k * n * radius)
+    if not 1.0 / (k * n) > radius / min(value - radius, window) + ZERO_ENTRY_TOL:
         return False
-    floor = value + tol + radius + slack
+    floor = value + window + slack
     # ||H||_2 <= ||L||_inf + sigma + mu = 2 (||L||_inf + mu), and forming H
     # adds 2 eps of that: mu less the error bound rel 2 (||L||_inf + mu) is floor
     rel = _cholesky_error(m) + 2 * eps
@@ -406,13 +414,16 @@ def fiedler_bipartition(
     `lap` is a Laplacian matrix or a `SupraOperator`, whose Laplacian is
     split.  `system` is an already computed `eig_sym(lap, 2)` (or a larger
     count), for a caller that also reads the spectrum; it is trusted to
-    belong to `lap`.  When omitted, the components are searched first
-    (`_exact_components`), and a Laplacian that falls apart is split with
-    no eigensolve.  A connected supra operator is then tried by
-    `_certifies_layer_split`: when that proves the split that the
-    eigensolve would lead to, it returns layer 0 against the rest with
-    Fiedler value k w (the dense solve's is within its rounding of k w)
-    and no eigensolve.  Any other matrix is decomposed here.
+    belong to `lap`, and the components are searched only when its zero
+    eigenvalue repeats.  When omitted, the pattern |L_ij| > 1e-12 is
+    searched first, once: a Laplacian that falls apart there and is
+    exactly block diagonal is split with no eigensolve (`_falls_apart`),
+    and a degenerate eigensolve reuses the same components.  Otherwise a
+    supra operator is tried by `_certifies_layer_split`: when that proves
+    the split that the eigensolve would lead to, it returns layer 0
+    against the rest with Fiedler value k w (the dense solve's is within
+    its rounding of k w) and no eigensolve.  Any other matrix is
+    decomposed here.
     """
     split = None
     if isinstance(lap, operators.SupraOperator):
@@ -425,15 +436,16 @@ def fiedler_bipartition(
         raise SpectralError("bipartition needs a matrix of size >= 2")
     comp = None
     if system is None:
-        comp = _exact_components(arr)
+        if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:  # else eig_sym raises its message
+            comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
+            if _falls_apart(arr, comp):
+                return Partition(labels=comp != comp[0], c=2), 0.0, True
+        if split is not None and _certifies_layer_split(arr, *split):
+            return Partition(labels=np.arange(len(arr)) >= split[0], c=2), split[2], False
+        system = eig_sym(arr, 2)
+    if system.zero_multiplicity > 1:
+        # edges are the off-diagonal entries; the diagonal adds only self-loops
         if comp is None:
-            if split is not None and _certifies_layer_split(arr, *split):
-                return Partition(labels=np.arange(len(arr)) >= split[0], c=2), split[2], False
-            system = eig_sym(arr, 2)
-    if comp is not None or system.zero_multiplicity > 1:
-        # edges are the off-diagonal entries; the diagonal adds only self-loops.
-        # With no entry in (0, 1e-12] the edges above 1e-12 are those above 0
-        if comp is None or _has_tiny_entry(arr):
             comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
         return Partition(labels=comp != comp[0], c=2), 0.0, True
     basis = system.eigenvectors[:, system.fiedler_mask()]
@@ -446,36 +458,25 @@ def fiedler_bipartition(
     return Partition(labels=labels, c=2), system.fiedler_value, False
 
 
-def _exact_components(arr: np.ndarray) -> np.ndarray | None:
-    """The component labels of `arr`'s pattern at atol 0 when `eig_sym(arr)`
-    is bound to count more than one zero eigenvalue, decided with no
-    eigensolve; else None.  That holds when `arr` is square, its
-    off-diagonal pattern has more than one component even at atol 0, so the
-    matrix that eig_sym solves, (M + M^T) / 2, is block diagonal, and every
-    row of it sums to within half the zero tolerance of 0.  Then each
-    block B has an eigenvalue within half the tolerance of 0, as its
+def _falls_apart(arr: np.ndarray, comp: np.ndarray) -> bool:
+    """Whether `eig_sym(arr)` is bound to count more than one zero
+    eigenvalue, decided with no eigensolve from `comp`, the components of
+    the square `arr`'s pattern |M_ij| > 1e-12.  That holds when there is
+    more than one, no nonzero entry lies between two of them, so the
+    matrix that eig_sym solves, (M + M^T) / 2, is exactly block diagonal,
+    and every row of it sums to within half the zero tolerance of 0.  Then
+    each block B has an eigenvalue within half the tolerance of 0, as its
     all-ones vector 1_B has ||B 1_B|| <= max |row sum| ||1_B||, and a
     backward-stable solver moves it by m eps ||M||, far less than the
-    other half.  A Laplacian's rows sum to 0, so it qualifies whenever
-    its pattern falls apart.  Input that does is validated here, with the
-    messages of eig_sym; a matrix that is not square is left to it."""
-    square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
-    if not square:
-        return None
-    comp = operators.connected_components(arr)
-    if not comp.any():
-        return None
+    other half.  A Laplacian's rows sum to 0, so it qualifies whenever its
+    pattern falls apart at 1e-12 with no entry in (0, 1e-12] between the
+    parts.  Input that falls apart so is validated here, with the
+    messages of eig_sym."""
+    if not comp.any() or ((arr != 0) & (comp[:, None] != comp)).any():
+        return False
     _, tol, _ = _validated(arr)
     rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))
-    return comp if np.abs(rows).max() <= 0.5 * tol else None
-
-
-def _has_tiny_entry(arr: np.ndarray) -> bool:
-    """Whether an entry of `arr` lies in (0, 1e-12] in magnitude, so that
-    its pattern at atol 1e-12 may have more components than at atol 0.
-    Boolean temporaries only: no float array of the size of `arr`."""
-    tol = ZERO_ENTRY_TOL
-    return bool((((arr > 0) & (arr <= tol)) | ((arr < 0) & (arr >= -tol))).any())
+    return bool(np.abs(rows).max() <= 0.5 * tol)
 
 
 def _kmeans_pp_init(points: np.ndarray, c: int, rngs: list) -> np.ndarray:

@@ -12,6 +12,7 @@ import mxspec
 from mxspec import operators, spectral
 from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.errors import SpectralError
+from mxspec.experiments import overlap_coupling
 from mxspec.generators import (
     RngSeed,
     gen_er_multiplex,
@@ -352,16 +353,23 @@ def test_bad_disconnected_input_is_rejected_as_eig_sym_rejects_it():
     nan[0, 1] = nan[1, 0] = np.nan
     infinite = lap.copy()
     infinite[0, 1] = infinite[1, 0] = np.inf
+    # between the two cliques, where the pattern at 1e-12 does not see them
+    nan_between, inf_between = lap.copy(), lap.copy()
+    nan_between[0, 5] = nan_between[5, 0] = np.nan
+    inf_between[0, 5] = inf_between[5, 0] = -np.inf
     messages = []
-    for bad in (asymmetric, nan, infinite, lap[:, :5], lap[0], np.float64(1.0)):
+    for bad in (asymmetric, nan, infinite, nan_between, inf_between, lap[:, :5], lap[0],
+                np.float64(1.0)):
         with pytest.raises(SpectralError) as solved:
             eig_sym(bad, 2)
         with pytest.raises(SpectralError) as split:
             fiedler_bipartition(bad)
-        assert str(split.value) == str(solved.value)
+        with pytest.raises(SpectralError) as reference:
+            reference_bipartition(bad)
+        assert str(split.value) == str(solved.value) == str(reference.value)
         messages.append(str(split.value))
     assert messages == ["matrix is not symmetric within 1e-10"] + [
-        "matrix has a non-finite entry or row sum"] * 2 + [
+        "matrix has a non-finite entry or row sum"] * 4 + [
         "expected a square matrix, got shape (6, 5)", "expected a square matrix, got shape (6,)",
         "expected a square matrix, got shape ()"]
 
@@ -992,6 +1000,66 @@ def test_layer_split_refusals_are_the_ones_named():
     assert spectral._certifies_layer_split(op.laplacian, op.n, op.k, op.layer_split_value())
 
 
+def test_layer_split_window_covers_a_residual_beside_the_tolerance(monkeypatch):
+    # coupling node 7 by w (1 + 3e-8) leaves a block-sum residual r of about
+    # 1e-8, which passes 2 r <= tol; a window of tol + r alone would put
+    # r / gap near 0.05, above 1 / (k n) = 1 / 60, but 2 k n r makes it 1 / 120
+    net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
+    diag = np.full(30, 1.0)
+    diag[7] = 1.0 + 3e-8
+    op = hand_built_supra(net, 1.0, diag)
+    expected, _, expected_degenerate = fiedler_bipartition(op.laplacian)
+    answers = certificate_spy(monkeypatch)
+    calls = counting_eig_sym(monkeypatch)
+    part, value, degenerate = fiedler_bipartition(op)
+    assert (answers, calls) == ([True], [])
+    np.testing.assert_array_equal(part.labels, expected.labels)
+    assert degenerate is expected_degenerate is False
+    assert value == 2.0
+
+
+def forced_path_operators():
+    """(name, operator) of small desk-shaped nets of every bipartition
+    sweep, in both models, the p = 0 fixed-SBM ones included."""
+    for k in (2, 3):
+        for family, p in (("er", 0.25), ("fixed-sbm", 0.0), ("fixed-sbm", 0.3)):
+            seed = RngSeed(k, ("paths", family, p))
+            if family == "er":
+                net = gen_er_multiplex(30, k, p, seed)
+            else:
+                net, _ = gen_fixed_sbm_multiplex(30, k, p, seed)
+            yield f"{family} p={p} k={k} supra", build_supra(net, 1.0)
+            yield f"{family} p={p} k={k} dynamic", build_dynamic(net, DynamicCoupling.identity(30, k))
+    net, _, _ = gen_overlap_multiplex(40, 0.9, 0.1, RngSeed(2, ("paths", "overlap")))
+    for p, q in ((0.1, 0.1), (0.5, 0.9)):
+        yield f"overlap p={p} q={q}", build_dynamic(net, overlap_coupling(p, q, 40))
+    for w in (0.5, 5.0):
+        yield f"overlap-supra w={w}", build_supra(net, w)
+
+
+def test_forcing_each_solver_path_keeps_the_labels(monkeypatch):
+    attempts = []
+    real_eigsh = spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: (
+        attempts.append(1) or real_eigsh(*args, **kwargs)))
+    for name, op in forced_path_operators():
+        part, _, degenerate = fiedler_bipartition(op)
+        lap, m = op.laplacian, op.num_copies
+        forced = {"system": fiedler_bipartition(lap, eig_sym(lap, 2)),
+                  "matrix": fiedler_bipartition(lap)}
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "SUBSET_MIN", m)
+            forced["full solve"] = fiedler_bipartition(lap, eig_sym(lap, 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "LANCZOS_MIN", m - 1)
+            del attempts[:]
+            forced["lanczos"] = fiedler_bipartition(lap, eig_sym(lap, 2))
+            assert attempts == [1], name
+        for path, (other, _, other_degenerate) in forced.items():
+            np.testing.assert_array_equal(other.labels, part.labels, err_msg=f"{name}, {path}")
+            assert other_degenerate is degenerate, f"{name}, {path}"
+
+
 def components_spy(monkeypatch):
     """Route operators.connected_components through a wrapper; returns the
     atol of each call."""
@@ -1006,18 +1074,132 @@ def components_spy(monkeypatch):
     return atols
 
 
-def test_disconnected_split_searches_again_only_for_entries_below_1e_12(monkeypatch):
+def test_bipartition_searches_the_pattern_once_at_1e_12(monkeypatch):
     plain, _ = block_clique_laplacian([3, 3, 3])
     _, adj = block_clique_laplacian([3, 3, 3])
     adj[2, 3] = adj[3, 2] = 1e-13  # joins the first two cliques at atol 0 only
     tiny = laplacian(adj)
+    bridged, _ = block_clique_laplacian([3, 3, 3], bridges=[(2, 3), (5, 6)])
+    net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
+    certified = build_supra(net, 1.0)
     atols = components_spy(monkeypatch)
-    for name, lap, searches in (("plain", plain, [0.0]), ("tiny", tiny, [0.0, 1e-12])):
+    for name, lap in (("plain", plain), ("tiny", tiny), ("bridged", bridged),
+                      ("certified", certified)):
         del atols[:]
         part, value, degenerate = fiedler_bipartition(lap)
-        assert atols == searches, name
-        comp = connected_components(lap, atol=spectral.ZERO_ENTRY_TOL)
-        np.testing.assert_array_equal(part.labels, comp != comp[0], err_msg=name)
-        assert (value, degenerate) == (0.0, True), name
+        assert atols == [spectral.ZERO_ENTRY_TOL], name
+        assert degenerate is (name in ("plain", "tiny")), name
+        if degenerate:
+            comp = connected_components(lap, atol=spectral.ZERO_ENTRY_TOL)
+            np.testing.assert_array_equal(part.labels, comp != comp[0], err_msg=name)
+            assert value == 0.0, name
     # at 1e-12 the tiny edge is no edge: the first clique against the rest
+    part, _, _ = fiedler_bipartition(tiny)
     np.testing.assert_array_equal(part.labels, np.repeat([0, 1, 1], 3))
+    # a given system: a search only when its zero eigenvalue repeats
+    for name, lap, searches in (("plain", plain, [spectral.ZERO_ENTRY_TOL]),
+                                ("tiny", tiny, [spectral.ZERO_ENTRY_TOL]),
+                                ("bridged", bridged, []),
+                                ("certified", certified.laplacian, [])):
+        system = eig_sym(lap, 2)
+        del atols[:]
+        fiedler_bipartition(lap, system)
+        assert atols == searches, name
+        assert (system.zero_multiplicity > 1) is bool(searches), name
+
+
+def reference_bipartition(lap, system=None):
+    """fiedler_bipartition's decision with its components searched as they
+    were before the one search at 1e-12: at atol 0 to split, with no
+    eigensolve, a square matrix whose pattern falls apart there and whose
+    rows vanish, then again at 1e-12 when an entry lies in (0, 1e-12] or
+    when a solve finds the zero eigenvalue repeated."""
+    split = None
+    if isinstance(lap, operators.SupraOperator):
+        split = lap.n, lap.k, lap.layer_split_value()
+        lap = lap.laplacian
+    arr = np.asarray(lap, dtype=float)
+    if arr.ndim == 2 and arr.shape[0] < 2:
+        raise SpectralError("bipartition needs a matrix of size >= 2")
+    comp = None
+    if system is None:
+        if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and connected_components(arr).any():
+            _, tol, _ = spectral._validated(arr)
+            rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))
+            if np.abs(rows).max() <= 0.5 * tol:
+                comp = connected_components(arr)
+        if comp is None:
+            if split is not None and spectral._certifies_layer_split(arr, *split):
+                return Partition(labels=np.arange(len(arr)) >= split[0], c=2), split[2], False
+            system = eig_sym(arr, 2)
+    if comp is not None or system.zero_multiplicity > 1:
+        tiny = ((arr != 0) & (np.abs(arr) <= spectral.ZERO_ENTRY_TOL)).any()
+        if comp is None or tiny:
+            comp = connected_components(arr, atol=spectral.ZERO_ENTRY_TOL)
+        return Partition(labels=comp != comp[0], c=2), 0.0, True
+    return fiedler_bipartition(arr, system)  # the Fiedler vector's signs
+
+
+def linked_block_laplacian(rng, inside, between):
+    """Laplacian of three random connected blocks of unit weights, rows
+    shuffled, where the last node of each block hangs on by one link of
+    weight `inside`, and blocks 0 and 1 are joined by one of `between`."""
+    sizes = rng.integers(3, 7, size=3)
+    m = int(sizes.sum())
+    adj = np.zeros((m, m))
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    for start, stop in zip(starts[:-1], starts[1:]):
+        for i in range(start + 1, stop - 1):  # a random tree over all but the last
+            adj[i, rng.integers(start, i)] = 1.0
+        adj[stop - 1, stop - 2] = inside
+    adj[starts[1] - 2, starts[1]] = between
+    adj += adj.T
+    perm = rng.permutation(m)
+    return laplacian(adj[np.ix_(perm, perm)])
+
+
+def reference_cases():
+    """(name, matrix or operator) of the reference family."""
+    rng = np.random.default_rng(22)
+    links = (0.0, 1e-13, 1e-12, 2e-12, 1.0)
+    for inside in links:
+        for between in links:
+            yield f"blocks inside={inside} between={between}", linked_block_laplacian(rng, inside, between)
+    block = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    yield "block diagonal, rows off zero", scipy.linalg.block_diag(block, block, 0.5 * block)
+    cliques, _ = block_clique_laplacian([4, 3, 5])
+    for shift in (1e-9, 1e-7, 1e-3):
+        yield f"cliques shifted by {shift}", cliques + shift * np.eye(12)
+    one_row = cliques.copy()
+    one_row[0, 0] += 1e-7
+    yield "cliques shifted at one row", one_row
+    for sizes in ([3, 4], [5, 2, 4], [2, 2, 2, 2]):
+        bridges = [(sum(sizes[:i]) - 1, sum(sizes[:i])) for i in range(1, len(sizes))]
+        lap, adj = block_clique_laplacian(sizes, bridges=bridges)
+        yield f"bridged cliques {sizes}", lap
+        adj[bridges[0]] = adj[bridges[0][::-1]] = 1e-13
+        yield f"cliques {sizes}, first bridge 1e-13", laplacian(adj)
+    for k in (2, 3):
+        net, _ = gen_fixed_sbm_multiplex(20, k, 0.0, RngSeed(k, ("reference",)))
+        yield f"p = 0 supra k={k}", build_supra(net, 1.0)
+        yield f"p = 0 supra w = 0 k={k}", build_supra(net, 0.0)
+        yield f"p = 0 dynamic k={k}", build_dynamic(net, DynamicCoupling.identity(20, k))
+        net, _ = gen_fixed_sbm_multiplex(20, k, 0.3, RngSeed(k, ("reference",)))
+        yield f"p = 0.3 supra k={k}", build_supra(net, 1.0)
+        yield f"p = 0.3 dynamic k={k}", build_dynamic(net, DynamicCoupling.identity(20, k))
+
+
+def assert_bitwise_equal(got, expected, name):
+    (part, value, degenerate), (ref, ref_value, ref_degenerate) = got, expected
+    assert part.labels.tobytes() == ref.labels.tobytes(), name
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), name
+    assert degenerate is ref_degenerate, name
+
+
+def test_one_search_decides_as_the_two_did():
+    for name, lap in reference_cases():
+        assert_bitwise_equal(fiedler_bipartition(lap), reference_bipartition(lap), name)
+        matrix = lap.laplacian if isinstance(lap, operators.SupraOperator) else lap
+        system = eig_sym(matrix, 2)
+        assert_bitwise_equal(fiedler_bipartition(lap, system), reference_bipartition(lap, system),
+                             f"{name}, system given")
