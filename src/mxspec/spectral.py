@@ -6,9 +6,10 @@ c-way clustering embeds each row into the first c eigenvectors (trivial one
 included) and runs seeded Lloyd k-means with k-means++ initialization.
 
 Both read only the lowest eigenpairs, which `eig_sym(mat, count)` computes
-without the rest of the spectrum: by a subset solve, or from LANCZOS_MIN
-rows on by a Lanczos solve whose decisions it proves to be the exact
-matrix's before it uses them.  Its certificates alone decide: a solve
+without the rest of the spectrum: by a subset solve, or by a Lanczos
+solve whose decisions it proves to be the exact matrix's before it uses
+them, from FIEDLER_LANCZOS_MIN rows on for count <= 2 and from
+LANCZOS_MIN rows on for more.  Its certificates alone decide: a solve
 they refuse, such as one of a disconnected matrix, whose zero eigenvalue
 repeats, falls through to the subset solve.
 
@@ -41,8 +42,12 @@ dense solver's error and the Cholesky's backward error, so a certified
 split is the one the dense path returns.  The dynamic model,
 a bare matrix, k = 1, and any failed check go to `eig_sym` unchanged.  At
 n = 100 (BLAS at one thread, a shared 2-core host) it takes about 0.8 ms
-at k = 2 and 7-8 ms at k = 6, where `eig_sym(lap, 2)` takes 2.7 and 22 ms;
-a refused call adds a median of 4.2 ms at k = 6 before its eigensolve.
+at k = 2, where `eig_sym(lap, 2)` takes 2.7 ms.  At k = 6 (m = 600, the
+fixed-sbm desk sweep's 72 certified points) it takes a median of 4.3 ms,
+where `eig_sym(lap, 2)` takes 21 ms: 16 ms for the subset solve and the
+rest for the Lanczos attempt, which a repeated k w refuses.  A refused
+call (8 points) adds a median of 4.2 ms before its eigensolve, which
+there is a certified Lanczos solve of 8.6 ms (15 ms for the subset solve).
 """
 
 from __future__ import annotations
@@ -64,16 +69,25 @@ SUBSET_MIN = 8
 # k-means++ starts of spectral_kway, each on its own seed
 RESTARTS = 10
 # order from which eig_sym(mat, count) tries the certified Lanczos path
-# first: above every desk sweep (m = n k <= 1000 at the default n = 100),
-# whose CSVs stay on the dense path.  An attempt that does not certify is
-# paid before the subset solve; on fixed-SBM supra Laplacians with a
-# repeated Fiedler value it cost +34 % of the subset solve at m = 1040 and
-# +13-19 % from m = 1500 on, where a certified one saves about 60 %
+# first when count >= 3.  spectral_kway reads the vectors' values, which
+# the certificates do not cover, so its labels stay on the dense path up
+# to here.  An attempt that does not certify is paid before the subset
+# solve; on fixed-SBM supra Laplacians with a repeated Fiedler value it
+# cost +13-19 % of the subset solve from m = 1500 on, where a certified
+# one saves about 60 %
 LANCZOS_MIN = 1500
+# the same order when count <= 2, the Fiedler pair, set at the measured
+# crossover.  On fixed-SBM and ER nets (n = 100, both models, BLAS at one
+# thread) a certified solve took a median 0.69 of the subset solve's time
+# at m = 500 (0.50-1.02) and 0.47-0.94 at m = 600, but up to 1.28 at
+# m = 400 (supra at k w = 80-120).  A refused attempt, as on a repeated
+# Fiedler value, adds 5-45 % at m = 500-600 and up to 21 % at m = 1000
+FIEDLER_LANCZOS_MIN = 500
 # ARPACK restarts before the Lanczos path gives up.  Certified runs on
 # fixed-SBM and ER Laplacians at m = 1500-2000 took 1-21, sparse ER (mean
-# degree 5-20) the most.  Runs that did not certify stopped by convergence
-# after 48-205 products; a run that reaches the cap makes about 340
+# degree 5-20) the most, and count-2 runs at m = 400-1000 took 2-10.
+# Runs that did not certify stopped by convergence after 48-205 products;
+# a run that reaches the cap makes about 340
 LANCZOS_MAXITER = 20
 # ARPACK's relative residual target: the certificates need residuals far
 # below the gaps, not at rounding level, and a run takes about a third
@@ -162,16 +176,21 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     the eigenspace of every returned eigenvalue up to index count-1, and
     of the Fiedler value, is always returned whole.
 
-    From LANCZOS_MIN rows on, a `count` below m - 1 is first tried by the
-    certified Lanczos path (`_certified_lanczos`), with no connectivity
-    search: it returns count + 1 pairs when it proves that their zero,
-    repeat and sign decisions are those of the exact matrix, and the
-    subset solve above runs only when it cannot, as on a disconnected M,
-    whose repeated zero eigenvalue fails the separation check or the
-    count certificate.  That proof covers what `fiedler_bipartition`
-    reads.  `spectral_kway` also reads the vectors' values, which are the
-    exact ones only to within the residuals, so its labels on this path
-    are not certified.
+    From FIEDLER_LANCZOS_MIN rows on for a `count` of at most 2, and from
+    LANCZOS_MIN rows on for a larger one, a `count` below m - 1 is first
+    tried by the certified Lanczos path (`_certified_lanczos`), with no
+    connectivity search: it returns count + 1 pairs when it proves that
+    their zero, repeat and sign decisions are those of the exact matrix,
+    and the subset solve above runs only when it cannot, as on a
+    disconnected M, whose repeated zero eigenvalue fails the separation
+    check or the count certificate, or on a repeated Fiedler value.  That
+    proof covers what `fiedler_bipartition` reads, so its labels, the
+    zero and Fiedler multiplicities and `degenerate` are the subset
+    solve's; the Fiedler value is the Ritz value, within its residual of
+    the exact one.  `spectral_kway` also reads the vectors' values, which
+    are the exact ones only to within the residuals, so its labels on
+    this path are not certified: for c >= 3 it keeps the higher order,
+    and c = 2 follows the Fiedler pair's.
 
     An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
     bounds every eigenvalue's magnitude (Gershgorin).  An exactly
@@ -185,7 +204,8 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     m = arr.shape[0]
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
-    if count is not None and LANCZOS_MIN <= m and count + 1 < m:
+    if count is not None and count + 1 < m and m >= (
+            FIEDLER_LANCZOS_MIN if count <= 2 else LANCZOS_MIN):
         values, vectors = _certified_lanczos(sym, count, norm, tol)
     size = max(count or 1, SUBSET_MIN)
     try:

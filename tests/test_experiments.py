@@ -326,31 +326,58 @@ def test_heatmap_numeric_mean_and_modal_labels():
         heatmap_grid(rows, "nope", "q", "score")
 
 
+def largest_k_point(name, grid):
+    """The table's grids of `name` at the desk or --full scale, cut to one
+    point: the largest k (n and k set the operator's order n k) and the
+    middle value of every other parameter (fixed-sbm's first p, 0, is
+    disconnected and reaches no eigensolve)."""
+    spec = experiments.EXPERIMENTS[name]
+    grids = {**spec.desk, **(spec.full if grid == "full" else {})}
+    return {param: [max(values)] if param == "k" else [values[len(values) // 2]]
+            for param, values in grids.items()}
+
+
 @pytest.mark.parametrize("grid", ["desk", "full"])
-def test_sweeps_at_the_default_n_stay_below_lanczos_min(monkeypatch, grid):
-    # every desk and --full sweep keeps the dense solve, and with it its
-    # CSV bytes: run one instance of each model at the point with the
-    # largest k (n and k alone set the operator's order n k) with the
-    # table's grids, as `mxspec experiment` does, and record the order of
-    # what the sweeps hand the spectral selectors, an operator or its
-    # Laplacian (a disconnected operator, as at fixed-sbm's first point
-    # p = 0, reaches no eig_sym call)
-    orders = []
+def test_kway_sweeps_stay_below_their_lanczos_order(monkeypatch, grid):
+    # spectral_kway's labels on the Lanczos path are not certified, so the
+    # overlap-kway sweeps keep the dense solve: record the order and count
+    # of what the sweep hands spectral_kway, as `mxspec experiment` runs it
+    calls = []
+    real = experiments.spectral_kway
 
-    def recording(fn):
-        def wrapper(lap, *args):
-            orders.append(lap.num_copies if hasattr(lap, "num_copies") else len(lap))
-            return fn(lap, *args)
-        return wrapper
+    def recording(lap, c, seed):
+        calls.append((len(lap), c))
+        return real(lap, c, seed)
 
-    for name in ("fiedler_bipartition", "spectral_kway"):
-        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
-    for name, spec in experiments.EXPERIMENTS.items():
-        grids = {**spec.desk, **(spec.full if grid == "full" else {})}
-        grids = {param: [max(values)] if param == "k" else values[:1]
-                 for param, values in grids.items()}
-        before = len(orders)
-        experiments.run_experiment(name, 1, "both", 1, 1, **grids)
-        assert len(orders) > before, name
-    assert max(orders) == (1000 if grid == "full" else 600)
-    assert max(orders) < spectral.LANCZOS_MIN
+    monkeypatch.setattr(experiments, "spectral_kway", recording)
+    experiments.run_experiment("overlap-kway", 1, "both", 1, 1, **largest_k_point("overlap-kway", grid))
+    assert calls == [(200, 4)]
+    assert max(order for order, _ in calls) < spectral.LANCZOS_MIN
+
+
+@pytest.mark.parametrize("grid", ["desk", "full"])
+@pytest.mark.parametrize("name", ["er", "fixed-sbm"])
+def test_bipartition_sweeps_keep_their_rows_on_the_lanczos_path(monkeypatch, name, grid):
+    # the largest-k points reach FIEDLER_LANCZOS_MIN (m = 500 for er and 600
+    # for fixed-sbm at the desk, 1000 with --full): their rows are the same
+    # whether eig_sym may take the certified Lanczos path or not
+    verdicts = []
+    real = spectral._certified_lanczos
+
+    def spied(*args):
+        values, vectors = real(*args)
+        verdicts.append(values is not None)
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_certified_lanczos", spied)
+    point = largest_k_point(name, grid)
+    assert point["k"][0] * point["n"][0] >= spectral.FIEDLER_LANCZOS_MIN
+    rows = {}
+    for lanczos in (False, True):
+        with monkeypatch.context() as patch:
+            if not lanczos:
+                patch.setattr(spectral, "FIEDLER_LANCZOS_MIN", sys.maxsize)
+            del verdicts[:]
+            rows[lanczos] = experiments.run_experiment(name, 2, "both", 1, 1, **point).rows
+            assert any(verdicts) is lanczos, lanczos
+    assert rows[True] == rows[False]

@@ -26,7 +26,6 @@ from mxspec.operators import (
     laplacian,
 )
 from mxspec.spectral import (
-    LANCZOS_MIN,
     RESTARTS,
     EigenSystem,
     Partition,
@@ -617,16 +616,25 @@ def test_import_leaves_scipy_sparse_csgraph_unloaded():
     assert out.split() == ["False"]
 
 
-# --- the certified Lanczos path, from LANCZOS_MIN rows on --------------------
+# --- the certified Lanczos path, from the order its count reads -----------
 
-# m = 1500, at LANCZOS_MIN: supra at w = 5 puts k*w = 50 above the
-# community eigenvalue (about 15), so the Fiedler value is simple
-LANCZOS_NETS = {"supra": (150, 10), "dynamic": (300, 5)}
+def lanczos_boundary(count):
+    """The spectral constant that sets the order from which
+    eig_sym(mat, count) tries the Lanczos path."""
+    return "FIEDLER_LANCZOS_MIN" if count <= 2 else "LANCZOS_MIN"
 
 
-def lanczos_net_laplacian(model, seed):
-    n, k = LANCZOS_NETS[model]
-    assert LANCZOS_MIN <= n * k < LANCZOS_MIN + 100
+# (n, k) of fixed-SBM nets (p = 0.1) just above the boundary of the count:
+# supra at w = 5 puts k*w = 50 above the community eigenvalue (about 5 at
+# n = 52, 15 at n = 150), so the Fiedler value is simple
+LANCZOS_NETS = {2: {"supra": (52, 10), "dynamic": (104, 5)},
+                3: {"supra": (150, 10), "dynamic": (300, 5)}}
+
+
+def lanczos_net_laplacian(model, seed, count=2):
+    n, k = LANCZOS_NETS[min(count, 3)][model]
+    boundary = getattr(spectral, lanczos_boundary(count))
+    assert boundary <= n * k < boundary + 100
     net, _ = gen_fixed_sbm_multiplex(n, k, 0.1, RngSeed(seed, ("lanczos",)))
     if model == "supra":
         return build_supra(net, 5.0).laplacian
@@ -636,8 +644,24 @@ def lanczos_net_laplacian(model, seed):
 def dense_eig_sym(monkeypatch, mat, count):
     """eig_sym with the Lanczos path out of reach: the subset solve alone."""
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "LANCZOS_MIN", sys.maxsize)
-        return eig_sym(mat, count)
+        patch.setattr(spectral, lanczos_boundary(count), sys.maxsize)
+        system = eig_sym(mat, count)
+    assert len(system.eigenvalues) >= spectral.SUBSET_MIN
+    return system
+
+
+def eigsh_spy(monkeypatch):
+    """Route spectral.eigsh through a wrapper; returns the list of its
+    calls' eigenpair counts."""
+    calls = []
+    real = spectral.eigsh
+
+    def spied(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", spied)
+    return calls
 
 
 def assert_same_system(got, expected):
@@ -651,7 +675,9 @@ def assert_same_system(got, expected):
 def test_lanczos_path_decides_as_the_dense_path(monkeypatch, model, seed):
     lap = lanczos_net_laplacian(model, seed)
     m = len(lap)
+    calls = eigsh_spy(monkeypatch)
     system = eig_sym(lap, 2)
+    assert calls == [3]
     assert len(system.eigenvalues) == 3  # the Lanczos path; the subset solve returns 8
     dense = dense_eig_sym(monkeypatch, lap, 2)
     part, value, degenerate = fiedler_bipartition(lap, system)
@@ -673,16 +699,36 @@ def test_lanczos_path_decides_as_the_dense_path(monkeypatch, model, seed):
 
 
 def test_lanczos_kway_labels_equal_the_dense_path(monkeypatch):
-    lap = lanczos_net_laplacian("dynamic", 1)
+    lap = lanczos_net_laplacian("dynamic", 1, count=3)
+    calls = eigsh_spy(monkeypatch)
     assert len(eig_sym(lap, 3).eigenvalues) == 4
     part = spectral_kway(lap, 3, RngSeed(5))
+    assert calls == [4, 4]
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "LANCZOS_MIN", sys.maxsize)
+        patch.setattr(spectral, lanczos_boundary(3), sys.maxsize)
         dense = spectral_kway(lap, 3, RngSeed(5))
+    assert calls == [4, 4]  # the dense path
     np.testing.assert_array_equal(part.labels, dense.labels)
 
 
-def mirrored_blocks_laplacian(size=750, seed=3):
+def test_lanczos_order_follows_the_count(monkeypatch):
+    # between the two orders only a count of at most 2 tries Lanczos:
+    # spectral_kway with c >= 3 keeps the dense path, whose labels are the
+    # ones a test checks, and c = 2 asks for the Fiedler pair's count
+    lap = lanczos_net_laplacian("dynamic", 1)
+    assert spectral.FIEDLER_LANCZOS_MIN <= len(lap) < spectral.LANCZOS_MIN
+    calls = eigsh_spy(monkeypatch)
+    for count in (1, 2, 3, 4):
+        del calls[:]
+        eig_sym(lap, count)
+        assert calls == ([count + 1] if count <= 2 else []), count
+    for c in (2, 3, 4):
+        del calls[:]
+        spectral_kway(lap, c, RngSeed(5))
+        assert calls == ([c + 1] if c == 2 else []), c
+
+
+def mirrored_blocks_laplacian(size=260, seed=3):
     """Two copies of one random graph joined only through a middle node
     that has the same edges into both: the swap of the copies maps the
     Fiedler vector to minus itself, so its middle entry is exactly 0."""
@@ -703,19 +749,19 @@ def _raise_no_convergence(*args, **kwargs):
 
 
 def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
-    net, _ = gen_fixed_sbm_multiplex(300, 5, 0.1, RngSeed(1, ("lanczos",)))
+    net, _ = gen_fixed_sbm_multiplex(104, 5, 0.1, RngSeed(1, ("lanczos",)))
     cases = {
-        # k*w = 25 lies below the community eigenvalue: a 4-fold Fiedler value
-        "repeated-fiedler": build_supra(net, 5.0).laplacian,
+        # k*w = 5 lies below the community eigenvalue: a 4-fold Fiedler value
+        "repeated-fiedler": build_supra(net, 1.0).laplacian,
         # one component per layer: a 5-fold zero eigenvalue, which the
         # certificates refuse
-        "disconnected": build_dynamic(net, DynamicCoupling.uniform(np.eye(5), 300)).laplacian,
+        "disconnected": build_dynamic(net, DynamicCoupling.uniform(np.eye(5), 104)).laplacian,
         "zero-entry": mirrored_blocks_laplacian(),
         "no-convergence": lanczos_net_laplacian("dynamic", 1),
     }
     real_eigsh = spectral.eigsh
     for name, lap in cases.items():
-        assert len(lap) >= LANCZOS_MIN, name
+        assert len(lap) >= spectral.FIEDLER_LANCZOS_MIN, name
         attempts = []
 
         def eigsh(*args, **kwargs):
@@ -736,7 +782,7 @@ def test_lanczos_falls_back_to_the_dense_path_bitwise(monkeypatch):
         if name == "disconnected":
             assert dense.zero_multiplicity == 5
         if name == "zero-entry":
-            assert abs(dense.eigenvectors[750, 1]) <= spectral.ZERO_ENTRY_TOL
+            assert abs(dense.eigenvectors[260, 1]) <= spectral.ZERO_ENTRY_TOL
 
 
 def test_lanczos_gate_finds_every_disconnected_pattern(monkeypatch):
@@ -753,27 +799,24 @@ def test_lanczos_gate_finds_every_disconnected_pattern(monkeypatch):
     assert connected_components(far).any()
     assert not connected_components(block_clique_laplacian([3, 4], bridges=[(2, 3)])[0]).any()
     assert connected_components(block_clique_laplacian([3, 4])[0]).any()
-    # at LANCZOS_MIN rows: a path of 30 rows from row 0 (its split lies 29
-    # steps out), apart from a connected random graph, makes one eigsh call
-    # that the certificates refuse, and the dense answer follows
+    # at FIEDLER_LANCZOS_MIN rows: a path of 30 rows from row 0 (its split
+    # lies 29 steps out), apart from a connected random graph, makes one
+    # eigsh call that the certificates refuse, and the dense answer follows
     lap = path_beside_random_graph_laplacian()
-    attempts = []
-    real_eigsh = spectral.eigsh
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "eigsh", lambda *args, **kwargs: (
-            attempts.append(1) or real_eigsh(*args, **kwargs)))
-        system = eig_sym(lap, 2)
-    assert attempts == [1]
+    attempts = eigsh_spy(monkeypatch)
+    system = eig_sym(lap, 2)
+    assert attempts == [3]
     assert system.zero_multiplicity == 2
     assert_same_system(system, dense_eig_sym(monkeypatch, lap, 2))
 
 
 def path_beside_random_graph_laplacian():
-    """Laplacian of LANCZOS_MIN rows: a path over the first 30 beside a
-    connected random graph on the rest, two components."""
-    m, tail = LANCZOS_MIN, 30
+    """Laplacian of FIEDLER_LANCZOS_MIN rows: a path over the first 30
+    beside a random graph on the rest, two components (at 2 % density the
+    random graph is connected; at 1 % it fell apart at 500 rows)."""
+    m, tail = spectral.FIEDLER_LANCZOS_MIN, 30
     rng = np.random.default_rng(2)
-    adj = np.triu((rng.random((m, m)) < 0.01).astype(float), 1)
+    adj = np.triu((rng.random((m, m)) < 0.02).astype(float), 1)
     adj[:tail] = 0.0
     adj[np.arange(tail - 1), np.arange(1, tail)] = 1.0
     adj += adj.T
@@ -788,7 +831,7 @@ def test_eig_sym_searches_no_components(monkeypatch, connected):
         lap = lanczos_net_laplacian("dynamic", 1)
     else:
         lap = path_beside_random_graph_laplacian()
-    assert len(lap) == LANCZOS_MIN
+    assert len(lap) >= spectral.FIEDLER_LANCZOS_MIN
     searches = []
 
     def search(*args, **kwargs):
@@ -1038,10 +1081,7 @@ def forced_path_operators():
 
 
 def test_forcing_each_solver_path_keeps_the_labels(monkeypatch):
-    attempts = []
-    real_eigsh = spectral.eigsh
-    monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: (
-        attempts.append(1) or real_eigsh(*args, **kwargs)))
+    attempts = eigsh_spy(monkeypatch)
     for name, op in forced_path_operators():
         part, _, degenerate = fiedler_bipartition(op)
         lap, m = op.laplacian, op.num_copies
@@ -1051,13 +1091,71 @@ def test_forcing_each_solver_path_keeps_the_labels(monkeypatch):
             patch.setattr(spectral, "SUBSET_MIN", m)
             forced["full solve"] = fiedler_bipartition(lap, eig_sym(lap, 2))
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "LANCZOS_MIN", m - 1)
+            patch.setattr(spectral, lanczos_boundary(2), m - 1)
             del attempts[:]
             forced["lanczos"] = fiedler_bipartition(lap, eig_sym(lap, 2))
-            assert attempts == [1], name
+            assert attempts == [3], name
         for path, (other, _, other_degenerate) in forced.items():
             np.testing.assert_array_equal(other.labels, part.labels, err_msg=f"{name}, {path}")
             assert other_degenerate is degenerate, f"{name}, {path}"
+
+
+def metamorphic_nets():
+    """(name, net, model, w, path, moves) of desk-shaped nets (k = 5) on
+    both sides of FIEDLER_LANCZOS_MIN, with the path eig_sym(lap, 2) takes
+    on each: "dense" below the order, and above it one Lanczos attempt,
+    "refused" on a repeated Fiedler value (the supra layer split k w below
+    the community eigenvalue, and every net at p = 1.0) and "certified"
+    on the rest.  `moves` marks the one known net whose partition a node
+    relabeling moves: dynamic at p = 1.0, where complete layers repeat
+    the Fiedler value 4 n times and the anchor of P e_a, the first copy,
+    moves with the relabeling."""
+    for n in (98, 102):
+        above = n * 5 >= spectral.FIEDLER_LANCZOS_MIN
+        assert above == (n == 102)  # m = 490 and 510
+        for family, p in (("fixed-sbm", 0.3), ("er", 0.25), ("fixed-sbm", 1.0)):
+            seed = RngSeed(n, ("metamorphic", family, p))
+            if family == "er":
+                net = gen_er_multiplex(n, 5, p, seed)
+            else:
+                net, _ = gen_fixed_sbm_multiplex(n, 5, p, seed)
+            for model, w in (("dynamic", None), ("supra", 1.0), ("supra", 10.0)):
+                path = ("refused" if p == 1.0 or w == 1.0 else "certified") if above else "dense"
+                moves = model == "dynamic" and p == 1.0
+                yield f"{family} p={p} m={5 * n} {model} w={w}", net, model, w, path, moves
+
+
+def test_bipartition_survives_relabeling_and_scaling_across_the_lanczos_order(monkeypatch):
+    # bare Laplacians, so that the layer-split certificate does not take the
+    # supra nets first; the nets whose partition the relabeling moves are
+    # an expected case, asserted to move
+    paths = []
+    real = spectral._certified_lanczos
+
+    def spied(*args):
+        values, vectors = real(*args)
+        paths.append("refused" if values is None else "certified")
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_certified_lanczos", spied)
+    rng = np.random.default_rng(5)
+    for name, net, model, w, path, moves in metamorphic_nets():
+        perm = rng.permutation(net.n)
+        copies = (np.arange(net.k)[:, None] * net.n + perm).ravel()  # copy j of the new net
+        parts = {}
+        for key, other, scale in (("plain", net, 1.0), ("relabeled", transformed_net(net, perm=perm), 1.0),
+                                  ("scaled by 3", transformed_net(net, scale=3.0), 3.0)):
+            if model == "supra":
+                op = build_supra(other, scale * w)
+            else:
+                op = build_dynamic(other, DynamicCoupling.identity(net.n, net.k))
+            del paths[:]
+            parts[key], _, degenerate = fiedler_bipartition(op.laplacian)
+            assert not degenerate, f"{name}, {key}"
+            assert paths == ([] if path == "dense" else [path]), f"{name}, {key}"
+        assert match_partitions(parts["scaled by 3"], parts["plain"])[0], name
+        permuted = Partition(labels=parts["plain"].labels[copies], c=2)
+        assert match_partitions(parts["relabeled"], permuted)[0] is not moves, name
 
 
 def components_spy(monkeypatch):

@@ -1,16 +1,20 @@
 """SHA-256 of the five desk-scale experiment CSVs, the byte-identity check
 for a change that claims to leave results alone.
 
-Runs ``mxspec experiment <name> --seed 1 --jobs 2`` for every experiment
-into a temporary directory, with the package taken from this checkout's
-``src/``, and prints one ``<name> <sha256>`` line per CSV.  The sweep
-workers run BLAS at one thread whatever the environment says, and the
-results do not depend on the BLAS thread count.  Each sweep's wall
-seconds, start of its process to exit, go to stderr as ``<name> <seconds>
-s`` lines, so stdout holds the hashes alone.
+Runs ``mxspec experiment <name> --seed 1 --jobs N`` (N = 2 unless
+``--jobs`` says otherwise) for every experiment into a temporary
+directory, with the package taken from this checkout's ``src/``, and
+prints one ``<name> <sha256>`` line per CSV.  The sweep workers run BLAS
+at one thread whatever the environment says, and the results depend
+neither on the BLAS thread count nor on N.  Each sweep's wall seconds,
+start of its process to exit, go to stderr as ``<name> <seconds> s``
+lines, so stdout holds the hashes alone; with ``--jobs 1`` (and
+``OPENBLAS_NUM_THREADS=1`` in the environment, which a ``--jobs 1`` sweep
+does not set itself) they are each desk sweep's time end to end.
 
     python3 tools/desk_hashes.py                                  # print
     python3 tools/desk_hashes.py --expect tools/desk_hashes.txt   # check
+    python3 tools/desk_hashes.py --jobs 1                         # one process each
 
 With ``--expect FILE`` (lines ``<name> <sha256>``; blank lines and lines
 starting with ``#`` are skipped) it exits 1 when any hash differs or any
@@ -32,7 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 EXPERIMENTS = ("er", "fixed-sbm", "overlap", "overlap-supra", "overlap-kway")
 
 
-def desk_hashes() -> dict:
+def desk_hashes(jobs: int = 2) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("MXSPEC_SEED", None)
@@ -43,7 +47,7 @@ def desk_hashes() -> dict:
             start = time.perf_counter()
             subprocess.run(
                 [sys.executable, "-m", "mxspec.cli", "experiment", name,
-                 "--seed", "1", "--jobs", "2", "--out", str(out)],
+                 "--seed", "1", "--jobs", str(jobs), "--out", str(out)],
                 env=env, check=True)
             print(f"{name} {time.perf_counter() - start:.2f} s", file=sys.stderr)
             hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
@@ -62,9 +66,13 @@ def read_expected(path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--expect", default=None, help="file of expected '<name> <sha256>' lines")
+    parser.add_argument("--jobs", type=int, default=2,
+                        help="worker processes of each sweep (default 2); the hashes do not depend on it")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     expected = read_expected(args.expect) if args.expect else None
-    hashes = desk_hashes()
+    hashes = desk_hashes(args.jobs)
     for name, digest in hashes.items():
         print(name, digest)
     if expected is None:
