@@ -45,13 +45,21 @@ def check_weights(values, what: str) -> np.ndarray:
 
 def zeros(shape: tuple, what: str, error=ParseError) -> np.ndarray:
     """np.zeros(shape); `error` stating the shape when the array cannot be
-    allocated (a size from a file header can exceed any memory)."""
+    allocated (a size from a file header can exceed any memory).  An array
+    of more bytes than the physical memory the platform reports is refused
+    before the call: np.zeros only reserves its pages, so the refusal would
+    otherwise come when they are first written, far from the header."""
+    nbytes = 8 * math.prod(shape)
+    memory = 0  # bytes of physical memory; 0 where the platform does not report them
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        memory = max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE")
     try:
+        if nbytes > memory > 0:
+            raise MemoryError(f"{nbytes} bytes exceed the {memory} bytes of physical memory")
         return np.zeros(shape)
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index can address
         dims = " x ".join(str(d) for d in shape)
-        gib = 8 * math.prod(shape) / 2**30
-        raise error(f"{what}: cannot allocate a {dims} float64 array ({gib:.3g} GiB)") from exc
+        raise error(f"{what}: cannot allocate a {dims} float64 array ({nbytes / 2**30:.3g} GiB)") from exc
 
 
 @contextlib.contextmanager
@@ -166,8 +174,8 @@ class DynamicCoupling:
     def uniform(cls, values: Sequence[Sequence[float]], n: int) -> "DynamicCoupling":
         """Each pair (a, b) gets values[a][b] * I."""
         vals = np.asarray(values, dtype=float)
-        k = vals.shape[0]
-        return cls(np.broadcast_to(vals[:, :, None], (k, k, n)).copy())
+        # a table that is not k x k gives a shape other than (k, k, n), rejected below
+        return cls(np.repeat(vals[..., None], n, axis=-1))
 
 
 def load_network(path: str | os.PathLike) -> MultiplexNetwork:

@@ -3,15 +3,17 @@
 Both operators share the node-copy index space (layer-major).  The supra
 model couples the k copies of each node into a clique of fixed weight w;
 the dynamical model mirrors each layer's neighborhoods across layers
-through per-pair diagonal coupling matrices.  Either way the symmetric
-matrix `adjacency` and its graph Laplacian `laplacian` (degree diagonal
-minus adjacency) are what spectral clustering and cut analysis consume.
+through per-pair diagonal coupling matrices.  Either way a builder fills
+the symmetric matrix S and the operator keeps only its graph Laplacian
+`laplacian` (degree diagonal minus S), one nk x nk array, from which it
+reads `adjacency` back on demand.  Spectral clustering reads the
+Laplacian; cut analysis reads both.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -51,39 +53,50 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
     return magnitude
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SupraOperator:
-    """An nk x nk symmetric operator with its Laplacian and provenance.
+    """An nk x nk symmetric operator, kept as its Laplacian, with provenance.
 
     model is "supra" or "dynamic"; coupling holds the weight w or the
-    DynamicCoupling it was built from.  The Laplacian is derived here, where
-    `laplacian` rejects a non-symmetric adjacency.  Copies are indexed
-    layer-major: copy of node i on layer a sits at a*n + i.
+    DynamicCoupling it was built from.  The constructor takes the
+    symmetric `adjacency` S, from which `laplacian` derives L = D - S,
+    rejecting an S that is not symmetric.  Only L is kept: S is read back
+    from it, and the caller's array is neither kept nor locked.  Copies
+    are indexed layer-major: copy of node i on layer a sits at a*n + i.
     """
 
     model: str
     n: int
     k: int
-    adjacency: np.ndarray
     coupling: object
-    laplacian: np.ndarray = field(init=False)
+    laplacian: np.ndarray
 
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=float)  # kept and locked if float64
-        m = self.n * self.k
+    # a hand-written __init__: `adjacency` is a constructor argument but not
+    # a field, since a property of that name reads it back
+    def __init__(self, model: str, n: int, k: int, adjacency, coupling):
+        adj = np.asarray(adjacency, dtype=float)
+        m = n * k
         if adj.shape != (m, m):
             raise OperatorError(f"operator must be {m} x {m}, got {adj.shape}")
         if np.any(adj.diagonal() != 0):
             raise OperatorError("operator matrix must have zero diagonal")
         lap = laplacian(adj)
-        adj.flags.writeable = False
         lap.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "laplacian", lap)
+        # frozen: the fields are set past the dataclass's __setattr__
+        self.__dict__.update(model=model, n=n, k=k, coupling=coupling, laplacian=lap)
 
     @property
     def num_copies(self) -> int:
         return self.n * self.k
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The symmetric adjacency S, in a new array: 0.0 - L off the
+        diagonal, where L = 0.0 - S, and 0.0 on it.  These are S's bits,
+        except that a -0.0 entry reads +0.0."""
+        adj = np.subtract(0.0, self.laplacian)
+        np.fill_diagonal(adj, 0.0)
+        return adj
 
     def layer_split_value(self) -> float | None:
         """k w: the eigenvalue, k - 1 times repeated, of a supra Laplacian
@@ -95,9 +108,12 @@ class SupraOperator:
         return self.k * float(self.coupling)
 
     def block(self, a: int, b: int) -> np.ndarray:
-        """The (a, b) layer block of the symmetric adjacency."""
-        n = self.n
-        return self.adjacency[a * n : (a + 1) * n, b * n : (b + 1) * n]
+        """The (a, b) layer block of `adjacency`, read back the same way
+        from L's block, in a new array."""
+        block = np.subtract(0.0, self.laplacian.reshape(self.k, self.n, self.k, self.n)[a, :, b])
+        if a == b:
+            np.fill_diagonal(block, 0.0)
+        return block
 
 
 def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:

@@ -11,7 +11,9 @@ solve whose decisions it proves to be the exact matrix's before it uses
 them, from FIEDLER_LANCZOS_MIN rows on for count <= 2 and from
 LANCZOS_MIN rows on for more.  Its certificates alone decide: a solve
 they refuse, such as one of a disconnected matrix, whose zero eigenvalue
-repeats, falls through to the subset solve.
+repeats, falls through to the subset solve.  Its eigenvalue count and the
+supra layer split's below are proved by one Cholesky factorization
+(`_cholesky_certifies`), which states the lemma and its error budget.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -38,11 +40,11 @@ mu I with mu just above k*w shows that no other eigenvalue lies within a
 window above k*w (the zero tolerance, or 2 k n times the residual when
 that is wider), and a Davis-Kahan bound keeps every sign of P e_0 on its
 side of 1e-12.  The margins cover the zero tolerance, the residual, the
-dense solver's error and the Cholesky's backward error, so a certified
-split is the one the dense path returns.  The dynamic model,
-a bare matrix, k = 1, and any failed check go to `eig_sym` unchanged.  At
-n = 100 (BLAS at one thread, a shared 2-core host) it takes about 0.8 ms
-at k = 2, where `eig_sym(lap, 2)` takes 2.7 ms.  At k = 6 (m = 600, the
+dense solver's error and the rounding of forming and factoring the
+Cholesky's matrix, so a certified split is the one the dense path
+returns.  The dynamic model, a bare matrix, k = 1, and any failed check
+go to `eig_sym` unchanged.  At n = 100 (BLAS at one thread, a shared
+2-core host) it takes about 0.8 ms at k = 2, where `eig_sym(lap, 2)` takes 2.7 ms.  At k = 6 (m = 600, the
 fixed-sbm desk sweep's 72 certified points) it takes a median of 4.3 ms,
 where `eig_sym(lap, 2)` takes 21 ms: 16 ms for the subset solve and the
 rest for the Lanczos attempt, which a repeated k w refuses.  A refused
@@ -140,12 +142,12 @@ class Partition:
     c: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels).astype(int)  # a copy; a label it changes is refused below
         if labels.ndim != 1:
             raise SpectralError("labels must be a 1-d vector")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.c):
-            raise SpectralError(f"labels must lie in [0, {self.c})")
-        labels = labels.copy()
+        if labels.size and (labels.min() < 0 or labels.max() >= self.c
+                            or not np.array_equal(labels, self.labels)):
+            raise SpectralError(f"labels must be integers in [0, {self.c})")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
@@ -236,6 +238,8 @@ def _validated(arr: np.ndarray) -> tuple[float, float, bool]:
     1e-10 max(1, max |M_ij|); any other input raises SpectralError."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SpectralError(f"expected a square matrix, got shape {arr.shape}")
+    if not arr.size:
+        raise SpectralError("expected a matrix of size >= 1, got shape (0, 0)")
     magnitude = np.abs(arr)
     scale = max(1.0, float(magnitude.max(initial=0.0)))
     norm = float(magnitude.sum(axis=1).max(initial=0.0))
@@ -262,15 +266,14 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
        `dsymv` that reads one triangle of A, gives Ritz pairs
        (theta_j, v_j) and their residual norms
        r_j = ||A v_j - theta_j v_j||.  The same input gives the same bits.
-    2. Count certificate: with mu = (theta_{count-1} + theta_count) / 2
-       and tau = ||A||_inf + |mu|, a Cholesky factorization of
-       A - mu I + tau V V^T (V the first count vectors) that succeeds
-       makes A - mu I positive definite on the complement of span V, so
-       at most count eigenvalues lie below mu (Courant-Fischer), less the
-       factorization's backward error.
+    2. Count certificate: a Cholesky factorization of A - mu I +
+       tau V V^T (V the first count vectors, tau = ||A||_inf + |floor|)
+       that succeeds, with mu just above floor = (theta_{count-1} +
+       theta_count) / 2, proves that at most count eigenvalues lie at or
+       below floor (`_cholesky_certifies`, which states the lemma).
     3. The first count Ritz values, each within r_j (plus rounding) of an
        eigenvalue, must lie more than the zero tolerance plus their
-       residuals apart from each other, from mu, and from the zero
+       residuals apart from each other, from floor, and from the zero
        threshold.  Then each of them pins exactly one eigenvalue, the
        count lowest are all accounted for, and the zero count, the
        Fiedler value's index and its multiplicity of 1 are what a
@@ -282,11 +285,9 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
        beta_j, so each one's side of the +-1e-12 thresholds that sign
        fixing and `fiedler_bipartition` read is that of the exact vector.
 
-    The last pair only witnesses the gap above mu; its vector is a Ritz
-    vector and is not certified.  The checks run cheapest first, and the
-    Cholesky factors one m x m buffer in place."""
+    The last pair only witnesses the gap above floor; its vector is a Ritz
+    vector and is not certified.  The checks run cheapest first."""
     m = sym.shape[0]
-    eps = np.finfo(float).eps
     # sym is exactly symmetric, so sym.T is the same matrix: whichever of the
     # two is Fortran-ordered reaches dsymv without a copy
     upper = sym.T if sym.flags.c_contiguous else np.asfortranarray(sym)
@@ -301,10 +302,9 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
         return None, None
     residuals = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
-    slack = m * eps * norm  # rounding in a residual, and a dense solver's eigenvalue error
-    mu = 0.5 * (values[count - 1] + values[count])
-    tau = norm + abs(mu)
-    floor = mu - _cholesky_error(m) * (norm + abs(mu) + tau)  # ||H||_2 <= ||A|| + |mu| + tau
+    # rounding in a residual, and a dense solver's eigenvalue error
+    slack = m * np.finfo(float).eps * norm
+    floor = 0.5 * (values[count - 1] + values[count])
     theta, radius = values[:count], residuals[:count] + slack
     apart = np.abs(theta[:, None] - theta) - radius  # [j, i]: theta_j to eigenvalue i
     np.fill_diagonal(apart, np.inf)
@@ -316,20 +316,52 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     beta = np.sqrt(2.0) * radius / gap
     if not (np.abs(np.abs(vectors[:, :count]) - ZERO_ENTRY_TOL) > beta).all():
         return None, None
-    shifted = sym.copy()  # C order: shifted.T is the Fortran array LAPACK overwrites
+    return (values, vectors) if _cholesky_certifies(sym, norm, floor, vectors[:, :count]) else (None, None)
+
+
+def _cholesky_certifies(mat: np.ndarray, norm: float, floor: float, basis: np.ndarray) -> bool:
+    """Whether one Cholesky factorization proves that at most r eigenvalues
+    of the exactly symmetric m x m `mat` A, with ||A||_inf = `norm`, lie at
+    or below `floor`, given the m x r `basis` V.  Both spectral
+    certificates count eigenvalues by this lemma and its one error budget.
+
+    It forms H = A - mu I + sigma V V^T, sigma = ||A||_inf + |floor|, in
+    one m x m buffer, a copy of A with mu taken from its diagonal and
+    sigma V V^T added to one triangle by BLAS `dsyrk`, and factors it
+    there in place by LAPACK's `dpotrf`.  With u = eps / 2, gamma_j =
+    j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3), s the largest row sum of |V|^T |V|, which bounds
+    || |V| ||_2^2 (at most r for unit columns, 1 for orthonormal columns
+    of entries >= 0), and rho = ||A||_inf + |mu| + s sigma, which bounds
+    ||H||_2 as ||V V^T||_2 <= s:
+
+    - Forming.  An entry of H sums a_ij - mu [i = j], one rounding, and
+      r products sigma v_il v_jl, two roundings each, by r additions, so
+      the buffer holds H + F with |F| <= gamma_{r+2} (|A| + |mu| I +
+      sigma |V| |V|^T), and ||F||_2 <= gamma_{r+2} rho, as || |A| ||_2
+      <= ||A||_inf for a symmetric A.
+    - Factoring (Higham thm 10.3).  A `dpotrf` that succeeds factors
+      H + F + E = R^T R, positive definite, with ||E||_2 <= m gamma_{m+1}
+      ||H + F||_2 / (1 - m gamma_{m+1}).  To first order ||F + E||_2 is
+      below ((m + 1) m + r + 2) u rho, so e = c rho with c = ((m + 1) m +
+      r + 2) eps covers the higher orders too: H + e I is positive
+      definite.
+    - Counting (Courant-Fischer).  Then every x orthogonal to span V has
+      x^T A x = x^T H x + mu ||x||^2 > (mu - e) ||x||^2, and every
+      subspace of dimension r + 1 holds such an x, so eigenvalue r + 1 of
+      A (from the lowest) lies above mu - e.  With mu = floor +
+      c (||A||_inf + |floor| + s sigma) / (1 - c), |mu| <= |floor| +
+      mu - floor gives mu - e >= floor."""
+    m, r = basis.shape
+    s = (np.abs(basis).T @ np.abs(basis)).sum(axis=1).max()  # >= || |V| ||_2^2
+    sigma = norm + abs(floor)
+    c = ((m + 1) * m + r + 2) * np.finfo(float).eps
+    mu = floor + c * (1 + s) * sigma / (1 - c)
+    shifted = mat.copy()  # C order: shifted.T is the Fortran array LAPACK overwrites
     shifted.reshape(-1)[:: m + 1] -= mu
-    blas.dsyrk(tau, vectors[:, :count], beta=1.0, c=shifted.T, overwrite_c=True)
+    blas.dsyrk(sigma, basis, beta=1.0, c=shifted.T, overwrite_c=True)
     _, info = lapack.dpotrf(shifted.T, clean=False, overwrite_a=True)
-    return (values, vectors) if info == 0 else (None, None)
-
-
-def _cholesky_error(m: int) -> float:
-    """The backward error of a Cholesky factorization that succeeds, per
-    unit of ||H||_2: LAPACK's `dpotrf` of a symmetric m x m H in floating
-    point factors H + E with ||E||_2 <= (m + 1) m eps ||H||_2 (Higham,
-    Accuracy and Stability of Numerical Algorithms, thm 10.3).  So when it
-    succeeds, no eigenvalue of H lies below -||E||_2."""
-    return (m + 1) * m * np.finfo(float).eps
+    return info == 0
 
 
 def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None) -> bool:
@@ -352,15 +384,13 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
        and the solver's own error.  With 2 r <= tol, eig_sym's zero
        tolerance, and v - r > tol, one of them counts as zero and the
        other k - 1 as one repeated Fiedler value.
-    2. Count.  Let the window be max(tol + r, 2 k n r), floor = v +
-       window + m eps ||L||_inf, and mu above it by the Cholesky error of
-       H = L + sigma P_S - mu I, with sigma = ||L||_inf + mu and P_S = I_k (x) J_n / n (so sigma P_S adds to the
-       k diagonal blocks alone).  A Cholesky of H that succeeds makes
-       L - floor I + sigma P_S positive definite, so at most k
-       eigenvalues of L lie at or below floor (Courant-Fischer on the
-       complement of S).  Every other one, as a dense solve computes it,
-       lies more than tol above the Fiedler value: the Fiedler eigenspace
-       is the k - 1 pairs near v and no more.
+    2. Count.  Let the window be max(tol + r, 2 k n r) and floor = v +
+       window + m eps ||L||_inf.  `_cholesky_certifies` with V = Y
+       factors L - mu I + sigma P_S, P_S = Y Y^T = I_k (x) J_n / n, with
+       mu just above floor.  When it succeeds, at most k eigenvalues of L
+       lie at or below floor.  Every other one, as a dense solve computes
+       it, lies more than tol above the Fiedler value: the Fiedler
+       eigenspace is the k - 1 pairs near v and no more.
     3. Signs (Davis & Kahan's sin theta theorem).  That eigenspace's
        projector lies within beta = r / delta of the projector onto
        Z = {x (x) 1_n : x orthogonal to 1_k}, with delta = min(v - r,
@@ -378,16 +408,14 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
     is not exactly symmetric; k w within r of the zero tolerance; a
     residual too large, as from a coupling that is not w I; a gap too
     small for the signs; or a failed Cholesky, when an eigenvalue off S
-    lies below k w plus the window.  The checks run cheapest first, and the Cholesky
-    factors one m x m buffer in place."""
+    lies below k w plus the window.  The checks run cheapest first."""
     if value is None:
         return False
     norm, tol, exact = _validated(arr)
     if not exact:
         return False
     m = n * k
-    eps = np.finfo(float).eps
-    slack = m * eps * norm
+    slack = m * np.finfo(float).eps * norm
     # sqrt n R[(a, i), b]: the sum of row (a, i) of L over layer b, less
     # B[a, b] = w (k [a == b] - 1)
     block_sums = arr.reshape(m, k, n).sum(axis=2)
@@ -398,18 +426,9 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
     window = max(tol + radius, 2 * k * n * radius)
     if not 1.0 / (k * n) > radius / min(value - radius, window) + ZERO_ENTRY_TOL:
         return False
-    floor = value + window + slack
-    # ||H||_2 <= ||L||_inf + sigma + mu = 2 (||L||_inf + mu), and forming H
-    # adds 2 eps of that: mu less the error bound rel 2 (||L||_inf + mu) is floor
-    rel = _cholesky_error(m) + 2 * eps
-    mu = (floor + 2 * rel * norm) / (1 - 2 * rel)
-    shifted = arr.copy()  # C order: shifted.T is the Fortran array LAPACK overwrites
-    blocks = shifted.reshape(k, n, k, n)
-    for a in range(k):
-        blocks[a, :, a] += (norm + mu) / n
-    shifted.reshape(-1)[:: m + 1] -= mu
-    _, info = lapack.dpotrf(shifted.T, clean=False, overwrite_a=True)
-    return info == 0
+    # Y = I_k (x) 1_n / sqrt n, whose Y Y^T is P_S
+    layers = np.repeat(np.eye(k), n, axis=0) / np.sqrt(n)
+    return _cholesky_certifies(arr, norm, value + window + slack, layers)
 
 
 def fiedler_bipartition(
@@ -445,13 +464,8 @@ def fiedler_bipartition(
     its rounding of k w) and no eigensolve.  Any other matrix is
     decomposed here.
     """
-    split = None
-    if isinstance(lap, operators.SupraOperator):
-        split = lap.n, lap.k, lap.layer_split_value()
-        # the last reference here: a caller that holds none frees the
-        # operator's adjacency before any solve
-        lap = lap.laplacian
-    arr = np.asarray(lap, dtype=float)
+    supra = isinstance(lap, operators.SupraOperator)
+    arr = np.asarray(lap.laplacian if supra else lap, dtype=float)
     if arr.ndim == 2 and arr.shape[0] < 2:  # any other shape eig_sym rejects
         raise SpectralError("bipartition needs a matrix of size >= 2")
     comp = None
@@ -460,8 +474,8 @@ def fiedler_bipartition(
             comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
             if _falls_apart(arr, comp):
                 return Partition(labels=comp != comp[0], c=2), 0.0, True
-        if split is not None and _certifies_layer_split(arr, *split):
-            return Partition(labels=np.arange(len(arr)) >= split[0], c=2), split[2], False
+        if supra and _certifies_layer_split(arr, lap.n, lap.k, lap.layer_split_value()):
+            return Partition(labels=np.arange(len(arr)) >= lap.n, c=2), lap.layer_split_value(), False
         system = eig_sym(arr, 2)
     if system.zero_multiplicity > 1:
         # edges are the off-diagonal entries; the diagonal adds only self-loops
@@ -583,11 +597,10 @@ def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
     seeds derived deterministically from the RngSeed `seed`, and keeps the
     first with the lowest within-cluster sum of squares."""
     arr = np.asarray(lap, dtype=float)
-    m = arr.shape[0]
     if c < 2:
         raise SpectralError(f"cluster count must be >= 2, got {c}")
-    if c > m:
-        raise SpectralError(f"cannot form {c} clusters from {m} elements")
+    if arr.ndim == 2 and c > len(arr):  # any other shape eig_sym rejects
+        raise SpectralError(f"cannot form {c} clusters from {len(arr)} elements")
     system = eig_sym(arr, c)
     points = np.ascontiguousarray(system.eigenvectors[:, :c])
     rngs = [_restart_rng(seed, restart) for restart in range(RESTARTS)]

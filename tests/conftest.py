@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 
 from mxspec.core import DynamicCoupling, MultiplexNetwork
@@ -14,6 +16,13 @@ def random_network(rng, n=None, k=None):
         np.fill_diagonal(mat, 0.0)
         layers.append(mat)
     return MultiplexNetwork(n=n, k=k, layers=tuple(layers))
+
+
+def report_physical_memory(monkeypatch, nbytes):
+    """Make os.sysconf report `nbytes` of physical memory, in 4 KiB pages."""
+    real = os.sysconf
+    pages = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else real(name))
 
 
 def random_coupling(rng, n, k):

@@ -21,7 +21,7 @@ from mxspec.core import DynamicCoupling, MultiplexNetwork, load_network, save_ne
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
 from mxspec.operators import build_dynamic, build_supra
 
-from conftest import reduced_laplacian
+from conftest import reduced_laplacian, report_physical_memory
 
 
 def run(*argv):
@@ -410,6 +410,24 @@ def test_cluster_rejects_header_too_large_to_allocate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error[multiplex-core]: {net_path}: layer stack")
     assert "cannot allocate a 1000 x 10000000 x 10000000 float64 array" in err
+
+
+def test_cluster_refuses_arrays_above_physical_memory(tmp_path, capsys, monkeypatch):
+    # np.zeros only reserves pages, so without the check these arrays would
+    # be granted and fail when first written; here they fit, and are refused
+    # only because os.sysconf reports 4 MiB
+    report_physical_memory(monkeypatch, 4 << 20)
+    net_path = tmp_path / "net.mpx"
+    for header, expected in (
+            ("#nodes 1000\n#layers 1\n", f"error[multiplex-core]: {net_path}: layer stack "
+             "(#layers x #nodes x #nodes): cannot allocate a 1 x 1000 x 1000 float64 array"),
+            ("#nodes 300\n#layers 4\n", "error[operators]: supra operator: "
+             "cannot allocate a 1200 x 1200 float64 array (0.0107 GiB)")):
+        net_path.write_text(header)
+        code = run("cluster", "--input", str(net_path), "--model", "supra",
+                   "--out", str(tmp_path / "a.csv"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(expected), header
 
 
 def test_cluster_without_fiedler_eigenvalue_reports_multiplicity_zero(tmp_path):

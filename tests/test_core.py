@@ -520,3 +520,7 @@ def test_coupling_config_validation():
     assert np.all(coupling.diag == 1.0)
     disjoint = DynamicCoupling.uniform(np.eye(2), 3)
     assert np.all(disjoint.diag[0, 0] == 1.0) and np.all(disjoint.diag[0, 1] == 0.0)
+    # a table that is not k x k, not numpy's broadcast error
+    for table in ([[1.0, 2.0]], [1.0, 2.0], 1.0):
+        with pytest.raises(ParseError, match="shape"):
+            DynamicCoupling.uniform(table, 3)

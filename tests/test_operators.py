@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from mxspec.operators import (
 )
 from mxspec.spectral import eig_sym
 
-from conftest import random_coupling, random_network, reduced_laplacian
+from conftest import random_coupling, random_network, reduced_laplacian, report_physical_memory
 
 
 def two_layer_example():
@@ -120,6 +121,24 @@ def test_build_supra_k1_ignores_w():
 def test_build_supra_rejects_negative_w():
     with pytest.raises(ParseError):
         build_supra(two_layer_example(), -1.0)
+
+
+def test_build_refuses_an_operator_above_physical_memory(monkeypatch):
+    # a stand-in with only the sizes: refused before np.zeros, which would
+    # grant the 32 MB and then find no layer to read
+    report_physical_memory(monkeypatch, 4 << 20)
+    with pytest.raises(OperatorError, match="supra operator: cannot allocate a 2000 x 2000 "):
+        build_supra(SimpleNamespace(n=1000, k=2, layers=()), 1.0)
+    net = random_network(np.random.default_rng(5), n=20, k=3)
+    expected = build_supra(net, 1.0).laplacian  # fits: 28.8 kB
+
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    # where the platform reports no memory size, np.zeros alone decides
+    for sysconf in (unreported, lambda name: -1):
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        np.testing.assert_array_equal(build_supra(net, 1.0).laplacian, expected)
 
 
 def test_layer_split_value_is_k_times_w_for_supra_alone():
@@ -460,11 +479,12 @@ def test_laplacian_is_bitwise_diag_of_row_sums_minus_matrix():
         sym = signed_zero_symmetric(rng, int(rng.integers(1, 12)))
         expected = np.diag(sym.sum(1)) - sym
         assert laplacian(sym).tobytes() == expected.tobytes()
-    # a strided view, as `decompose` passes op.block(a, a)
+    # a strided view: a diagonal layer block of an operator's adjacency
     net = random_network(rng, n=5, k=3)
     for op in (build_supra(net, -0.0), build_dynamic(net, random_coupling(rng, 5, 3))):
+        adj = op.adjacency
         for a in range(3):
-            block = op.block(a, a)
+            block = adj[a * 5:(a + 1) * 5, a * 5:(a + 1) * 5]
             assert not block.flags.c_contiguous
             expected = np.diag(block.sum(1)) - block
             assert laplacian(block).tobytes() == expected.tobytes()
@@ -495,7 +515,8 @@ def test_builders_equal_symmetrized_assembly_bitwise():
         built = (build_supra(net, w), build_dynamic(net, DynamicCoupling(diag)))
         for op, raw in zip(built, (raw_supra, raw_dynamic)):
             sym = symmetrize(raw)
-            assert op.adjacency.tobytes() == sym.tobytes()
+            # read back from L = 0.0 - S, a -0.0 of S reads +0.0
+            assert op.adjacency.tobytes() == (sym + 0.0).tobytes()
             assert op.laplacian.tobytes() == (np.diag(sym.sum(1)) - sym).tobytes()
 
 
@@ -519,19 +540,31 @@ def test_build_allocates_each_operator_matrix_once(build):
         assert peak <= 2.2 * m * m * 8, (n, k, peak / (m * m * 8))
 
 
-def test_supra_operator_keeps_a_float_adjacency_and_locks_it():
-    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    op = SupraOperator(model="supra", n=1, k=2, adjacency=adj, coupling=1.0)
-    assert np.shares_memory(op.adjacency, adj)
-    with pytest.raises(ValueError):
-        adj[0, 1] = 2.0
-    integer = np.array([[0, 1], [1, 0]])
-    op = SupraOperator(model="supra", n=1, k=2, adjacency=integer, coupling=1.0)
-    assert op.adjacency.dtype == np.float64 and not np.shares_memory(op.adjacency, integer)
-    np.testing.assert_array_equal(op.adjacency, adj)
-    integer[0, 1] = 5  # the caller's array of another dtype stays writable
-    # an adjacency that is rejected is not locked
+def test_supra_operator_leaves_the_callers_array_writable_and_unshared():
+    expected = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for given in (expected.copy(), np.array([[0, 1], [1, 0]])):
+        op = SupraOperator(model="supra", n=1, k=2, adjacency=given, coupling=1.0)
+        assert not any(np.shares_memory(given, arr) for arr in vars(op).values()
+                       if isinstance(arr, np.ndarray))
+        given[0, 1] = given[1, 0] = 5  # writable, and the operator does not see it
+        assert op.adjacency.dtype == np.float64
+        np.testing.assert_array_equal(op.adjacency, expected)
+        np.testing.assert_array_equal(op.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
+    # an adjacency that is rejected stays writable too
     asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(OperatorError):
         SupraOperator(model="supra", n=1, k=2, adjacency=asymmetric, coupling=1.0)
     asymmetric[1, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda net: build_supra(net, 1.0),
+    lambda net: build_dynamic(net, DynamicCoupling.identity(net.n, net.k)),
+], ids=["supra", "dynamic"])
+def test_built_operator_keeps_one_matrix(build):
+    # the Laplacian alone: the adjacency and its blocks are read back from
+    # it, and reading them caches nothing
+    op = build(gen_er_multiplex(20, 3, 0.3, RngSeed(1)))
+    op.adjacency, op.block(0, 1)
+    arrays = [arr for arr in vars(op).values() if isinstance(arr, np.ndarray)]
+    assert sum(arr.nbytes for arr in arrays) == op.num_copies ** 2 * 8

@@ -194,6 +194,9 @@ def test_eig_sym_rejects_non_finite_and_bad_count():
         eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(SpectralError):
         eig_sym(np.eye(3), 0)
+    for count in (None, 1):  # not numpy's error from the sign fixing
+        with pytest.raises(SpectralError, match=r"size >= 1, got shape \(0, 0\)"):
+            eig_sym(np.zeros((0, 0)), count)
 
 
 def _solver_systems(lap, rng):
@@ -235,6 +238,38 @@ def test_fiedler_split_independent_of_eigenbasis(k):
         # P e_0 puts layer 0 on one side and the other layers on the other
         np.testing.assert_array_equal(reference.labels, np.repeat([0] + [1] * (k - 1), n))
         assert eig_sym(lap, 2).fiedler_multiplicity == k - 1
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_rotation_inside_the_repeated_fiedler_eigenspace_keeps_the_labels(monkeypatch, model):
+    # desk-shaped nets at k = 6: supra with k w = 6 below the community
+    # eigenvalue (5-fold), and dynamic at p = 1.0, where all layers are one
+    # graph and the Fiedler value is 500-fold
+    n, k = 100, 6
+    if model == "supra":
+        net, _ = gen_fixed_sbm_multiplex(n, k, 0.3, RngSeed(k, ("rotation", model)))
+        op = build_supra(net, 1.0)
+    else:
+        net, _ = gen_fixed_sbm_multiplex(n, k, 1.0, RngSeed(k, ("rotation", model)))
+        op = build_dynamic(net, DynamicCoupling.identity(n, k))
+    system = eig_sym(op.laplacian, 2)
+    fiedler = system.fiedler_mask()
+    assert fiedler.sum() == (k - 1 if model == "supra" else (k - 1) * n)
+    expected, _, expected_degenerate = fiedler_bipartition(op.laplacian, system)
+    rng = np.random.default_rng(k)
+    for trial in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((fiedler.sum(), fiedler.sum())))
+        vectors = system.eigenvectors.copy()
+        vectors[:, fiedler] = vectors[:, fiedler] @ q
+        rotated = EigenSystem(system.eigenvalues, vectors, system.zero_tolerance)
+        part, _, degenerate = fiedler_bipartition(op.laplacian, rotated)
+        np.testing.assert_array_equal(part.labels, expected.labels, err_msg=str(trial))
+        assert degenerate is expected_degenerate is False
+    if model == "supra":
+        answers = certificate_spy(monkeypatch)
+        certified, _, degenerate = fiedler_bipartition(op)
+        assert answers == [True] and degenerate is False
+        np.testing.assert_array_equal(certified.labels, expected.labels)
 
 
 def test_fiedler_three_path_zero_entry_tie_break():
@@ -434,6 +469,9 @@ def test_kway_argument_validation():
         spectral_kway(lap, 5, RngSeed(1))
     with pytest.raises(SpectralError):
         spectral_kway(lap, 1, RngSeed(1))
+    # a scalar has no rows to count: eig_sym's message, as fiedler_bipartition gives
+    with pytest.raises(SpectralError, match=r"expected a square matrix, got shape \(\)"):
+        spectral_kway(np.float64(1.0), 2, RngSeed(1))
 
 
 def test_kway_every_label_used():
@@ -591,6 +629,11 @@ def test_partition_validation():
     np.testing.assert_array_equal(part.indicator(), [1.0, -1.0, 1.0])
     with pytest.raises(SpectralError):
         Partition(labels=np.array([0, 1, 2]), c=3).indicator()
+    # a label that is not a whole number is refused, not truncated
+    with pytest.raises(SpectralError, match="integers"):
+        Partition(labels=np.array([0.5, 1.0]), c=2)
+    for labels in (np.array([1.0, 0.0]), np.array([False, True])):
+        assert Partition(labels=labels, c=2).labels.tolist() == labels.astype(int).tolist()
 
 
 def test_import_leaves_scipy_optimize_unloaded():
