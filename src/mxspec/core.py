@@ -98,8 +98,22 @@ def _names_regular_file(name: str, read: os.stat_result) -> bool:
         return False
 
 
+class Locked:
+    """Base of the immutable data classes, whose arrays are locked
+    read-only.  Pickle and copy.deepcopy rebuild an array writeable, so
+    unpickling locks each array field, and each array in a tuple field,
+    again."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class MultiplexNetwork:
+class MultiplexNetwork(Locked):
     """Immutable multiplex network: n nodes, k layers of n x n adjacency.
 
     Layer matrices are non-negative with zero diagonal (no self-loops).
@@ -136,7 +150,7 @@ class MultiplexNetwork:
 
 
 @dataclass(frozen=True)
-class DynamicCoupling:
+class DynamicCoupling(Locked):
     """Coupling for the dynamical model: per layer pair (a, b) a diagonal
     matrix, stored as a length-n vector of its diagonal.
 

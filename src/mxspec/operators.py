@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .core import DynamicCoupling, MultiplexNetwork, check_weights, read_lines, zeros
+from .core import DynamicCoupling, Locked, MultiplexNetwork, check_weights, read_lines, zeros
 from .errors import OperatorError, ParseError
 
 
@@ -54,7 +54,7 @@ def laplacian(sym: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, init=False)
-class SupraOperator:
+class SupraOperator(Locked):
     """An nk x nk symmetric operator, kept as its Laplacian, with provenance.
 
     model is "supra" or "dynamic"; coupling holds the weight w or the

@@ -12,8 +12,9 @@ them, from FIEDLER_LANCZOS_MIN rows on for count <= 2 and from
 LANCZOS_MIN rows on for more.  Its certificates alone decide: a solve
 they refuse, such as one of a disconnected matrix, whose zero eigenvalue
 repeats, falls through to the subset solve.  Its eigenvalue count and the
-supra layer split's below are proved by one Cholesky factorization
-(`_cholesky_certifies`), which states the lemma and its error budget.
+supra layer split's below are proved by Cholesky factorizations through
+one helper (`_cholesky_certifies`), which states the lemma and its error
+budget.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -33,23 +34,28 @@ which does not depend on the basis LAPACK returns.
 Below a transition weight the supra Fiedler eigenspace is that layer
 split, and its P e_0 is known in closed form: layer 0 against the rest.
 `fiedler_bipartition` handed a connected supra operator proves this with
-one Cholesky factorization instead of an eigensolve
+Cholesky factorizations instead of an eigensolve
 (`_certifies_layer_split`): the block sums of L bound how far the
-layer-constant vectors are from invariant, a Cholesky of L + sigma P_S -
-mu I with mu just above k*w shows that no other eigenvalue lies within a
-window above k*w (the zero tolerance, or 2 k n times the residual when
-that is wider), and a Davis-Kahan bound keeps every sign of P e_0 on its
-side of 1e-12.  The margins cover the zero tolerance, the residual, the
-dense solver's error and the rounding of forming and factoring the
-Cholesky's matrix, so a certified split is the one the dense path
-returns.  The dynamic model, a bare matrix, k = 1, and any failed check
-go to `eig_sym` unchanged.  At n = 100 (BLAS at one thread, a shared
-2-core host) it takes about 0.8 ms at k = 2, where `eig_sym(lap, 2)` takes 2.7 ms.  At k = 6 (m = 600, the
-fixed-sbm desk sweep's 72 certified points) it takes a median of 4.3 ms,
-where `eig_sym(lap, 2)` takes 21 ms: 16 ms for the subset solve and the
-rest for the Lanczos attempt, which a repeated k w refuses.  A refused
-call (8 points) adds a median of 4.2 ms before its eigensolve, which
-there is a certified Lanczos solve of 8.6 ms (15 ms for the subset solve).
+layer-constant vectors are from invariant; a Cholesky of each layer's
+n x n diagonal block, or, once one of them refuses, one of
+L + sigma P_S - mu I with mu just above k*w, shows that no other
+eigenvalue lies within a window above k*w (the zero tolerance, or
+2 k n times the residual when that is wider); and a Davis-Kahan bound
+keeps every sign of P e_0 on its side of 1e-12.  The margins cover the
+zero tolerance, the residual, the dense solver's error and the rounding
+of forming and factoring the Cholesky's matrix, so a certified split is
+the one the dense path returns.  The dynamic model, a bare matrix,
+k = 1, and any failed check go to `eig_sym` unchanged.  At n = 100 (BLAS
+at one thread, a shared 2-core host) it takes a median of 0.24 ms at
+k = 2 (0.29 ms with the 200 x 200 factorization alone), where
+`eig_sym(lap, 2)` takes 2.7 ms.  At k = 6 (m = 600, the fixed-sbm desk
+sweep's 72 certified points) it takes 1.7 ms (3.8-4.0 ms with the
+600 x 600 one alone), where `eig_sym(lap, 2)` takes 21 ms: 16 ms for the
+subset solve and the rest for the Lanczos attempt, which a repeated k w
+refuses.  A refused call (8 points) adds a median of 4.2 ms before its
+eigensolve (3.8 ms with the 600 x 600 factorization alone), and the
+eigensolve there is a certified Lanczos solve of 8.6 ms (15 ms for the
+subset solve).
 """
 
 from __future__ import annotations
@@ -142,7 +148,8 @@ class Partition:
     c: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels).astype(int)  # a copy; a label it changes is refused below
+        with np.errstate(invalid="ignore"):  # a NaN, inf or 1e300 the cast cannot hold
+            labels = np.asarray(self.labels).astype(int)  # a copy; a label it changes is refused below
         if labels.ndim != 1:
             raise SpectralError("labels must be a 1-d vector")
         if labels.size and (labels.min() < 0 or labels.max() >= self.c
@@ -385,12 +392,39 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
        tolerance, and v - r > tol, one of them counts as zero and the
        other k - 1 as one repeated Fiedler value.
     2. Count.  Let the window be max(tol + r, 2 k n r) and floor = v +
-       window + m eps ||L||_inf.  `_cholesky_certifies` with V = Y
+       window + m eps ||L||_inf.  When x^T L x > floor ||x||^2 for every
+       x orthogonal to span Y, at most k eigenvalues of L lie at or below
+       floor (Courant-Fischer).  Every other one, as a dense solve
+       computes it, lies more than tol above the Fiedler value: the
+       Fiedler eigenspace is the k - 1 pairs near v and no more.
+
+       It is shown one layer at a time first.  Write L = blockdiag(L_aa)
+       + O: L_aa the diagonal blocks (L_a + (k - 1) w I for
+       `build_supra`), O the rest (||O||_inf = (k - 1) w there).  Such an
+       x has each layer part x_a orthogonal to 1_n, and x^T O x >=
+       -||O||_2 ||x||^2 >= -||O||_inf ||x||^2, as O is symmetric.  So it
+       suffices that each block passes `_cholesky_certifies(L_aa,
+       ||L_aa||_inf, floor + off, 1_n / sqrt n)` with off >= ||O||_inf:
+       then x_a^T L_aa x_a > (floor + off) ||x_a||^2 for every a, and the
+       sum over a gives the bound.  off is the largest row sum of |L|
+       outside the row's own block, read from L (a hand-built operator's
+       blocks need not be w I), plus m eps ||L||_inf for its rounding.
+       With u = eps / 2, each n-term block sum of |L| (terms >= 0) is
+       within (n - 1) u of exact, the k-term row total adds (k - 1) u,
+       and taking the own block's sum, one of the k terms, back out adds
+       one rounding: the computed value is within (n + k - 1) u of the
+       row's |L| sum to first order, and n + k - 1 < 2 n k.  The rounding
+       of ||L_aa||_inf and of floor + off lies far inside the factor two
+       by which the helper's margin exceeds its first-order budget.
+       These k factorizations of n x n cost k^2 fewer flops than one of
+       m x m.
+
+       Each layer must absorb the whole bound off, so the test holds on
+       fewer operators than the claim does.  The first block that refuses
+       stops it, and
+       `_cholesky_certifies` with V = Y then decides on L itself: it
        factors L - mu I + sigma P_S, P_S = Y Y^T = I_k (x) J_n / n, with
-       mu just above floor.  When it succeeds, at most k eigenvalues of L
-       lie at or below floor.  Every other one, as a dense solve computes
-       it, lies more than tol above the Fiedler value: the Fiedler
-       eigenspace is the k - 1 pairs near v and no more.
+       mu just above floor.
     3. Signs (Davis & Kahan's sin theta theorem).  That eigenspace's
        projector lies within beta = r / delta of the projector onto
        Z = {x (x) 1_n : x orthogonal to 1_k}, with delta = min(v - r,
@@ -407,8 +441,8 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
     It refuses: no layer split value (dynamic, or k = 1); an `arr` that
     is not exactly symmetric; k w within r of the zero tolerance; a
     residual too large, as from a coupling that is not w I; a gap too
-    small for the signs; or a failed Cholesky, when an eigenvalue off S
-    lies below k w plus the window.  The checks run cheapest first."""
+    small for the signs; or a failed m x m Cholesky, when an eigenvalue
+    off S lies below k w plus the window.  The checks run cheapest first."""
     if value is None:
         return False
     norm, tol, exact = _validated(arr)
@@ -426,9 +460,16 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
     window = max(tol + radius, 2 * k * n * radius)
     if not 1.0 / (k * n) > radius / min(value - radius, window) + ZERO_ENTRY_TOL:
         return False
-    # Y = I_k (x) 1_n / sqrt n, whose Y Y^T is P_S
-    layers = np.repeat(np.eye(k), n, axis=0) / np.sqrt(n)
-    return _cholesky_certifies(arr, norm, value + window + slack, layers)
+    floor = value + window + slack
+    # |L| summed over each layer block of each row: less the row's own
+    # block, the rest bounds ||O||_inf
+    magnitude = np.abs(arr).reshape(m, k, n).sum(axis=2)
+    own = magnitude[np.arange(m), np.arange(m) // n]
+    off = float((magnitude.sum(axis=1) - own).max()) + slack
+    blocks, norms = arr.reshape(k, n, k, n), own.reshape(k, n).max(axis=1)
+    unit = np.full((n, 1), 1.0 / np.sqrt(n))  # Y = I_k (x) unit, whose Y Y^T is P_S
+    return (all(_cholesky_certifies(blocks[a, :, a], norms[a], floor + off, unit) for a in range(k))
+            or _cholesky_certifies(arr, norm, floor, np.kron(np.eye(k), unit)))
 
 
 def fiedler_bipartition(

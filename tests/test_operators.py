@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import tracemalloc
 from types import SimpleNamespace
 
@@ -568,3 +570,18 @@ def test_built_operator_keeps_one_matrix(build):
     op.adjacency, op.block(0, 1)
     arrays = [arr for arr in vars(op).values() if isinstance(arr, np.ndarray)]
     assert sum(arr.nbytes for arr in arrays) == op.num_copies ** 2 * 8
+
+
+def test_unpickled_arrays_stay_locked():
+    rng = np.random.default_rng(25)
+    net = random_network(rng, n=5, k=3)
+    coupling = random_coupling(rng, 5, 3)
+    for obj, arrays in ((net, lambda x: x.layers), (coupling, lambda x: (x.diag,)),
+                        (build_supra(net, 0.5), lambda x: (x.laplacian,)),
+                        (build_dynamic(net, coupling), lambda x: (x.laplacian, x.coupling.diag))):
+        copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        name = type(obj).__name__
+        for other in copies + [copy.deepcopy(obj)]:
+            for got, expected in zip(arrays(other), arrays(obj), strict=True):
+                assert not got.flags.writeable, name
+                assert got.tobytes() == expected.tobytes() and got.shape == expected.shape, name

@@ -636,6 +636,13 @@ def test_partition_validation():
         assert Partition(labels=labels, c=2).labels.tolist() == labels.astype(int).tolist()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_partition_refuses_a_label_the_cast_cannot_hold(bad):
+    # with RuntimeWarning an error, the cast's own warning would be raised
+    with pytest.raises(SpectralError, match=r"^labels must be integers in \[0, 2\)$"):
+        Partition(labels=np.array([bad, 1.0]), c=2)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     """scipy.optimize loads on the first match_partitions call, not with
     the package."""
@@ -970,6 +977,20 @@ def certificate_spy(monkeypatch):
     return answers
 
 
+def factorization_spy(monkeypatch):
+    """Route spectral.lapack.dpotrf through a wrapper; returns the order of
+    each matrix it factors."""
+    sizes = []
+    real = spectral.lapack.dpotrf
+
+    def spied(mat, *args, **kwargs):
+        sizes.append(mat.shape[0])
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.lapack, "dpotrf", spied)
+    return sizes
+
+
 def test_certified_layer_split_equals_the_dense_path(monkeypatch):
     calls = counting_eig_sym(monkeypatch)
     answers = certificate_spy(monkeypatch)
@@ -1012,15 +1033,15 @@ def test_certified_split_survives_relabeling_and_scaling(monkeypatch, k):
     assert answers == [True] * 4
 
 
-def hand_built_supra(net, w, coupling_diag):
-    """A SupraOperator(model="supra") that claims weight w but couples the
-    copies of node i by coupling_diag[i]."""
+def hand_built_supra(net, w, coupling):
+    """A SupraOperator(model="supra") that claims weight w but has the
+    symmetric n x n `coupling` as every off-diagonal block."""
     n, k = net.n, net.k
     adj = np.zeros((n * k, n * k))
     for a in range(k):
         for b in range(k):
             block = adj[a * n:(a + 1) * n, b * n:(b + 1) * n]
-            block[...] = operators.symmetrize(net.layers[a]) if a == b else np.diag(coupling_diag)
+            block[...] = operators.symmetrize(net.layers[a]) if a == b else coupling
     return operators.SupraOperator(model="supra", n=n, k=k, adjacency=adj, coupling=w)
 
 
@@ -1041,7 +1062,7 @@ def refused_supra_operators():
     yield "k w above the community eigenvalue", build_supra(large, 5.0), True, True
     diag = np.full(30, 1.0)
     diag[7] = 1.5
-    yield "coupling not w I", hand_built_supra(net, 1.0, diag), True, False
+    yield "coupling not w I", hand_built_supra(net, 1.0, np.diag(diag)), True, False
     adj = build_supra(net, 1.0).adjacency.copy()
     adj[0, 1] += 1e-14  # within laplacian's symmetry tolerance, not exact
     inexact = operators.SupraOperator(model="supra", n=30, k=2, adjacency=adj, coupling=1.0)
@@ -1050,20 +1071,18 @@ def refused_supra_operators():
 
 def test_refused_layer_split_falls_through_bitwise(monkeypatch):
     answers = certificate_spy(monkeypatch)
-    factorizations = []
-    real_dpotrf = spectral.lapack.dpotrf
-
-    def counted_dpotrf(*args, **kwargs):
-        factorizations.append(1)
-        return real_dpotrf(*args, **kwargs)
-
-    monkeypatch.setattr(spectral.lapack, "dpotrf", counted_dpotrf)
+    sizes = factorization_spy(monkeypatch)
     for name, op, reached, factored in refused_supra_operators():
         expected, expected_value, expected_degenerate = fiedler_bipartition(op.laplacian)
-        del answers[:], factorizations[:]
+        del answers[:], sizes[:]
         part, value, degenerate = fiedler_bipartition(op)
         assert answers == ([False] if reached else []), name
-        assert factorizations == ([1] if factored else []), name
+        # the layers' n x n blocks, up to the first that refuses, then L
+        if factored:
+            assert sizes[-1] == op.num_copies and 1 <= len(sizes) <= op.k + 1, name
+            assert sizes[:-1] == [op.n] * (len(sizes) - 1), name
+        else:
+            assert sizes == [], name
         assert part.labels.tobytes() == expected.labels.tobytes(), name
         assert (value, degenerate) == (expected_value, expected_degenerate), name
         assert np.float64(value).tobytes() == np.float64(expected_value).tobytes(), name
@@ -1081,7 +1100,7 @@ def test_layer_split_refusals_are_the_ones_named():
     assert not scipy.linalg.issymmetric(cases["not exactly symmetric"].laplacian)
     # the hand-built operator certifies once its coupling is w I
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
-    op = hand_built_supra(net, 1.0, np.full(30, 1.0))
+    op = hand_built_supra(net, 1.0, np.eye(30))
     np.testing.assert_array_equal(op.laplacian, build_supra(net, 1.0).laplacian)
     assert spectral._certifies_layer_split(op.laplacian, op.n, op.k, op.layer_split_value())
 
@@ -1093,7 +1112,7 @@ def test_layer_split_window_covers_a_residual_beside_the_tolerance(monkeypatch):
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
     diag = np.full(30, 1.0)
     diag[7] = 1.0 + 3e-8
-    op = hand_built_supra(net, 1.0, diag)
+    op = hand_built_supra(net, 1.0, np.diag(diag))
     expected, _, expected_degenerate = fiedler_bipartition(op.laplacian)
     answers = certificate_spy(monkeypatch)
     calls = counting_eig_sym(monkeypatch)
@@ -1102,6 +1121,99 @@ def test_layer_split_window_covers_a_residual_beside_the_tolerance(monkeypatch):
     np.testing.assert_array_equal(part.labels, expected.labels)
     assert degenerate is expected_degenerate is False
     assert value == 2.0
+
+
+def test_certified_layer_split_factors_each_layer_alone(monkeypatch):
+    # k factorizations of n x n and none of the m x m Laplacian
+    sizes = factorization_spy(monkeypatch)
+    answers = certificate_spy(monkeypatch)
+    for name, op in desk_supra_operators():
+        if name.startswith("fixed-sbm"):
+            del sizes[:], answers[:]
+            fiedler_bipartition(op)
+            assert (answers, sizes) == ([True], [op.n] * op.k), name
+
+
+def test_a_refusing_layer_falls_back_to_one_full_factorization(monkeypatch):
+    # k w = 10 lies below every eigenvalue outside S, but not below layer
+    # 0's lambda_2 less the window, as the per-layer test needs
+    net, _, _ = gen_overlap_multiplex(100, 0.9, 0.1, RngSeed(2, ("certified", 5.0)))
+    op = build_supra(net, 5.0)
+    expected, _, _ = fiedler_bipartition(op.laplacian)
+    sizes = factorization_spy(monkeypatch)
+    answers = certificate_spy(monkeypatch)
+    part, value, degenerate = fiedler_bipartition(op)
+    assert answers == [True] and sizes[-1] == op.num_copies
+    assert set(sizes[:-1]) == {op.n} and len(sizes) - 1 <= op.k
+    np.testing.assert_array_equal(part.labels, expected.labels)
+    assert (value, degenerate) == (10.0, False)
+
+
+def reference_certifies_layer_split(arr, n, k, value):
+    """`_certifies_layer_split` as it decided with one m x m Cholesky
+    count, before the layers' diagonal blocks were factored first."""
+    if value is None:
+        return False
+    norm, tol, exact = spectral._validated(arr)
+    if not exact:
+        return False
+    m = n * k
+    slack = m * np.finfo(float).eps * norm
+    block_sums = arr.reshape(m, k, n).sum(axis=2)
+    block_sums -= np.repeat(value * (np.eye(k) - 1.0 / k), n, axis=0)
+    radius = float(np.linalg.norm(block_sums)) / np.sqrt(n) + 3 * slack
+    if not (2 * radius <= tol and value - radius > tol):
+        return False
+    window = max(tol + radius, 2 * k * n * radius)
+    if not 1.0 / (k * n) > radius / min(value - radius, window) + spectral.ZERO_ENTRY_TOL:
+        return False
+    layers = np.repeat(np.eye(k), n, axis=0) / np.sqrt(n)
+    return spectral._cholesky_certifies(arr, norm, value + window + slack, layers)
+
+
+def layer_split_sample():
+    """(name, operator) of a seeded sample of desk-shaped supra nets at
+    k in {2, 3, 5, 6}, and of hand-built ones whose off-diagonal blocks
+    have the block sums of w I but not its entries."""
+    rng = np.random.default_rng(25)
+    for k in (2, 3, 5, 6):
+        for p, w in zip(rng.choice(np.round(0.1 * np.arange(11), 1), 3), rng.choice([0.1, 1.0, 2.0, 5.0], 3)):
+            net, _ = gen_fixed_sbm_multiplex(100, k, p, RngSeed(k, ("sample", p, w)))
+            yield f"fixed-sbm k={k} p={p} w={w}", build_supra(net, w)
+        for p in rng.choice([0.05, 0.15, 0.25, 0.35, 0.45], 2):
+            yield f"er k={k} p={p}", build_supra(gen_er_multiplex(100, k, p, RngSeed(k, ("sample", p))), 1.0)
+    for w in (0.5, 1.0, 2.0, 3.0, 5.0):
+        net, _, _ = gen_overlap_multiplex(100, 0.9, 0.1, RngSeed(3, ("sample", w)))
+        yield f"overlap-supra w={w}", build_supra(net, w)
+    for k in (2, 3):
+        net, _ = gen_fixed_sbm_multiplex(30, k, 0.3, RngSeed(1, ("refused",)))
+        for w in (1.0, 3.0, 4.0):
+            yield f"w J / n k={k} w={w}", hand_built_supra(net, w, np.full((30, 30), w / 30))
+    # -8 I + 10 (a symmetric permutation) has the block sums of w I at
+    # w = 2 but |row| sums of 18.  An eigenvalue off S lies near 2.0, below
+    # k w = 4; each layer's lambda_2 is above 9, so a bound on ||O||_inf
+    # read from the coupling, (k - 1) w, would pass every layer
+    net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
+    swap = np.eye(30)[np.arange(30) ^ 1]
+    yield "signed coupling", hand_built_supra(net, 2.0, 10.0 * swap - 8.0 * np.eye(30))
+
+
+def test_layer_by_layer_certificate_decides_as_the_full_one(monkeypatch):
+    sizes = factorization_spy(monkeypatch)
+    paths = []
+    for name, op in layer_split_sample():
+        split = op.laplacian, op.n, op.k, op.layer_split_value()
+        del sizes[:]
+        got = spectral._certifies_layer_split(*split)
+        paths.append((got, op.num_copies in sizes))
+        assert got is reference_certifies_layer_split(*split), name
+        if name == "signed coupling":
+            expected, expected_value, _ = fiedler_bipartition(op.laplacian)
+            part, value, _ = fiedler_bipartition(op)
+            np.testing.assert_array_equal(part.labels, expected.labels)
+            assert value == expected_value < op.layer_split_value()
+    # certified layer by layer, certified by the fallback, and refused
+    assert {(True, False), (True, True), (False, True)} <= set(paths)
 
 
 def forced_path_operators():
