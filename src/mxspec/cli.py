@@ -200,7 +200,7 @@ def _cmd_cluster(args) -> int:
         with np.errstate(over="ignore"):
             lap = laplacian(sum(symmetrize(layer) for layer in net.layers))
     else:
-        lap = _build_operator(args, net).laplacian
+        lap = _build_operator(args, net)  # the operator: its build validated L
     if args.clusters == 2:
         system = eig_sym(lap, 2)
         part, _, degenerate = fiedler_bipartition(lap, system)

@@ -337,7 +337,7 @@ def _regime_instance(params: dict, rng: RngSeed) -> list:
 def _kway_instance(params: dict, rng: RngSeed) -> list:
     net, _, _ = gen_overlap_multiplex(
         int(params["n"]), float(params["intra"]), float(params["inter"]), rng.spawn("net"))
-    part = spectral_kway(_operator(net, params).laplacian, 4, rng.spawn("cluster"))
+    part = spectral_kway(_operator(net, params), 4, rng.spawn("cluster"))
     equal, _ = match_partitions(part, kway_target_partition(net.n))
     # used_clusters is always 4 after empty-cluster repair; major_clusters
     # (>= 5% of elements) is what collapses when the embedding only

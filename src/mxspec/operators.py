@@ -6,8 +6,9 @@ the dynamical model mirrors each layer's neighborhoods across layers
 through per-pair diagonal coupling matrices.  Either way a builder fills
 the symmetric matrix S and the operator keeps only its graph Laplacian
 `laplacian` (degree diagonal minus S), one nk x nk array, from which it
-reads `adjacency` back on demand.  Spectral clustering reads the
-Laplacian; cut analysis reads both.
+reads `adjacency` back on demand, and the ||L||_inf and exactness that
+the scan checking S found.  Spectral clustering reads the Laplacian and
+those two facts; cut analysis reads L and S.
 """
 
 from __future__ import annotations
@@ -34,23 +35,35 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 def laplacian(sym: np.ndarray) -> np.ndarray:
     """Graph Laplacian L = D - S of a symmetric matrix, D = diag(row sums).
-    Every operator's Laplacian is made here, and rejected here when a
-    weight or a sum of weights is past the float range."""
+    Every operator's Laplacian is made by this one scan
+    (`_checked_laplacian`), and rejected there when a weight or a sum of
+    weights is past the float range."""
+    return _checked_laplacian(sym)[0]
+
+
+def _checked_laplacian(sym: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """(L, ||L||_inf, whether L is exactly symmetric) of `laplacian(sym)`,
+    all from its one scan of |S|."""
     arr = np.asarray(sym, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         magnitude = np.abs(arr)
         scale = max(1.0, float(magnitude.max(initial=0.0)))
-        degree = arr.sum(axis=1)
-        # |D - S| sums to at most |degree| + sum |S| along each row.  When
-        # that bound is finite, so is every entry of L and the Gershgorin
-        # bound on its eigenvalues that eig_sym takes its zero tolerance from
-        if not np.isfinite(np.abs(degree) + magnitude.sum(axis=1)).all():
+        diag = arr.sum(axis=1) - arr.diagonal()
+        # |S| is |L| off the diagonal.  With |L_ii| on it, its largest row
+        # sum is ||L||_inf, bit for bit as summed over |L| itself: the
+        # Gershgorin bound on L's eigenvalues that eig_sym takes its zero
+        # tolerance from, finite only when every entry of L is
+        np.fill_diagonal(magnitude, np.abs(diag))
+        norm = float(magnitude.sum(axis=1).max(initial=0.0))
+        if not np.isfinite(norm):
             raise OperatorError("operator Laplacian: the weights sum past the float range")
-        if not (linalg.issymmetric(arr) or linalg.issymmetric(arr, atol=1e-12 * scale)):
+        # S and L = 0.0 - S off the diagonal are symmetric alike
+        exact = linalg.issymmetric(arr)
+        if not (exact or linalg.issymmetric(arr, atol=1e-12 * scale)):
             raise OperatorError("laplacian requires a symmetric matrix")
     np.subtract(0.0, arr, out=magnitude)  # |S| becomes L: 0.0 - S, as -S gives -0.0
-    np.fill_diagonal(magnitude, degree - arr.diagonal())  # bit for bit diag(degree) - S
-    return magnitude
+    np.fill_diagonal(magnitude, diag)  # bit for bit diag(degree) - S
+    return magnitude, norm, exact
 
 
 @dataclass(frozen=True, init=False)
@@ -63,6 +76,10 @@ class SupraOperator(Locked):
     rejecting an S that is not symmetric.  Only L is kept: S is read back
     from it, and the caller's array is neither kept nor locked.  Copies
     are indexed layer-major: copy of node i on layer a sits at a*n + i.
+
+    The scan that checks S also gives `norm`, ||L||_inf, and `exact`,
+    whether L is exactly symmetric, which the spectral functions read
+    instead of scanning L again: an operator is validated once, here.
     """
 
     model: str
@@ -70,6 +87,8 @@ class SupraOperator(Locked):
     k: int
     coupling: object
     laplacian: np.ndarray
+    norm: float
+    exact: bool
 
     # a hand-written __init__: `adjacency` is a constructor argument but not
     # a field, since a property of that name reads it back
@@ -80,14 +99,17 @@ class SupraOperator(Locked):
             raise OperatorError(f"operator must be {m} x {m}, got {adj.shape}")
         if np.any(adj.diagonal() != 0):
             raise OperatorError("operator matrix must have zero diagonal")
-        lap = laplacian(adj)
+        lap, norm, exact = _checked_laplacian(adj)
         lap.flags.writeable = False
         # frozen: the fields are set past the dataclass's __setattr__
-        self.__dict__.update(model=model, n=n, k=k, coupling=coupling, laplacian=lap)
+        self.__dict__.update(model=model, n=n, k=k, coupling=coupling, laplacian=lap, norm=norm, exact=exact)
 
     @property
     def num_copies(self) -> int:
         return self.n * self.k
+
+    # L's (nk, nk), read where a function takes an operator or a matrix
+    shape = property(lambda self: self.laplacian.shape)
 
     @property
     def adjacency(self) -> np.ndarray:

@@ -5,16 +5,19 @@ smallest eigenvalue above a relative zero threshold (the Fiedler vector);
 c-way clustering embeds each row into the first c eigenvectors (trivial one
 included) and runs seeded Lloyd k-means with k-means++ initialization.
 
-Both read only the lowest eigenpairs, which `eig_sym(mat, count)` computes
-without the rest of the spectrum: by a subset solve, or by a Lanczos
-solve whose decisions it proves to be the exact matrix's before it uses
-them, from FIEDLER_LANCZOS_MIN rows on for count <= 2 and from
-LANCZOS_MIN rows on for more.  Its certificates alone decide: a solve
-they refuse, such as one of a disconnected matrix, whose zero eigenvalue
-repeats, falls through to the subset solve.  Its eigenvalue count and the
-supra layer split's below are proved by Cholesky factorizations through
-one helper (`_cholesky_certifies`), which states the lemma and its error
-budget.
+Each takes a matrix or a built `SupraOperator`.  An operator was
+validated once, when it was built, and its ||L||_inf and exactness are
+read from it (`_facts`); a bare matrix is checked by `_validated`, with
+eig_sym's messages, where a call first needs those facts.  Both read
+only the lowest eigenpairs, which `eig_sym(mat, count)` computes without
+the rest of the spectrum: by a subset solve, or by a Lanczos solve whose
+decisions it proves to be the exact matrix's before it uses them, from
+FIEDLER_LANCZOS_MIN rows on for count <= 2 and from LANCZOS_MIN rows on
+for more.  Its certificates alone decide: a solve they refuse, such as
+one of a disconnected matrix, whose zero eigenvalue repeats, falls
+through to the subset solve.  Its eigenvalue count and the supra layer
+split's below are proved by Cholesky factorizations through one helper
+(`_cholesky_certifies`), which states the lemma and its error budget.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -45,17 +48,14 @@ keeps every sign of P e_0 on its side of 1e-12.  The margins cover the
 zero tolerance, the residual, the dense solver's error and the rounding
 of forming and factoring the Cholesky's matrix, so a certified split is
 the one the dense path returns.  The dynamic model, a bare matrix,
-k = 1, and any failed check go to `eig_sym` unchanged.  At n = 100 (BLAS
-at one thread, a shared 2-core host) it takes a median of 0.24 ms at
-k = 2 (0.29 ms with the 200 x 200 factorization alone), where
-`eig_sym(lap, 2)` takes 2.7 ms.  At k = 6 (m = 600, the fixed-sbm desk
-sweep's 72 certified points) it takes 1.7 ms (3.8-4.0 ms with the
-600 x 600 one alone), where `eig_sym(lap, 2)` takes 21 ms: 16 ms for the
-subset solve and the rest for the Lanczos attempt, which a repeated k w
-refuses.  A refused call (8 points) adds a median of 4.2 ms before its
-eigensolve (3.8 ms with the 600 x 600 factorization alone), and the
-eigensolve there is a certified Lanczos solve of 8.6 ms (15 ms for the
-subset solve).
+k = 1, and any failed check go to `eig_sym` unchanged.  On fixed-SBM
+nets at n = 100 over the desk grid (p = 0.1-1.0, w in {0.1, 1, 2, 5};
+BLAS at one thread, a shared 2-core host) it takes a median of 0.20 ms
+on the 39 certified points at k = 2, where `eig_sym(op, 2)` takes
+1.8 ms, and 1.1 ms on the 36 at k = 6 (m = 600), where `eig_sym(op, 2)`
+takes 22 ms, most of it a subset solve after a Lanczos attempt that the
+repeated k w refuses.  A refused call at k = 6 (4 points) adds a median
+of 4.3 ms before its eigensolve, which takes about 10 ms.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class Partition:
         return np.where(self.labels == 0, 1.0, -1.0)
 
 
-def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
+def eig_sym(mat, count: int | None = None) -> EigenSystem:
     """Dense symmetric eigendecomposition with deterministic sign fixing:
     each eigenvector is flipped so its first entry of magnitude > 1e-12 is
     positive (a column with no such entry is left as it is).
@@ -201,15 +201,16 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     this path are not certified: for c >= 3 it keeps the higher order,
     and c = 2 follows the Fiedler pair's.
 
-    An eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which
-    bounds every eigenvalue's magnitude (Gershgorin).  An exactly
-    symmetric input goes to LAPACK as it is; one that is symmetric only
-    within 1e-10 is replaced by (M + M^T) / 2 first.  A LAPACK failure
-    raises SpectralError."""
-    arr = np.asarray(mat, dtype=float)
+    `mat` is a matrix M or a `SupraOperator`, whose Laplacian is M.  An
+    eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which bounds
+    every eigenvalue's magnitude (Gershgorin).  An exactly symmetric input
+    goes to LAPACK as it is; one that is symmetric only within 1e-10 is
+    replaced by (M + M^T) / 2 first.  An operator's ||M||_inf and
+    exactness are the ones its build found; a bare matrix is checked here
+    (`_validated`).  A LAPACK failure raises SpectralError."""
     if count is not None and count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
-    norm, tol, exact = _validated(arr)
+    arr, norm, tol, exact = _facts(mat)
     m = arr.shape[0]
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
@@ -237,6 +238,16 @@ def eig_sym(mat: np.ndarray, count: int | None = None) -> EigenSystem:
     leading = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
+
+
+def _facts(mat) -> tuple[np.ndarray, float, float, bool]:
+    """(M, ||M||_inf, the zero tolerance, whether M is exactly symmetric)
+    of an operator's Laplacian, as its build found them, or of any other
+    input by `_validated`."""
+    if isinstance(mat, operators.SupraOperator):
+        return mat.laplacian, mat.norm, 1e-8 * max(1.0, mat.norm), mat.exact
+    arr = np.asarray(mat, dtype=float)
+    return (arr, *_validated(arr))
 
 
 def _validated(arr: np.ndarray) -> tuple[float, float, bool]:
@@ -371,11 +382,12 @@ def _cholesky_certifies(mat: np.ndarray, norm: float, floor: float, basis: np.nd
     return info == 0
 
 
-def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None) -> bool:
-    """Whether `eig_sym(arr, 2)` on the connected Laplacian `arr` of a
-    supra operator with n nodes, k layers and `layer_split_value()`
-    `value` is proved, with no eigensolve, to lead `fiedler_bipartition`
-    to layer 0 against the rest, with `degenerate` False.
+def _certifies_layer_split(op: operators.SupraOperator) -> bool:
+    """Whether `eig_sym(op, 2)` on the connected operator `op`, with n
+    nodes, k layers and Laplacian L, is proved, with no eigensolve, to
+    lead `fiedler_bipartition` to layer 0 against the rest, with
+    `degenerate` False.  It reads ||L||_inf, the zero tolerance and the
+    exactness from what the build of `op` found (`_facts`).
 
     On a supra Laplacian L = blockdiag(L_a) + w (k I - J_k) (x) I_n the
     layer-constant vectors S = {x (x) 1_n} are invariant: L Y = Y B with
@@ -438,17 +450,17 @@ def _certifies_layer_split(arr: np.ndarray, n: int, k: int, value: float | None)
        about 2700; tol + r alone would leave beta above 1 / (k n), and
        refuse every operator, from m of about 3900 on.
 
-    It refuses: no layer split value (dynamic, or k = 1); an `arr` that
-    is not exactly symmetric; k w within r of the zero tolerance; a
+    It refuses: no layer split value (dynamic, or k = 1); an L that is
+    not exactly symmetric (a hand-built operator's may be symmetric only
+    within the build's tolerance); k w within r of the zero tolerance; a
     residual too large, as from a coupling that is not w I; a gap too
     small for the signs; or a failed m x m Cholesky, when an eigenvalue
     off S lies below k w plus the window.  The checks run cheapest first."""
-    if value is None:
+    value = op.layer_split_value()
+    arr, norm, tol, exact = _facts(op)
+    if value is None or not exact:
         return False
-    norm, tol, exact = _validated(arr)
-    if not exact:
-        return False
-    m = n * k
+    n, k, m = op.n, op.k, op.num_copies
     slack = m * np.finfo(float).eps * norm
     # sqrt n R[(a, i), b]: the sum of row (a, i) of L over layer b, less
     # B[a, b] = w (k [a == b] - 1)
@@ -492,11 +504,12 @@ def fiedler_bipartition(
     eigenspace reaches, which is the same for every basis of it.
 
     `lap` is a Laplacian matrix or a `SupraOperator`, whose Laplacian is
-    split.  `system` is an already computed `eig_sym(lap, 2)` (or a larger
-    count), for a caller that also reads the spectrum; it is trusted to
-    belong to `lap`, and the components are searched only when its zero
-    eigenvalue repeats.  When omitted, the pattern |L_ij| > 1e-12 is
-    searched first, once: a Laplacian that falls apart there and is
+    split with the ||L||_inf and exactness its build found, as `eig_sym`
+    reads them.  `system` is an already computed `eig_sym(lap, 2)` (or a
+    larger count), for a caller that also reads the spectrum; it is
+    trusted to belong to `lap`, and the components are searched only when
+    its zero eigenvalue repeats.  When omitted, the pattern |L_ij| > 1e-12
+    is searched first, once: a Laplacian that falls apart there and is
     exactly block diagonal is split with no eigensolve (`_falls_apart`),
     and a degenerate eigensolve reuses the same components.  Otherwise a
     supra operator is tried by `_certifies_layer_split`: when that proves
@@ -513,11 +526,11 @@ def fiedler_bipartition(
     if system is None:
         if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:  # else eig_sym raises its message
             comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
-            if _falls_apart(arr, comp):
+            if _falls_apart(lap, arr, comp):
                 return Partition(labels=comp != comp[0], c=2), 0.0, True
-        if supra and _certifies_layer_split(arr, lap.n, lap.k, lap.layer_split_value()):
+        if supra and _certifies_layer_split(lap):
             return Partition(labels=np.arange(len(arr)) >= lap.n, c=2), lap.layer_split_value(), False
-        system = eig_sym(arr, 2)
+        system = eig_sym(lap, 2)
     if system.zero_multiplicity > 1:
         # edges are the off-diagonal entries; the diagonal adds only self-loops
         if comp is None:
@@ -533,10 +546,11 @@ def fiedler_bipartition(
     return Partition(labels=labels, c=2), system.fiedler_value, False
 
 
-def _falls_apart(arr: np.ndarray, comp: np.ndarray) -> bool:
-    """Whether `eig_sym(arr)` is bound to count more than one zero
+def _falls_apart(lap, arr: np.ndarray, comp: np.ndarray) -> bool:
+    """Whether `eig_sym(lap)` is bound to count more than one zero
     eigenvalue, decided with no eigensolve from `comp`, the components of
-    the square `arr`'s pattern |M_ij| > 1e-12.  That holds when there is
+    the pattern |M_ij| > 1e-12 of the square `arr`, the matrix M of `lap`
+    (its Laplacian when `lap` is an operator).  That holds when there is
     more than one, no nonzero entry lies between two of them, so the
     matrix that eig_sym solves, (M + M^T) / 2, is exactly block diagonal,
     and every row of it sums to within half the zero tolerance of 0.  Then
@@ -545,11 +559,13 @@ def _falls_apart(arr: np.ndarray, comp: np.ndarray) -> bool:
     backward-stable solver moves it by m eps ||M||, far less than the
     other half.  A Laplacian's rows sum to 0, so it qualifies whenever its
     pattern falls apart at 1e-12 with no entry in (0, 1e-12] between the
-    parts.  Input that falls apart so is validated here, with the
-    messages of eig_sym."""
+    parts.  The zero tolerance is the one eig_sym uses (`_facts`): an
+    operator's comes from the ||L||_inf its build found, with no scan of
+    L here, and a bare matrix that falls apart so is checked by
+    `_validated`, with the messages of eig_sym."""
     if not comp.any() or ((arr != 0) & (comp[:, None] != comp)).any():
         return False
-    _, tol, _ = _validated(arr)
+    _, _, tol, _ = _facts(lap)
     rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))
     return bool(np.abs(rows).max() <= 0.5 * tol)
 
@@ -631,18 +647,19 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tupl
     return labels, wcss
 
 
-def spectral_kway(lap: np.ndarray, c: int, seed) -> Partition:
+def spectral_kway(lap, c: int, seed) -> Partition:
     """Unnormalized c-way spectral clustering: rows embedded into the first
     c eigenvectors (ascending, trivial included), then Lloyd k-means with
     k-means++ starts.  Runs RESTARTS restarts, batched in one Lloyd loop, on
     seeds derived deterministically from the RngSeed `seed`, and keeps the
-    first with the lowest within-cluster sum of squares."""
-    arr = np.asarray(lap, dtype=float)
+    first with the lowest within-cluster sum of squares.  `lap` is a
+    Laplacian matrix or a `SupraOperator`, as for `eig_sym`."""
+    arr = lap.laplacian if isinstance(lap, operators.SupraOperator) else np.asarray(lap, dtype=float)
     if c < 2:
         raise SpectralError(f"cluster count must be >= 2, got {c}")
     if arr.ndim == 2 and c > len(arr):  # any other shape eig_sym rejects
         raise SpectralError(f"cannot form {c} clusters from {len(arr)} elements")
-    system = eig_sym(arr, c)
+    system = eig_sym(lap, c)
     points = np.ascontiguousarray(system.eigenvectors[:, :c])
     rngs = [_restart_rng(seed, restart) for restart in range(RESTARTS)]
     labels, wcss = _lloyd(points, _kmeans_pp_init(points, c, rngs))

@@ -346,7 +346,7 @@ def test_kway_sweeps_stay_below_their_lanczos_order(monkeypatch, grid):
     real = experiments.spectral_kway
 
     def recording(lap, c, seed):
-        calls.append((len(lap), c))
+        calls.append((lap.shape[0], c))
         return real(lap, c, seed)
 
     monkeypatch.setattr(experiments, "spectral_kway", recording)

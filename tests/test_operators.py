@@ -83,6 +83,21 @@ def test_supra_operator_derives_its_laplacian():
                       laplacian=laplacian(adj))
 
 
+def test_build_refuses_a_row_whose_weights_sum_past_the_float_range():
+    # two finite weights of 1e308 on one node: its degree, the diagonal of
+    # L and ||L||_inf overflow, and the build refuses as error[operators]
+    layer = np.zeros((3, 3))
+    layer[0, 1:] = layer[1:, 0] = 1e308
+    net = MultiplexNetwork(n=3, k=2, layers=(layer, np.zeros((3, 3))))
+    for build in (lambda: build_supra(net, 1.0),
+                  lambda: build_dynamic(net, DynamicCoupling.identity(3, 2)),
+                  lambda: SupraOperator(model="supra", n=3, k=1, adjacency=layer, coupling=1.0)):
+        with pytest.raises(OperatorError, match="^operator Laplacian: the weights sum past the "
+                                                "float range$") as refused:
+            build()
+        assert refused.value.module == "operators"
+
+
 def test_build_supra_example():
     op = build_supra(two_layer_example(), 0.5)
     expected = np.array(

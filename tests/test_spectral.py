@@ -1,3 +1,5 @@
+import copy
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -136,8 +138,10 @@ def test_eig_sym_bitwise_equals_reference():
 
 
 def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(SpectralError):
+    # a bare matrix is validated by eig_sym itself, as error[spectral-engine]
+    with pytest.raises(SpectralError, match=r"^matrix is not symmetric within 1e-10$") as refused:
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert refused.value.module == "spectral-engine"
 
 
 def _subset_cases():
@@ -1102,7 +1106,24 @@ def test_layer_split_refusals_are_the_ones_named():
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
     op = hand_built_supra(net, 1.0, np.eye(30))
     np.testing.assert_array_equal(op.laplacian, build_supra(net, 1.0).laplacian)
-    assert spectral._certifies_layer_split(op.laplacian, op.n, op.k, op.layer_split_value())
+    assert spectral._certifies_layer_split(op)
+
+
+def test_an_operator_keeps_the_facts_eig_sym_would_scan():
+    # the build's one scan finds the ||L||_inf and exactness that
+    # _validated finds in L, bit for bit, and pickle and deepcopy keep them
+    net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
+    ops = [*desk_supra_operators(), *forced_path_operators(),
+           *((name, op) for name, op, _, _ in refused_supra_operators()),
+           ("hand-built w I", hand_built_supra(net, 1.0, np.eye(30)))]
+    for name, op in ops:
+        norm, _, exact = spectral._validated(op.laplacian)
+        for other in (op, pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+            assert np.float64(other.norm).tobytes() == np.float64(norm).tobytes(), name
+            assert other.exact is exact, name
+            assert other.shape == op.laplacian.shape == (op.num_copies,) * 2, name
+    assert [name for name, op in ops if not op.exact] == ["not exactly symmetric"]
+    assert {op.model for _, op in ops} == {"supra", "dynamic"} and {op.k for _, op in ops} >= {1, 6}
 
 
 def test_layer_split_window_covers_a_residual_beside_the_tolerance(monkeypatch):
@@ -1204,7 +1225,7 @@ def test_layer_by_layer_certificate_decides_as_the_full_one(monkeypatch):
     for name, op in layer_split_sample():
         split = op.laplacian, op.n, op.k, op.layer_split_value()
         del sizes[:]
-        got = spectral._certifies_layer_split(*split)
+        got = spectral._certifies_layer_split(op)
         paths.append((got, op.num_copies in sizes))
         assert got is reference_certifies_layer_split(*split), name
         if name == "signed coupling":
@@ -1253,6 +1274,46 @@ def test_forcing_each_solver_path_keeps_the_labels(monkeypatch):
         for path, (other, _, other_degenerate) in forced.items():
             np.testing.assert_array_equal(other.labels, part.labels, err_msg=f"{name}, {path}")
             assert other_degenerate is degenerate, f"{name}, {path}"
+
+
+def test_an_operator_decides_as_its_bare_laplacian_bitwise(monkeypatch):
+    # eig_sym, spectral_kway and fiedler_bipartition read an operator's
+    # ||L||_inf and exactness from its build and scan L no more; its bare
+    # Laplacian is scanned once a call (none with a system given), and the
+    # results agree bit for bit, but for the Fiedler value k w that a
+    # certified layer split returns where a bare matrix is solved
+    answers = certificate_spy(monkeypatch)
+    scans = []
+    real = spectral._validated
+    monkeypatch.setattr(spectral, "_validated", lambda arr: scans.append(arr.shape) or real(arr))
+
+    def scanned(call, *args):
+        del scans[:]
+        return call(*args), len(scans)
+
+    cases = [*desk_supra_operators(), *forced_path_operators(),
+             *((name, op) for name, op, _, _ in refused_supra_operators())]
+    decisions = set()
+    for name, op in cases:
+        results = []
+        for mat, scan in ((op, 0), (op.laplacian, 1)):
+            del answers[:]
+            system, solved = scanned(eig_sym, mat, 3)
+            part, clustered = scanned(spectral_kway, mat, 3, RngSeed(5))
+            split, bipartitioned = scanned(fiedler_bipartition, mat)
+            given, _ = scanned(fiedler_bipartition, mat, eig_sym(mat, 2))
+            assert (solved, clustered, bipartitioned, len(scans)) == (scan, scan, scan, 0), name
+            results.append((system.eigenvalues.tobytes(), part.labels.tobytes(), split, given, answers[:]))
+        (values, labels, split, given, certified), expected = results
+        decisions.add(tuple(certified))
+        assert (values, labels) == expected[:2] and expected[4] == [], name
+        if certified == [True]:
+            assert split[1] == op.layer_split_value(), name
+            split = split[0], expected[2][1], split[2]
+        assert_bitwise_equal(split, expected[2], name)
+        assert_bitwise_equal(given, expected[3], f"{name}, system given")
+    # certified, refused, and never reached (dynamic, or fallen apart)
+    assert decisions == {(True,), (False,), ()}
 
 
 def metamorphic_nets():
@@ -1367,10 +1428,9 @@ def reference_bipartition(lap, system=None):
     eigensolve, a square matrix whose pattern falls apart there and whose
     rows vanish, then again at 1e-12 when an entry lies in (0, 1e-12] or
     when a solve finds the zero eigenvalue repeated."""
-    split = None
+    op = None
     if isinstance(lap, operators.SupraOperator):
-        split = lap.n, lap.k, lap.layer_split_value()
-        lap = lap.laplacian
+        op, lap = lap, lap.laplacian
     arr = np.asarray(lap, dtype=float)
     if arr.ndim == 2 and arr.shape[0] < 2:
         raise SpectralError("bipartition needs a matrix of size >= 2")
@@ -1382,8 +1442,8 @@ def reference_bipartition(lap, system=None):
             if np.abs(rows).max() <= 0.5 * tol:
                 comp = connected_components(arr)
         if comp is None:
-            if split is not None and spectral._certifies_layer_split(arr, *split):
-                return Partition(labels=np.arange(len(arr)) >= split[0], c=2), split[2], False
+            if op is not None and spectral._certifies_layer_split(op):
+                return Partition(labels=np.arange(len(arr)) >= op.n, c=2), op.layer_split_value(), False
             system = eig_sym(arr, 2)
     if comp is not None or system.zero_multiplicity > 1:
         tiny = ((arr != 0) & (np.abs(arr) <= spectral.ZERO_ENTRY_TOL)).any()

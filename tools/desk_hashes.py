@@ -6,11 +6,13 @@ Runs ``mxspec experiment <name> --seed 1 --jobs N`` (N = 2 unless
 directory, with the package taken from this checkout's ``src/``, and
 prints one ``<name> <sha256>`` line per CSV.  The sweep workers run BLAS
 at one thread whatever the environment says, and the results depend
-neither on the BLAS thread count nor on N.  Each sweep's wall seconds,
-start of its process to exit, go to stderr as ``<name> <seconds> s``
-lines, so stdout holds the hashes alone; with ``--jobs 1`` (and
-``OPENBLAS_NUM_THREADS=1`` in the environment, which a ``--jobs 1`` sweep
-does not set itself) they are each desk sweep's time end to end.
+neither on the BLAS thread count nor on N.  A ``--jobs 1`` sweep solves
+in its own process, which keeps the environment's BLAS threads, so each
+sweep process gets ``OPENBLAS_NUM_THREADS=1`` unless the environment sets
+that variable.  Each sweep's wall seconds, start of its process to exit,
+go to stderr as ``<name> <seconds> s`` lines, so stdout holds the hashes
+alone; with ``--jobs 1`` they are each desk sweep's time end to end with
+BLAS at one thread.
 
     python3 tools/desk_hashes.py                                  # print
     python3 tools/desk_hashes.py --expect tools/desk_hashes.txt   # check
@@ -40,6 +42,7 @@ def desk_hashes(jobs: int = 2) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("MXSPEC_SEED", None)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in EXPERIMENTS:
