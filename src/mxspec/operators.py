@@ -95,8 +95,9 @@ class SupraOperator(Locked):
     def __init__(self, model: str, n: int, k: int, adjacency, coupling):
         adj = np.asarray(adjacency, dtype=float)
         m = n * k
-        if adj.shape != (m, m):
-            raise OperatorError(f"operator must be {m} x {m}, got {adj.shape}")
+        if n < 1 or k < 1 or adj.shape != (m, m):
+            raise OperatorError(f"operator needs n, k >= 1 and an nk x nk adjacency, "
+                                f"got n={n}, k={k}, {adj.shape}")
         if np.any(adj.diagonal() != 0):
             raise OperatorError("operator matrix must have zero diagonal")
         lap, norm, exact = _checked_laplacian(adj)

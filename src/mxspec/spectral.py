@@ -40,22 +40,23 @@ split, and its P e_0 is known in closed form: layer 0 against the rest.
 Cholesky factorizations instead of an eigensolve
 (`_certifies_layer_split`): the block sums of L bound how far the
 layer-constant vectors are from invariant; a Cholesky of each layer's
-n x n diagonal block, or, once one of them refuses, one of
-L + sigma P_S - mu I with mu just above k*w, shows that no other
-eigenvalue lies within a window above k*w (the zero tolerance, or
-2 k n times the residual when that is wider); and a Davis-Kahan bound
-keeps every sign of P e_0 on its side of 1e-12.  The margins cover the
-zero tolerance, the residual, the dense solver's error and the rounding
-of forming and factoring the Cholesky's matrix, so a certified split is
-the one the dense path returns.  The dynamic model, a bare matrix,
-k = 1, and any failed check go to `eig_sym` unchanged.  On fixed-SBM
-nets at n = 100 over the desk grid (p = 0.1-1.0, w in {0.1, 1, 2, 5};
-BLAS at one thread, a shared 2-core host) it takes a median of 0.20 ms
-on the 39 certified points at k = 2, where `eig_sym(op, 2)` takes
-1.8 ms, and 1.1 ms on the 36 at k = 6 (m = 600), where `eig_sym(op, 2)`
-takes 22 ms, most of it a subset solve after a Lanczos attempt that the
-repeated k w refuses.  A refused call at k = 6 (4 points) adds a median
-of 4.3 ms before its eigensolve, which takes about 10 ms.
+n x n diagonal block shows that no other eigenvalue lies within a
+window above k*w (the zero tolerance, or 2 k n times the residual when
+that is wider), which it can for k*w up to about min_a lambda_2(L_a)
+less the window; and a Davis-Kahan bound keeps every sign of P e_0 on
+its side of 1e-12.  The margins cover the zero tolerance, the residual,
+the dense solver's error and the rounding of forming and factoring the
+Cholesky's matrix, so a certified split is the one the dense path
+returns.  The dynamic model, a bare matrix, k = 1, and any failed check
+go to `eig_sym` unchanged.  On fixed-SBM nets at n = 100 over the desk
+grid (p = 0.1-1.0, w in {0.1, 1, 2, 5}; BLAS at one thread, a shared
+2-core host) it takes a median of 0.20-0.30 ms on the 39 certified
+points at k = 2, where `eig_sym(op, 2)` takes 1.8-2.3 ms, and 1.1-1.4 ms
+on the 36 at k = 6 (m = 600), where `eig_sym(op, 2)` takes 19-21 ms,
+most of it a subset solve after a Lanczos attempt that the repeated k w
+refuses.  A refused call adds a median of 0.8-1.0 ms at k = 6 (4 points)
+before an eigensolve of about 9-12 ms, and 2.0-2.4 ms at k = 10 (8 of
+40 points, m = 1000) before one of about 30 ms.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ LANCZOS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """The lowest eigenpairs (all of them after a full solve): ascending
+    """The lowest eigenpairs that `eig_sym(mat, count)` returns, at least
+    min(count, m) of them and all m after a full solve: ascending
     eigenvalues, orthonormal eigenvector columns, and the threshold below
     which an eigenvalue counts as zero.  Two eigenvalues within that
     threshold of each other count as one repeated eigenvalue."""
@@ -172,18 +174,18 @@ class Partition:
         return np.where(self.labels == 0, 1.0, -1.0)
 
 
-def eig_sym(mat, count: int | None = None) -> EigenSystem:
+def eig_sym(mat, count: int) -> EigenSystem:
     """Dense symmetric eigendecomposition with deterministic sign fixing:
     each eigenvector is flipped so its first entry of magnitude > 1e-12 is
     positive (a column with no such entry is left as it is).
 
-    With `count` None, the full spectrum (`np.linalg.eigh`).  With a
-    `count`, only the lowest max(count, SUBSET_MIN) eigenpairs, from one
-    subset solve (LAPACK's MRRR driver); when the last of them still
-    equals eigenvalue count-1 or the Fiedler value, the subset may end
-    inside that eigenspace, and the full spectrum is solved instead.  So
-    the eigenspace of every returned eigenvalue up to index count-1, and
-    of the Fiedler value, is always returned whole.
+    The lowest max(count, SUBSET_MIN) eigenpairs, from one subset solve
+    (LAPACK's MRRR driver), or the full spectrum (`np.linalg.eigh`) when
+    that is at least the order m, as for `count` = m; when the last of
+    the subset still equals eigenvalue count-1 or the Fiedler value, the
+    subset may end inside that eigenspace, and the full spectrum is
+    solved instead.  So the eigenspace of every returned eigenvalue up to
+    index count-1, and of the Fiedler value, is always returned whole.
 
     From FIEDLER_LANCZOS_MIN rows on for a `count` of at most 2, and from
     LANCZOS_MIN rows on for a larger one, a `count` below m - 1 is first
@@ -208,18 +210,17 @@ def eig_sym(mat, count: int | None = None) -> EigenSystem:
     replaced by (M + M^T) / 2 first.  An operator's ||M||_inf and
     exactness are the ones its build found; a bare matrix is checked here
     (`_validated`).  A LAPACK failure raises SpectralError."""
-    if count is not None and count < 1:
+    if count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
     arr, norm, tol, exact = _facts(mat)
     m = arr.shape[0]
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
-    if count is not None and count + 1 < m and m >= (
-            FIEDLER_LANCZOS_MIN if count <= 2 else LANCZOS_MIN):
+    if count + 1 < m and m >= (FIEDLER_LANCZOS_MIN if count <= 2 else LANCZOS_MIN):
         values, vectors = _certified_lanczos(sym, count, norm, tol)
-    size = max(count or 1, SUBSET_MIN)
+    size = max(count, SUBSET_MIN)
     try:
-        if values is None and count is not None and size < m:
+        if values is None and size < m:
             values, vectors = linalg.eigh(
                 sym, driver="evr", subset_by_index=[0, size - 1], check_finite=False)
             # eigenvalue count-1, or the Fiedler value, may repeat past the subset
@@ -410,7 +411,7 @@ def _certifies_layer_split(op: operators.SupraOperator) -> bool:
        computes it, lies more than tol above the Fiedler value: the
        Fiedler eigenspace is the k - 1 pairs near v and no more.
 
-       It is shown one layer at a time first.  Write L = blockdiag(L_aa)
+       It is shown one layer at a time.  Write L = blockdiag(L_aa)
        + O: L_aa the diagonal blocks (L_a + (k - 1) w I for
        `build_supra`), O the rest (||O||_inf = (k - 1) w there).  Such an
        x has each layer part x_a orthogonal to 1_n, and x^T O x >=
@@ -432,11 +433,10 @@ def _certifies_layer_split(op: operators.SupraOperator) -> bool:
        m x m.
 
        Each layer must absorb the whole bound off, so the test holds on
-       fewer operators than the claim does.  The first block that refuses
-       stops it, and
-       `_cholesky_certifies` with V = Y then decides on L itself: it
-       factors L - mu I + sigma P_S, P_S = Y Y^T = I_k (x) J_n / n, with
-       mu just above floor.
+       fewer operators than the claim does: on a `build_supra` operator,
+       only for k w up to about min_a lambda_2(L_a) less the window.  The
+       first block that refuses stops it, and the call goes to the
+       eigensolve.
     3. Signs (Davis & Kahan's sin theta theorem).  That eigenspace's
        projector lies within beta = r / delta of the projector onto
        Z = {x (x) 1_n : x orthogonal to 1_k}, with delta = min(v - r,
@@ -454,8 +454,9 @@ def _certifies_layer_split(op: operators.SupraOperator) -> bool:
     not exactly symmetric (a hand-built operator's may be symmetric only
     within the build's tolerance); k w within r of the zero tolerance; a
     residual too large, as from a coupling that is not w I; a gap too
-    small for the signs; or a failed m x m Cholesky, when an eigenvalue
-    off S lies below k w plus the window.  The checks run cheapest first."""
+    small for the signs; or a layer whose n x n Cholesky fails, as when
+    lambda_2(L_a) of a `build_supra` layer lies below k w plus the
+    window.  The checks run cheapest first."""
     value = op.layer_split_value()
     arr, norm, tol, exact = _facts(op)
     if value is None or not exact:
@@ -479,9 +480,8 @@ def _certifies_layer_split(op: operators.SupraOperator) -> bool:
     own = magnitude[np.arange(m), np.arange(m) // n]
     off = float((magnitude.sum(axis=1) - own).max()) + slack
     blocks, norms = arr.reshape(k, n, k, n), own.reshape(k, n).max(axis=1)
-    unit = np.full((n, 1), 1.0 / np.sqrt(n))  # Y = I_k (x) unit, whose Y Y^T is P_S
-    return (all(_cholesky_certifies(blocks[a, :, a], norms[a], floor + off, unit) for a in range(k))
-            or _cholesky_certifies(arr, norm, floor, np.kron(np.eye(k), unit)))
+    unit = np.full((n, 1), 1.0 / np.sqrt(n))
+    return all(_cholesky_certifies(blocks[a, :, a], norms[a], floor + off, unit) for a in range(k))
 
 
 def fiedler_bipartition(
@@ -547,7 +547,7 @@ def fiedler_bipartition(
 
 
 def _falls_apart(lap, arr: np.ndarray, comp: np.ndarray) -> bool:
-    """Whether `eig_sym(lap)` is bound to count more than one zero
+    """Whether `eig_sym(lap, 2)` is bound to count more than one zero
     eigenvalue, decided with no eigensolve from `comp`, the components of
     the pattern |M_ij| > 1e-12 of the square `arr`, the matrix M of `lap`
     (its Laplacian when `lap` is an operator).  That holds when there is

@@ -138,7 +138,7 @@ def test_criterion_3_spectral_correctness():
         else:
             # off-diagonal C = 0 limit
             op = build_dynamic(net, DynamicCoupling.uniform(np.eye(net.k), net.n))
-        system = eig_sym(op.laplacian)
+        system = eig_sym(op.laplacian, op.num_copies)
         lam_max = system.eigenvalues[-1]
         if system.eigenvalues[0] < -1e-9 * max(1.0, lam_max):
             psd_fail += 1

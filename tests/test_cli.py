@@ -299,7 +299,7 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
         # the metadata line as built from separate decompositions
         part, _, degenerate = spectral.fiedler_bipartition(lap)
         fiedler_value = spectral.eig_sym(lap, 2).fiedler_value
-        system = spectral.eig_sym(lap)
+        system = spectral.eig_sym(lap, lap.shape[0])
         multiplicity = int(np.sum(
             np.abs(system.eigenvalues - fiedler_value) <= system.zero_tolerance))
         expected = (f"% fiedler_value={fiedler_value!r} degenerate={int(degenerate)} "
@@ -339,7 +339,7 @@ def test_cluster_on_a_disconnected_operator_prints_its_fiedler_eigenvalue(tmp_pa
         lap = build_supra(net, 1.5).laplacian
     else:
         lap = build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian
-    system = spectral.eig_sym(lap)
+    system = spectral.eig_sym(lap, lap.shape[0])
     part, value, degenerate = spectral.fiedler_bipartition(lap)
     assert degenerate and value == 0.0 < system.fiedler_value
     out = tmp_path / "a.csv"

@@ -83,6 +83,16 @@ def test_supra_operator_derives_its_laplacian():
                       laplacian=laplacian(adj))
 
 
+@pytest.mark.parametrize("n, k", [(0, 2), (3, 0), (0, 0), (-1, -1)])
+def test_operator_refuses_no_nodes_or_no_layers(n, k):
+    # refused at the build, as error[operators], not later by numpy in
+    # eig_sym's sign fixing; n = k = -1 would pass the 1 x 1 shape check
+    m = max(n * k, 0)
+    expected = fr"^operator needs n, k >= 1 and an nk x nk adjacency, got n={n}, k={k}, \({m}, {m}\)$"
+    with pytest.raises(OperatorError, match=expected):
+        SupraOperator(model="supra", n=n, k=k, adjacency=np.zeros((m, m)), coupling=1.0)
+
+
 def test_build_refuses_a_row_whose_weights_sum_past_the_float_range():
     # two finite weights of 1e308 on one node: its degree, the diagonal of
     # L and ||L||_inf overflow, and the build refuses as error[operators]
@@ -299,7 +309,7 @@ def test_reduce_zero_network_is_zero():
 
 
 def zero_multiplicity(op):
-    system = eig_sym(op.laplacian)
+    system = eig_sym(op.laplacian, op.num_copies)
     return system.zero_multiplicity
 
 
@@ -330,7 +340,7 @@ def test_operator_invariants_random():
         assert np.abs(lap.sum(axis=1)).max() < 1e-10 * max(1.0, np.abs(lap).max())
         offdiag = lap - np.diag(np.diag(lap))
         assert offdiag.max() <= 1e-12
-        system = eig_sym(lap)
+        system = eig_sym(lap, lap.shape[0])
         lam_max = system.eigenvalues[-1]
         assert system.eigenvalues[0] >= -1e-9 * max(1.0, lam_max)
         components = connected_components(adj, atol=1e-12)

@@ -57,12 +57,12 @@ def block_clique_laplacian(sizes, bridges=()):
 
 def test_eig_sym_complete_graph_k3():
     lap, _ = block_clique_laplacian([3])
-    system = eig_sym(lap)
+    system = eig_sym(lap, 3)
     np.testing.assert_allclose(system.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
 
 
 def test_eig_sym_zero_matrix():
-    system = eig_sym(np.zeros((4, 4)))
+    system = eig_sym(np.zeros((4, 4)), 4)
     np.testing.assert_array_equal(system.eigenvalues, np.zeros(4))
     np.testing.assert_array_equal(np.abs(system.eigenvectors), np.eye(4))
 
@@ -71,7 +71,7 @@ def test_eig_sym_reconstruction():
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((30, 30))
     sym = 0.5 * (mat + mat.T)
-    system = eig_sym(sym)
+    system = eig_sym(sym, 30)
     recon = system.eigenvectors @ np.diag(system.eigenvalues) @ system.eigenvectors.T
     assert np.abs(recon - sym).max() < 1e-8
     # residual bound per pair
@@ -87,7 +87,7 @@ def test_eig_sym_reconstruction():
 def test_eig_sym_ascending_and_sign_normalized():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((12, 12))
-    system = eig_sym(0.5 * (mat + mat.T))
+    system = eig_sym(0.5 * (mat + mat.T), 12)
     assert np.all(np.diff(system.eigenvalues) >= -1e-12)
     for col in range(12):
         v = system.eigenvectors[:, col]
@@ -128,7 +128,7 @@ def test_eig_sym_bitwise_equals_reference():
     leading_zero_columns = 0
     for name, mat in _bitwise_cases():
         values, vectors = _eig_sym_reference(mat)
-        system = eig_sym(mat)
+        system = eig_sym(mat, mat.shape[0])
         assert np.array_equal(system.eigenvalues, values), name
         assert np.array_equal(system.eigenvectors, vectors), name
         if name.startswith("block"):
@@ -140,7 +140,7 @@ def test_eig_sym_bitwise_equals_reference():
 def test_eig_sym_rejects_asymmetric():
     # a bare matrix is validated by eig_sym itself, as error[spectral-engine]
     with pytest.raises(SpectralError, match=r"^matrix is not symmetric within 1e-10$") as refused:
-        eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
     assert refused.value.module == "spectral-engine"
 
 
@@ -158,7 +158,7 @@ def _subset_cases():
 
 def test_eig_sym_count_matches_full_solve():
     for name, mat in _subset_cases():
-        full = eig_sym(mat)
+        full = eig_sym(mat, mat.shape[0])
         bound = 1e-9 * np.abs(mat).sum(axis=1).max()
         for count in (1, 2, 3, 5, 8, 9, 15):
             system = eig_sym(mat, count)
@@ -187,27 +187,27 @@ def test_eig_sym_count_never_ends_inside_requested_eigenvalue():
     system = eig_sym(lap, 2)
     assert len(system.eigenvalues) == 16 and system.zero_multiplicity == 2
     assert system.fiedler_value == pytest.approx(8.0)
-    assert system.fiedler_multiplicity == eig_sym(lap).fiedler_multiplicity == 14
+    assert system.fiedler_multiplicity == eig_sym(lap, lap.shape[0]).fiedler_multiplicity == 14
     assert len(eig_sym(lap, 4).eigenvalues) == 16
 
 
 def test_eig_sym_rejects_non_finite_and_bad_count():
     with pytest.raises(SpectralError):
-        eig_sym(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        eig_sym(np.array([[1.0, np.inf], [np.inf, 1.0]]), 2)
     with pytest.raises(SpectralError):
-        eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]), 2)
     with pytest.raises(SpectralError):
         eig_sym(np.eye(3), 0)
-    for count in (None, 1):  # not numpy's error from the sign fixing
-        with pytest.raises(SpectralError, match=r"size >= 1, got shape \(0, 0\)"):
-            eig_sym(np.zeros((0, 0)), count)
+    # not numpy's error from the sign fixing
+    with pytest.raises(SpectralError, match=r"size >= 1, got shape \(0, 0\)"):
+        eig_sym(np.zeros((0, 0)), 1)
 
 
 def _solver_systems(lap, rng):
     """The same operator's decomposition from four sources: numpy, the
     divide-and-conquer and MRRR LAPACK drivers, and a random orthogonal
     rotation of every repeated eigenspace."""
-    tol = eig_sym(lap).zero_tolerance
+    tol = eig_sym(lap, lap.shape[0]).zero_tolerance
     values, vectors = np.linalg.eigh(lap)
     yield "numpy", EigenSystem(values, vectors, tol)
     for driver in ("evd", "evr"):
@@ -330,8 +330,8 @@ def counting_eig_sym(monkeypatch):
     calls = []
     real = spectral.eig_sym
 
-    def counted(mat, count=None):
-        calls.append(len(mat))
+    def counted(mat, count):
+        calls.append(mat.shape[0])
         return real(mat, count)
 
     monkeypatch.setattr(spectral, "eig_sym", counted)
@@ -999,15 +999,21 @@ def test_certified_layer_split_equals_the_dense_path(monkeypatch):
     calls = counting_eig_sym(monkeypatch)
     answers = certificate_spy(monkeypatch)
     for name, op in desk_supra_operators():
-        expected, _, expected_degenerate = fiedler_bipartition(op.laplacian)
+        expected, expected_value, expected_degenerate = fiedler_bipartition(op.laplacian)
         assert calls == [op.num_copies] and answers == [], name
         del calls[:]
         part, value, degenerate = fiedler_bipartition(op)
-        assert (calls, answers) == ([], [True]), name
-        del answers[:]
+        if name == "overlap-supra w=5.0":
+            # a layer refuses, so the eigensolve decides, on the same split
+            # (test_a_refusing_layer_falls_through_to_the_eigensolve)
+            assert (calls, answers) == ([op.num_copies], [False]), name
+            assert value == expected_value, name
+        else:
+            assert (calls, answers) == ([], [True]), name
+            assert value == op.layer_split_value() == op.k * op.coupling, name
+        del calls[:], answers[:]
         np.testing.assert_array_equal(part.labels, expected.labels, err_msg=name)
         assert degenerate is expected_degenerate is False, name
-        assert value == op.layer_split_value() == op.k * op.coupling, name
         np.testing.assert_array_equal(part.labels, np.arange(op.num_copies) >= op.n)
 
 
@@ -1081,10 +1087,10 @@ def test_refused_layer_split_falls_through_bitwise(monkeypatch):
         del answers[:], sizes[:]
         part, value, degenerate = fiedler_bipartition(op)
         assert answers == ([False] if reached else []), name
-        # the layers' n x n blocks, up to the first that refuses, then L
+        # the layers' n x n blocks, up to the first that refuses, and no
+        # m x m one: m is below the Lanczos order, so eig_sym factors none
         if factored:
-            assert sizes[-1] == op.num_copies and 1 <= len(sizes) <= op.k + 1, name
-            assert sizes[:-1] == [op.n] * (len(sizes) - 1), name
+            assert 1 <= len(sizes) <= op.k and sizes == [op.n] * len(sizes), name
         else:
             assert sizes == [], name
         assert part.labels.tobytes() == expected.labels.tobytes(), name
@@ -1155,24 +1161,29 @@ def test_certified_layer_split_factors_each_layer_alone(monkeypatch):
             assert (answers, sizes) == ([True], [op.n] * op.k), name
 
 
-def test_a_refusing_layer_falls_back_to_one_full_factorization(monkeypatch):
-    # k w = 10 lies below every eigenvalue outside S, but not below layer
-    # 0's lambda_2 less the window, as the per-layer test needs
+def test_a_refusing_layer_falls_through_to_the_eigensolve(monkeypatch):
+    # k w = 10 lies below every eigenvalue outside S, as the one m x m
+    # count shows, but not below layer 0's lambda_2 less the window, as
+    # the per-layer test needs: the eigensolve decides, on the same split
     net, _, _ = gen_overlap_multiplex(100, 0.9, 0.1, RngSeed(2, ("certified", 5.0)))
     op = build_supra(net, 5.0)
-    expected, _, _ = fiedler_bipartition(op.laplacian)
+    assert reference_certifies_layer_split(op.laplacian, op.n, op.k, op.layer_split_value())
+    expected, expected_value, _ = fiedler_bipartition(op.laplacian)
     sizes = factorization_spy(monkeypatch)
     answers = certificate_spy(monkeypatch)
     part, value, degenerate = fiedler_bipartition(op)
-    assert answers == [True] and sizes[-1] == op.num_copies
-    assert set(sizes[:-1]) == {op.n} and len(sizes) - 1 <= op.k
+    # m = 200 is below the Lanczos order, so eig_sym factors none either
+    assert answers == [False] and sizes == [op.n] * len(sizes) and 1 <= len(sizes) <= op.k
     np.testing.assert_array_equal(part.labels, expected.labels)
-    assert (value, degenerate) == (10.0, False)
+    np.testing.assert_array_equal(part.labels, np.arange(op.num_copies) >= op.n)
+    assert (value, degenerate) == (expected_value, False)
 
 
 def reference_certifies_layer_split(arr, n, k, value):
     """`_certifies_layer_split` as it decided with one m x m Cholesky
-    count, before the layers' diagonal blocks were factored first."""
+    count, before it factored the layers' diagonal blocks instead: the
+    sound reference, which certifies every operator the per-layer count
+    does and more."""
     if value is None:
         return False
     norm, tol, exact = spectral._validated(arr)
@@ -1219,22 +1230,23 @@ def layer_split_sample():
     yield "signed coupling", hand_built_supra(net, 2.0, 10.0 * swap - 8.0 * np.eye(30))
 
 
-def test_layer_by_layer_certificate_decides_as_the_full_one(monkeypatch):
+def test_layer_by_layer_certificate_implies_the_full_one(monkeypatch):
     sizes = factorization_spy(monkeypatch)
     paths = []
     for name, op in layer_split_sample():
-        split = op.laplacian, op.n, op.k, op.layer_split_value()
         del sizes[:]
         got = spectral._certifies_layer_split(op)
-        paths.append((got, op.num_copies in sizes))
-        assert got is reference_certifies_layer_split(*split), name
+        assert sizes == [op.n] * len(sizes), name  # no m x m factorization
+        reference = reference_certifies_layer_split(op.laplacian, op.n, op.k, op.layer_split_value())
+        assert reference or not got, name
+        paths.append((got, reference))
         if name == "signed coupling":
             expected, expected_value, _ = fiedler_bipartition(op.laplacian)
             part, value, _ = fiedler_bipartition(op)
             np.testing.assert_array_equal(part.labels, expected.labels)
             assert value == expected_value < op.layer_split_value()
-    # certified layer by layer, certified by the fallback, and refused
-    assert {(True, False), (True, True), (False, True)} <= set(paths)
+    # certified by both, refused by both, and certified by the reference alone
+    assert {(True, True), (False, False), (False, True)} <= set(paths)
 
 
 def forced_path_operators():
