@@ -3,16 +3,20 @@
 Both operators share the node-copy index space (layer-major).  The supra
 model couples the k copies of each node into a clique of fixed weight w;
 the dynamical model mirrors each layer's neighborhoods across layers
-through per-pair diagonal coupling matrices.  Either way a builder fills
-the symmetric matrix S and the operator keeps only its graph Laplacian
+through per-pair diagonal coupling matrices.  Either way the symmetric
+matrix S is filled and the operator keeps only its graph Laplacian
 `laplacian` (degree diagonal minus S), one nk x nk array, from which it
 reads `adjacency` back on demand, and the ||L||_inf and exactness that
-the scan checking S found.  Spectral clustering reads the Laplacian and
-those two facts; cut analysis reads L and S.
+the scan checking S found.  The dynamic builder fills S at once; a supra
+operator keeps the network's layers and fills S on the first read of L,
+so that a bipartition its layers decide builds no nk x nk array.
+Spectral clustering reads the Laplacian and those two facts; cut
+analysis reads L and S.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -21,6 +25,8 @@ from scipy import linalg
 
 from .core import DynamicCoupling, Locked, MultiplexNetwork, check_weights, read_lines, zeros
 from .errors import OperatorError, ParseError
+
+_EPS = np.finfo(float).eps
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -66,6 +72,22 @@ def _checked_laplacian(sym: np.ndarray) -> tuple[np.ndarray, float, bool]:
     return magnitude, norm, exact
 
 
+class _Filled:
+    """`laplacian`, `norm` or `exact` of a supra operator kept as its
+    layers: the first read of any of them fills the instance's dictionary
+    with all three (`SupraOperator._fill`), which then shadows this
+    descriptor, so a later read is a plain attribute read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return self
+        op._fill()
+        return op.__dict__[self.name]
+
+
 @dataclass(frozen=True, init=False)
 class SupraOperator(Locked):
     """An nk x nk symmetric operator, kept as its Laplacian, with provenance.
@@ -79,38 +101,69 @@ class SupraOperator(Locked):
 
     The scan that checks S also gives `norm`, ||L||_inf, and `exact`,
     whether L is exactly symmetric, which the spectral functions read
-    instead of scanning L again: an operator is validated once, here.
+    instead of scanning L again: an operator is validated once.
+
+    `build_supra` makes the other kind: it keeps `layers`, the network's
+    own locked n x n layers, by reference, and w, and builds L, `norm` and
+    `exact` on their first read, by the fill and the scan above.  Until
+    then it holds no nk x nk array, and `fiedler_bipartition` can decide
+    it from the layers alone.  `layers` is None on an operator given its
+    adjacency.
     """
 
     model: str
     n: int
     k: int
     coupling: object
-    laplacian: np.ndarray
-    norm: float
-    exact: bool
+    layers: tuple | None
+
+    laplacian = _Filled()
+    norm = _Filled()
+    exact = _Filled()
 
     # a hand-written __init__: `adjacency` is a constructor argument but not
     # a field, since a property of that name reads it back
     def __init__(self, model: str, n: int, k: int, adjacency, coupling):
         adj = np.asarray(adjacency, dtype=float)
-        m = n * k
-        if n < 1 or k < 1 or adj.shape != (m, m):
+        sizes = all(isinstance(size, numbers.Integral) and size >= 1 for size in (n, k))
+        if not sizes or adj.shape != (n * k, n * k):
             raise OperatorError(f"operator needs n, k >= 1 and an nk x nk adjacency, "
                                 f"got n={n}, k={k}, {adj.shape}")
         if np.any(adj.diagonal() != 0):
             raise OperatorError("operator matrix must have zero diagonal")
+        # frozen: the fields are set past the dataclass's __setattr__
+        self.__dict__.update(model=model, n=n, k=k, coupling=coupling, layers=None)
+        self._fill(adj)
+
+    def _fill(self, adj: np.ndarray | None = None) -> None:
+        """Keep L, `norm` and `exact` from `_checked_laplacian`'s one scan
+        of S: the given adjacency, or that of a supra operator kept as its
+        layers, filled here with the symmetrized layers on the diagonal
+        blocks and w I between every pair of distinct layers."""
+        if adj is None:
+            n, k, w = self.n, self.k, self.coupling
+            adj = zeros((n * k, n * k), "supra operator", OperatorError)
+            blocks = adj.reshape(k, n, k, n)  # blocks[a, :, b] is layer block (a, b)
+            eye = np.eye(n) * w if k > 1 else None  # at k = 1 it would be operator-sized
+            with np.errstate(over="ignore"):  # a sum past the float range stays inf, for the scan
+                for a in range(k):
+                    for b in range(k):
+                        if a != b:
+                            blocks[a, :, b] = eye
+                    # symmetrize(A^a) formed in its block: (A + A^T), then * 0.5
+                    diag = blocks[a, :, a]
+                    np.add(self.layers[a], self.layers[a].T, out=diag)
+                    diag *= 0.5
         lap, norm, exact = _checked_laplacian(adj)
         lap.flags.writeable = False
-        # frozen: the fields are set past the dataclass's __setattr__
-        self.__dict__.update(model=model, n=n, k=k, coupling=coupling, laplacian=lap, norm=norm, exact=exact)
+        self.__dict__.update(laplacian=lap, norm=norm, exact=exact)
 
     @property
     def num_copies(self) -> int:
         return self.n * self.k
 
-    # L's (nk, nk), read where a function takes an operator or a matrix
-    shape = property(lambda self: self.laplacian.shape)
+    # (nk, nk), read where a function takes an operator or a matrix
+    shape = property(lambda self: (self.num_copies,) * 2)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -140,23 +193,28 @@ class SupraOperator(Locked):
 
 
 def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
-    """Supra-adjacency operator: symmetrized layers on the diagonal blocks,
-    w * I between every pair of distinct layers."""
+    """Supra-adjacency operator of a network, whose layers are finite,
+    non-negative and zero on the diagonal: symmetrized layers on the
+    diagonal blocks, w * I between every pair of distinct layers.
+
+    It keeps the network's layers and w, and fills L on its first read
+    (`SupraOperator`), where an L too large for memory is refused.  A
+    weight sum past the float range is refused here: the layers' total
+    weights bound ||L||_inf, and where that bound is not finite L is built
+    now, and refused, or kept, as it would be on its first read."""
     w = float(check_weights(w, "supra inter-layer weight w"))
     n, k = net.n, net.k
-    adj = zeros((n * k, n * k), "supra operator", OperatorError)
-    blocks = adj.reshape(k, n, k, n)  # blocks[a, :, b] is layer block (a, b)
-    eye = np.eye(n) * w if k > 1 else None  # at k = 1 it would be operator-sized
-    with np.errstate(over="ignore"):  # a sum past the float range stays inf, for `laplacian`
-        for a in range(k):
-            for b in range(k):
-                if a != b:
-                    blocks[a, :, b] = eye
-            # symmetrize(A^a) formed in its block: (A + A^T), then * 0.5
-            diag = blocks[a, :, a]
-            np.add(net.layers[a], net.layers[a].T, out=diag)
-            diag *= 0.5
-    return SupraOperator(model="supra", n=n, k=k, adjacency=adj, coupling=w)
+    op = object.__new__(SupraOperator)
+    op.__dict__.update(model="supra", n=n, k=k, coupling=w, layers=net.layers)
+    # every weight is >= 0, so the degree D_i of a copy is at most its
+    # layer's total weight plus (k - 1) w, up to the (n^2 + 1) u of that
+    # total and of symmetrizing, and ||L||_inf, as the scan sums it, is at
+    # most 2 D_i (1 + 2 (nk + n) eps); 4 (nk + n^2) eps covers all three
+    with np.errstate(over="ignore"):
+        total = max((float(layer.sum()) for layer in net.layers), default=0.0)
+    if not np.isfinite(2 * (total + (k - 1) * w) * (1 + 4 * (n * k + n * n) * _EPS)):
+        op._fill()
+    return op
 
 
 def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:

@@ -5,17 +5,19 @@ smallest eigenvalue above a relative zero threshold (the Fiedler vector);
 c-way clustering embeds each row into the first c eigenvectors (trivial one
 included) and runs seeded Lloyd k-means with k-means++ initialization.
 
-Each takes a matrix or a built `SupraOperator`.  An operator was
-validated once, when it was built, and its ||L||_inf and exactness are
-read from it (`_facts`); a bare matrix is checked by `_validated`, with
-eig_sym's messages, where a call first needs those facts.  Both read
-only the lowest eigenpairs, which `eig_sym(mat, count)` computes without
-the rest of the spectrum: by a subset solve, or by a Lanczos solve whose
-decisions it proves to be the exact matrix's before it uses them, from
-FIEDLER_LANCZOS_MIN rows on for count <= 2 and from LANCZOS_MIN rows on
-for more.  Its certificates alone decide: a solve they refuse, such as
-one of a disconnected matrix, whose zero eigenvalue repeats, falls
-through to the subset solve.  Its eigenvalue count and the supra layer
+Each takes a matrix or a built `SupraOperator`.  An operator is
+validated once, by the scan that makes its L (at the build, or at a
+`build_supra` operator's first read of L), and its ||L||_inf and
+exactness are read from it (`_facts`); a bare matrix is checked by
+`_validated`, with eig_sym's messages, once a call, where it first
+needs those facts.  Both read only the lowest eigenpairs, which
+`eig_sym(mat, count)` computes without the rest of the spectrum: by a
+subset solve, or by a Lanczos solve whose decisions it proves to be the
+exact matrix's before it uses them, from FIEDLER_LANCZOS_MIN rows on for
+count <= 2 and from LANCZOS_MIN rows on for more.  Its certificates
+alone decide: a solve they refuse, such as one of a disconnected
+matrix, whose zero eigenvalue repeats, falls through to the subset
+solve.  Its eigenvalue count and the supra layer
 split's below are proved by Cholesky factorizations through one helper
 (`_cholesky_certifies`), which states the lemma and its error budget.
 
@@ -36,31 +38,38 @@ which does not depend on the basis LAPACK returns.
 
 Below a transition weight the supra Fiedler eigenspace is that layer
 split, and its P e_0 is known in closed form: layer 0 against the rest.
-`fiedler_bipartition` handed a connected supra operator proves this with
-Cholesky factorizations instead of an eigensolve
-(`_certifies_layer_split`): the block sums of L bound how far the
-layer-constant vectors are from invariant; a Cholesky of each layer's
-n x n diagonal block shows that no other eigenvalue lies within a
+`fiedler_bipartition` handed a `build_supra` operator decides it from
+its k n x n layers first (`_LayerForm`), and builds its nk x nk L only
+when they do not decide it.  Its components come from n x n searches
+(`_falls_apart` reads the layers' row sums), and a connected one is
+proved split with Cholesky factorizations instead of an eigensolve
+(`_certifies_layer_split`): the layers' row sums bound how far the
+layer-constant vectors are from invariant under the L that eig_sym would
+read, whose diagonal the scan rounds; a Cholesky of each layer's n x n
+block L_a + (k - 1) w I shows that no other eigenvalue lies within a
 window above k*w (the zero tolerance, or 2 k n times the residual when
 that is wider), which it can for k*w up to about min_a lambda_2(L_a)
 less the window; and a Davis-Kahan bound keeps every sign of P e_0 on
 its side of 1e-12.  The margins cover the zero tolerance, the residual,
-the dense solver's error and the rounding of forming and factoring the
-Cholesky's matrix, so a certified split is the one the dense path
-returns.  The dynamic model, a bare matrix, k = 1, and any failed check
-go to `eig_sym` unchanged.  On fixed-SBM nets at n = 100 over the desk
-grid (p = 0.1-1.0, w in {0.1, 1, 2, 5}; BLAS at one thread, a shared
-2-core host) it takes a median of 0.20-0.30 ms on the 39 certified
-points at k = 2, where `eig_sym(op, 2)` takes 1.8-2.3 ms, and 1.1-1.4 ms
-on the 36 at k = 6 (m = 600), where `eig_sym(op, 2)` takes 19-21 ms,
-most of it a subset solve after a Lanczos attempt that the repeated k w
-refuses.  A refused call adds a median of 0.8-1.0 ms at k = 6 (4 points)
-before an eigensolve of about 9-12 ms, and 2.0-2.4 ms at k = 10 (8 of
-40 points, m = 1000) before one of about 30 ms.
+the dense solver's error, the rounding of L's diagonal, and the rounding
+of forming and factoring the Cholesky's matrix, so a certified split is
+the one the dense path returns.  The dynamic model, a bare matrix, an
+operator constructed from its adjacency, k = 1, and any failed check go
+to `eig_sym` unchanged.  On fixed-SBM nets at n = 100 over the desk
+grid (p = 0.1-1.0, w in {0.1, 1, 2, 5}, one net a point; BLAS at one
+thread, a shared 2-core host, best of 5, two runs) the build and the
+bipartition take a median of 0.28-0.41 ms on the 39 certified points at
+k = 2, 0.65-0.97 ms on the 36 at k = 6 (m = 600) and 1.02-1.08 ms on the
+32 at k = 10 (m = 1000), where building L first and deciding from it
+took 0.52-0.58, 5.1-6.9 and 10.9-11.3 ms.  A refused point fills L after
+the layer work and keeps its cost, most of it the eigensolve: 11.8-16.3
+ms at k = 6 (4 points) and 34.9-36.9 ms at k = 10 (8 points), against
+13.0-15.8 and 39.0-41.3 ms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +217,8 @@ def eig_sym(mat, count: int) -> EigenSystem:
     every eigenvalue's magnitude (Gershgorin).  An exactly symmetric input
     goes to LAPACK as it is; one that is symmetric only within 1e-10 is
     replaced by (M + M^T) / 2 first.  An operator's ||M||_inf and
-    exactness are the ones its build found; a bare matrix is checked here
-    (`_validated`).  A LAPACK failure raises SpectralError."""
+    exactness are the ones the scan making its L found; a bare matrix is
+    checked here (`_validated`).  A LAPACK failure raises SpectralError."""
     if count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
     arr, norm, tol, exact = _facts(mat)
@@ -243,12 +252,25 @@ def eig_sym(mat, count: int) -> EigenSystem:
 
 def _facts(mat) -> tuple[np.ndarray, float, float, bool]:
     """(M, ||M||_inf, the zero tolerance, whether M is exactly symmetric)
-    of an operator's Laplacian, as its build found them, or of any other
-    input by `_validated`."""
-    if isinstance(mat, operators.SupraOperator):
+    of an operator's Laplacian or of a `_Scanned` matrix, as the scan that
+    made or checked it found them, or of any other input by `_validated`."""
+    if isinstance(mat, (operators.SupraOperator, _Scanned)):
         return mat.laplacian, mat.norm, 1e-8 * max(1.0, mat.norm), mat.exact
     arr = np.asarray(mat, dtype=float)
     return (arr, *_validated(arr))
+
+
+@dataclass(frozen=True)
+class _Scanned:
+    """A bare matrix with the ||M||_inf and exactness `_validated` found in
+    it, for a call that scanned it to hand `eig_sym`, which reads them
+    instead of scanning it again."""
+
+    laplacian: np.ndarray
+    norm: float
+    exact: bool
+
+    shape = property(lambda self: self.laplacian.shape)
 
 
 def _validated(arr: np.ndarray) -> tuple[float, float, bool]:
@@ -383,60 +405,112 @@ def _cholesky_certifies(mat: np.ndarray, norm: float, floor: float, basis: np.nd
     return info == 0
 
 
-def _certifies_layer_split(op: operators.SupraOperator) -> bool:
-    """Whether `eig_sym(op, 2)` on the connected operator `op`, with n
-    nodes, k layers and Laplacian L, is proved, with no eigensolve, to
-    lead `fiedler_bipartition` to layer 0 against the rest, with
-    `degenerate` False.  It reads ||L||_inf, the zero tolerance and the
-    exactness from what the build of `op` found (`_facts`).
+class _LayerForm:
+    """What the layer-form proofs read of a `build_supra` operator with n
+    nodes, k layers and weight w, from its layers alone, with nothing of
+    size nk x nk.
+
+    The L that the operator's first read would build is exactly
+    symmetric: -S_a(i, j) inside layer a's block (S_a = symmetrize(A_a),
+    non-negative with a zero diagonal), -w between the copies (a, i) and
+    (b, i), and 0 elsewhere.  Each diagonal entry d is the sum of the m
+    entries of its row of S as the scan rounds it, against the exact
+    degree D = s + (k - 1) w, s the row sums of S_a.  With u = eps / 2
+    and gamma_j = j u / (1 - j u), |d - D| <= gamma_{m-1} D, as every term
+    is >= 0.  `degrees` holds D summed from the layers, D^ = fl(s) +
+    fl((k - 1) w), within gamma_{n+1} D of D, so `spread` rho = (m + n)
+    eps bounds both |d - D| and |d - D^| by rho D^, with room for the
+    higher orders.  The scan's ||L||_inf sums D + d over a row with m - 1
+    roundings more, so it lies within 2 max D^ (1 -+ 2 rho), `norm_lo`
+    and `norm_hi`, and eig_sym's zero tolerance 1e-8 max(1, ||L||_inf),
+    monotone in it as rounded, within `tol_lo` and `tol_hi`."""
+
+    def __init__(self, op: operators.SupraOperator):
+        self.n, self.k, self.w = op.n, op.k, op.coupling
+        self.syms = [operators.symmetrize(layer) for layer in op.layers]
+        self.sums = np.array([sym.sum(axis=1) for sym in self.syms])
+        self.degrees = self.sums + (self.k - 1) * self.w
+        self.spread = (self.n * self.k + self.n) * np.finfo(float).eps
+        self.top = float(self.degrees.max())
+        self.norm_lo = 2 * self.top * (1 - 2 * self.spread)
+        self.norm_hi = 2 * self.top * (1 + 2 * self.spread)
+        self.tol_lo, self.tol_hi = (1e-8 * max(1.0, norm) for norm in (self.norm_lo, self.norm_hi))
+        # whether a -w links the copies of a node in L's pattern at 1e-12
+        self.tiled = self.k == 1 or self.w > ZERO_ENTRY_TOL
+
+    def components(self) -> np.ndarray:
+        """The labels `operators.connected_components` gives L's pattern
+        |L_ij| > 1e-12, from n x n searches.  Where -w links the copies of
+        each node, a component holds every copy of each node of one
+        component of the union pattern, max_a S_a > 1e-12, and label order
+        follows layer 0, which has a copy of every node: the union's labels
+        tiled over the layers.  Elsewhere each layer's pattern S_a
+        > 1e-12 falls into its own components, labeled layer by layer."""
+        if self.tiled:
+            union = functools.reduce(np.maximum, self.syms)
+            return np.tile(operators.connected_components(union, atol=ZERO_ENTRY_TOL), self.k)
+        labels, count = [], 0
+        for sym in self.syms:
+            labels.append(operators.connected_components(sym, atol=ZERO_ENTRY_TOL) + count)
+            count = labels[-1].max() + 1
+        return np.concatenate(labels)
+
+
+def _certifies_layer_split(op: operators.SupraOperator, form: _LayerForm | None = None) -> bool:
+    """Whether `eig_sym(op, 2)` on the connected `build_supra` operator
+    `op`, with n nodes, k layers and Laplacian L, is proved, with no
+    eigensolve, to lead `fiedler_bipartition` to layer 0 against the rest,
+    with `degenerate` False.  It reads only the layers, through `form`
+    (`_LayerForm`, made here when not given), and builds no L; an operator
+    given its adjacency has no layers, and is refused.
 
     On a supra Laplacian L = blockdiag(L_a) + w (k I - J_k) (x) I_n the
     layer-constant vectors S = {x (x) 1_n} are invariant: L Y = Y B with
     Y = I_k (x) 1_n / sqrt n and B = w (k I - J_k), whose eigenvalues are
-    0 and v = k w, k - 1 times (Radicchi & Arenas, Nat. Phys. 9, 2013).
-    The proof, with eps the machine epsilon:
+    0 and v = k w, k - 1 times (Gomez et al., PRL 110, 2013; Radicchi &
+    Arenas, Nat. Phys. 9, 2013).  The L that eig_sym reads holds the
+    rounded degrees d, not the exact D (`_LayerForm`).  The proof, with
+    eps the machine epsilon and rho, D^, tol_lo, tol_hi and ||L||_inf
+    <= norm_hi as `_LayerForm` bounds them:
 
-    1. Residual.  R = L Y - Y B comes from the block sums of L.  By
-       Kahan's residual theorem (Parlett, The Symmetric Eigenvalue
+    1. Residual.  R = L Y - Y B is (d_i - D_i) / sqrt n in row (a, i),
+       column a, and 0 elsewhere, as every other block sum of L is exact:
+       so ||R||_F <= rho ||D^||_2 / sqrt n, read from the layers' row sums.
+       By Kahan's residual theorem (Parlett, The Symmetric Eigenvalue
        Problem, thm 11.5.1) k eigenvalues of L lie within ||R||_F of 0,
        v, ..., v.  A backward-stable dense solve puts them within r =
-       ||R||_F + 3 m eps ||L||_inf: rounding in the block sums and in B,
-       and the solver's own error.  With 2 r <= tol, eig_sym's zero
-       tolerance, and v - r > tol, one of them counts as zero and the
-       other k - 1 as one repeated Fiedler value.
-    2. Count.  Let the window be max(tol + r, 2 k n r) and floor = v +
-       window + m eps ||L||_inf.  When x^T L x > floor ||x||^2 for every
-       x orthogonal to span Y, at most k eigenvalues of L lie at or below
+       rho ||D^||_2 / sqrt n + 3 m eps norm_hi: the solver's own error,
+       with the margin it had when the residual was summed from L.  With
+       2 r <= tol_lo and v - r > tol_hi, one of them counts as zero under
+       eig_sym's tolerance tol and the other k - 1 as one repeated
+       Fiedler value.
+    2. Count.  Let the window be max(tol_hi + r, 2 k n r) and floor = v +
+       window + m eps norm_hi.  When x^T L x > floor ||x||^2 for every x
+       orthogonal to span Y, at most k eigenvalues of L lie at or below
        floor (Courant-Fischer).  Every other one, as a dense solve
        computes it, lies more than tol above the Fiedler value: the
        Fiedler eigenspace is the k - 1 pairs near v and no more.
 
-       It is shown one layer at a time.  Write L = blockdiag(L_aa)
-       + O: L_aa the diagonal blocks (L_a + (k - 1) w I for
-       `build_supra`), O the rest (||O||_inf = (k - 1) w there).  Such an
-       x has each layer part x_a orthogonal to 1_n, and x^T O x >=
-       -||O||_2 ||x||^2 >= -||O||_inf ||x||^2, as O is symmetric.  So it
-       suffices that each block passes `_cholesky_certifies(L_aa,
-       ||L_aa||_inf, floor + off, 1_n / sqrt n)` with off >= ||O||_inf:
-       then x_a^T L_aa x_a > (floor + off) ||x_a||^2 for every a, and the
-       sum over a gives the bound.  off is the largest row sum of |L|
-       outside the row's own block, read from L (a hand-built operator's
-       blocks need not be w I), plus m eps ||L||_inf for its rounding.
-       With u = eps / 2, each n-term block sum of |L| (terms >= 0) is
-       within (n - 1) u of exact, the k-term row total adds (k - 1) u,
-       and taking the own block's sum, one of the k terms, back out adds
-       one rounding: the computed value is within (n + k - 1) u of the
-       row's |L| sum to first order, and n + k - 1 < 2 n k.  The rounding
-       of ||L_aa||_inf and of floor + off lies far inside the factor two
-       by which the helper's margin exceeds its first-order budget.
-       These k factorizations of n x n cost k^2 fewer flops than one of
-       m x m.
+       It is shown one layer at a time.  Write L = blockdiag(L_aa) + O,
+       O the off-diagonal blocks, -w I each, so ||O||_inf = (k - 1) w;
+       off = fl((k - 1) w) + m eps norm_hi covers its rounding.  Such an x
+       has each layer part x_a orthogonal to 1_n, and x^T O x >= -||O||_2
+       ||x||^2 >= -||O||_inf ||x||^2, as O is symmetric.  L_aa = L_a +
+       (k - 1) w I is formed n x n from the layers as diag(D^_a) - S_a,
+       which differs from L's block by diag(d_a - D^_a), of 2-norm at
+       most rho max D^.  So it suffices that each formed block passes
+       `_cholesky_certifies(block, ||block||_inf, floor + off + rho max D^,
+       1_n / sqrt n)`: then x_a^T L_aa x_a > (floor + off) ||x_a||^2 for
+       every a, and the sum over a gives the bound.  The rounding of
+       ||block||_inf and of the sum in the floor lies far inside the
+       factor two by which the helper's margin exceeds its first-order
+       budget.  These k factorizations of n x n cost k^2 fewer flops
+       than one of m x m.
 
        Each layer must absorb the whole bound off, so the test holds on
-       fewer operators than the claim does: on a `build_supra` operator,
-       only for k w up to about min_a lambda_2(L_a) less the window.  The
-       first block that refuses stops it, and the call goes to the
-       eigensolve.
+       fewer operators than the claim does: for k w up to about min_a
+       lambda_2(L_a) less the window.  The first block that refuses stops
+       it, and the call goes to the eigensolve.
     3. Signs (Davis & Kahan's sin theta theorem).  That eigenspace's
        projector lies within beta = r / delta of the projector onto
        Z = {x (x) 1_n : x orthogonal to 1_k}, with delta = min(v - r,
@@ -445,43 +519,36 @@ def _certifies_layer_split(op: operators.SupraOperator) -> bool:
        1 / (k n) > beta + 1e-12, row 0 is the anchor a, and the signs of
        P e_0 split layer 0 from the rest, whatever basis the solve
        returns.  The window keeps beta at most 1 / (2 k n) when v - r
-       exceeds it, however small tol is beside r.  With a zero block-sum residual r is the rounding
-       term 3 m eps ||L||_inf alone, and the window is tol + r up to m of
-       about 2700; tol + r alone would leave beta above 1 / (k n), and
-       refuse every operator, from m of about 3900 on.
+       exceeds it, however small tol is beside r.  r is at least 3 m eps
+       ||L||_inf, and the window is tol + r up to m of about 2700; tol +
+       r alone would leave beta above 1 / (k n), and refuse every
+       operator, from m of about 3900 on.
 
-    It refuses: no layer split value (dynamic, or k = 1); an L that is
-    not exactly symmetric (a hand-built operator's may be symmetric only
-    within the build's tolerance); k w within r of the zero tolerance; a
-    residual too large, as from a coupling that is not w I; a gap too
-    small for the signs; or a layer whose n x n Cholesky fails, as when
-    lambda_2(L_a) of a `build_supra` layer lies below k w plus the
-    window.  The checks run cheapest first."""
+    It refuses: no layers; no layer split value (dynamic, or k = 1); k w
+    within r of the zero tolerance; a gap too small for the signs; or a
+    layer whose n x n Cholesky fails, as when lambda_2(L_a) lies below
+    k w plus the window.  The checks run cheapest first."""
     value = op.layer_split_value()
-    arr, norm, tol, exact = _facts(op)
-    if value is None or not exact:
+    if value is None or op.layers is None:
         return False
+    form = _LayerForm(op) if form is None else form
     n, k, m = op.n, op.k, op.num_copies
-    slack = m * np.finfo(float).eps * norm
-    # sqrt n R[(a, i), b]: the sum of row (a, i) of L over layer b, less
-    # B[a, b] = w (k [a == b] - 1)
-    block_sums = arr.reshape(m, k, n).sum(axis=2)
-    block_sums -= np.repeat(value * (np.eye(k) - 1.0 / k), n, axis=0)
-    radius = float(np.linalg.norm(block_sums)) / np.sqrt(n) + 3 * slack
-    if not (2 * radius <= tol and value - radius > tol):
+    slack = m * np.finfo(float).eps * form.norm_hi
+    radius = form.spread * float(np.linalg.norm(form.degrees)) / np.sqrt(n) + 3 * slack
+    if not (2 * radius <= form.tol_lo and value - radius > form.tol_hi):
         return False
-    window = max(tol + radius, 2 * k * n * radius)
+    window = max(form.tol_hi + radius, 2 * k * n * radius)
     if not 1.0 / (k * n) > radius / min(value - radius, window) + ZERO_ENTRY_TOL:
         return False
-    floor = value + window + slack
-    # |L| summed over each layer block of each row: less the row's own
-    # block, the rest bounds ||O||_inf
-    magnitude = np.abs(arr).reshape(m, k, n).sum(axis=2)
-    own = magnitude[np.arange(m), np.arange(m) // n]
-    off = float((magnitude.sum(axis=1) - own).max()) + slack
-    blocks, norms = arr.reshape(k, n, k, n), own.reshape(k, n).max(axis=1)
+    # floor + off, and the rounding of the diagonal that L holds
+    bound = (value + window + slack) + ((k - 1) * form.w + slack) + form.spread * form.top
     unit = np.full((n, 1), 1.0 / np.sqrt(n))
-    return all(_cholesky_certifies(blocks[a, :, a], norms[a], floor + off, unit) for a in range(k))
+    for sym, sums, degrees in zip(form.syms, form.sums, form.degrees):
+        block = np.subtract(0.0, sym)  # -S_a, its zero diagonal +0.0
+        np.fill_diagonal(block, degrees)
+        if not _cholesky_certifies(block, float((degrees + sums).max()), bound, unit):
+            return False
+    return True
 
 
 def fiedler_bipartition(
@@ -504,37 +571,50 @@ def fiedler_bipartition(
     eigenspace reaches, which is the same for every basis of it.
 
     `lap` is a Laplacian matrix or a `SupraOperator`, whose Laplacian is
-    split with the ||L||_inf and exactness its build found, as `eig_sym`
+    split with the ||L||_inf and exactness its scan found, as `eig_sym`
     reads them.  `system` is an already computed `eig_sym(lap, 2)` (or a
     larger count), for a caller that also reads the spectrum; it is
     trusted to belong to `lap`, and the components are searched only when
     its zero eigenvalue repeats.  When omitted, the pattern |L_ij| > 1e-12
-    is searched first, once: a Laplacian that falls apart there and is
-    exactly block diagonal is split with no eigensolve (`_falls_apart`),
-    and a degenerate eigensolve reuses the same components.  Otherwise a
-    supra operator is tried by `_certifies_layer_split`: when that proves
-    the split that the eigensolve would lead to, it returns layer 0
+    is searched first, once, and a Laplacian that falls apart there and is
+    exactly block diagonal is split with no eigensolve (`_falls_apart`).
+    A `build_supra` operator is decided from its layers, whether or not
+    its L has been read: the pattern is searched on n x n layers, and a
+    connected one is tried by `_certifies_layer_split`, which, when it
+    proves the split that the eigensolve would lead to, returns layer 0
     against the rest with Fiedler value k w (the dense solve's is within
-    its rounding of k w) and no eigensolve.  Any other matrix is
-    decomposed here.
+    its rounding of k w) and no eigensolve.  Only a refusal reads L.  Any
+    other input is decomposed by `eig_sym`, and a degenerate eigensolve
+    reuses the components; a bare matrix is scanned once, by `_validated`,
+    whichever of the two reads it first.
     """
     supra = isinstance(lap, operators.SupraOperator)
-    arr = np.asarray(lap.laplacian if supra else lap, dtype=float)
-    if arr.ndim == 2 and arr.shape[0] < 2:  # any other shape eig_sym rejects
+    arr = None if supra else np.asarray(lap, dtype=float)
+    shape = lap.shape if supra else arr.shape
+    if len(shape) == 2 and shape[0] < 2:  # any other shape eig_sym rejects
         raise SpectralError("bipartition needs a matrix of size >= 2")
     comp = None
     if system is None:
-        if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:  # else eig_sym raises its message
-            comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
-            if _falls_apart(lap, arr, comp):
+        if supra and lap.layers is not None:
+            form = _LayerForm(lap)
+            comp = form.components()
+            if _falls_apart(lap, comp, form):
                 return Partition(labels=comp != comp[0], c=2), 0.0, True
-        if supra and _certifies_layer_split(lap):
-            return Partition(labels=np.arange(len(arr)) >= lap.n, c=2), lap.layer_split_value(), False
+            if _certifies_layer_split(lap, form):
+                return Partition(labels=np.arange(lap.num_copies) >= lap.n, c=2), lap.layer_split_value(), False
+        elif len(shape) == 2 and shape[0] == shape[1]:  # else eig_sym raises its message
+            comp = operators.connected_components(lap.laplacian if supra else arr, atol=ZERO_ENTRY_TOL)
+            if comp.any():
+                if not supra:  # scanned once, here, for eig_sym too
+                    norm, _, exact = _validated(arr)
+                    lap = _Scanned(arr, norm, exact)
+                if _falls_apart(lap, comp):
+                    return Partition(labels=comp != comp[0], c=2), 0.0, True
         system = eig_sym(lap, 2)
     if system.zero_multiplicity > 1:
         # edges are the off-diagonal entries; the diagonal adds only self-loops
         if comp is None:
-            comp = operators.connected_components(arr, atol=ZERO_ENTRY_TOL)
+            comp = operators.connected_components(lap.laplacian if supra else arr, atol=ZERO_ENTRY_TOL)
         return Partition(labels=comp != comp[0], c=2), 0.0, True
     basis = system.eigenvectors[:, system.fiedler_mask()]
     if basis.shape[1] == 1:
@@ -546,26 +626,43 @@ def fiedler_bipartition(
     return Partition(labels=labels, c=2), system.fiedler_value, False
 
 
-def _falls_apart(lap, arr: np.ndarray, comp: np.ndarray) -> bool:
+def _falls_apart(lap, comp: np.ndarray, form: _LayerForm | None = None) -> bool:
     """Whether `eig_sym(lap, 2)` is bound to count more than one zero
     eigenvalue, decided with no eigensolve from `comp`, the components of
-    the pattern |M_ij| > 1e-12 of the square `arr`, the matrix M of `lap`
-    (its Laplacian when `lap` is an operator).  That holds when there is
-    more than one, no nonzero entry lies between two of them, so the
-    matrix that eig_sym solves, (M + M^T) / 2, is exactly block diagonal,
-    and every row of it sums to within half the zero tolerance of 0.  Then
-    each block B has an eigenvalue within half the tolerance of 0, as its
-    all-ones vector 1_B has ||B 1_B|| <= max |row sum| ||1_B||, and a
-    backward-stable solver moves it by m eps ||M||, far less than the
-    other half.  A Laplacian's rows sum to 0, so it qualifies whenever its
-    pattern falls apart at 1e-12 with no entry in (0, 1e-12] between the
-    parts.  The zero tolerance is the one eig_sym uses (`_facts`): an
-    operator's comes from the ||L||_inf its build found, with no scan of
-    L here, and a bare matrix that falls apart so is checked by
-    `_validated`, with the messages of eig_sym."""
-    if not comp.any() or ((arr != 0) & (comp[:, None] != comp)).any():
+    the pattern |M_ij| > 1e-12 of the matrix M of `lap` (its Laplacian
+    when `lap` is an operator).  That holds when there is more than one,
+    no nonzero entry lies between two of them, so the matrix that eig_sym
+    solves, (M + M^T) / 2, is exactly block diagonal, and every row of it
+    sums to within half the zero tolerance of 0.  Then each block B has an
+    eigenvalue within half the tolerance of 0, as its all-ones vector 1_B
+    has ||B 1_B|| <= max |row sum| ||1_B||, and a backward-stable solver
+    moves it by m eps ||M||, far less than the other half.  A Laplacian's
+    rows sum to 0 up to rounding, so it qualifies whenever its pattern
+    falls apart at 1e-12 with no entry in (0, 1e-12] between the parts.
+
+    In matrix form M is read, with the zero tolerance eig_sym uses
+    (`_facts`: an operator's, from the ||L||_inf its scan found, or a
+    `_Scanned` matrix's, with no scan here).  In layer form, `form` of a
+    `build_supra` operator, no M is read.  An entry of M between two of
+    the components is, inside a layer, one of S_a, and, when each layer
+    falls apart on its own, the -w between the copies of a node, which is
+    nonzero unless w = 0.  M is exactly symmetric, and its row sums are
+    exactly d_i - D_i, within rho D^_i of 0 (`_LayerForm`), so the rows
+    qualify when rho max D^ <= tol_lo / 2."""
+    if not comp.any():
         return False
-    _, _, tol, _ = _facts(lap)
+    if form is not None:
+        if not form.tiled and form.w != 0:
+            return False
+        n = form.n
+        for a, sym in enumerate(form.syms):
+            part = comp[a * n:(a + 1) * n]
+            if ((sym != 0) & (part[:, None] != part)).any():
+                return False
+        return bool(form.spread * form.top <= 0.5 * form.tol_lo)
+    arr, _, tol, _ = _facts(lap)
+    if ((arr != 0) & (comp[:, None] != comp)).any():
+        return False
     rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))
     return bool(np.abs(rows).max() <= 0.5 * tol)
 

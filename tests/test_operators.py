@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
+from mxspec import operators
 from mxspec.core import DynamicCoupling, MultiplexNetwork
 from mxspec.errors import OperatorError, ParseError
 from mxspec.generators import RngSeed, gen_er_multiplex
@@ -83,14 +84,21 @@ def test_supra_operator_derives_its_laplacian():
                       laplacian=laplacian(adj))
 
 
-@pytest.mark.parametrize("n, k", [(0, 2), (3, 0), (0, 0), (-1, -1)])
+@pytest.mark.parametrize("n, k", [(0, 2), (3, 0), (0, 0), (-1, -1), (2.5, 2), (3, 2.0)])
 def test_operator_refuses_no_nodes_or_no_layers(n, k):
     # refused at the build, as error[operators], not later by numpy in
-    # eig_sym's sign fixing; n = k = -1 would pass the 1 x 1 shape check
-    m = max(n * k, 0)
+    # eig_sym's sign fixing; n = k = -1 would pass the 1 x 1 shape check,
+    # and n = 2.5, k = 2 the 5 x 5 one
+    m = int(max(n * k, 0))
     expected = fr"^operator needs n, k >= 1 and an nk x nk adjacency, got n={n}, k={k}, \({m}, {m}\)$"
     with pytest.raises(OperatorError, match=expected):
         SupraOperator(model="supra", n=n, k=k, adjacency=np.zeros((m, m)), coupling=1.0)
+
+
+def test_operator_takes_numpy_integer_sizes():
+    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
+    op = SupraOperator(model="supra", n=np.int64(1), k=np.int32(2), adjacency=adj, coupling=1.0)
+    assert op.shape == (2, 2) and op.layer_split_value() == 2.0
 
 
 def test_build_refuses_a_row_whose_weights_sum_past_the_float_range():
@@ -151,11 +159,13 @@ def test_build_supra_rejects_negative_w():
 
 
 def test_build_refuses_an_operator_above_physical_memory(monkeypatch):
-    # a stand-in with only the sizes: refused before np.zeros, which would
+    # a stand-in with only the sizes: a supra operator keeps its layers,
+    # and its L is refused at its first read, before np.zeros, which would
     # grant the 32 MB and then find no layer to read
     report_physical_memory(monkeypatch, 4 << 20)
-    with pytest.raises(OperatorError, match="supra operator: cannot allocate a 2000 x 2000 "):
-        build_supra(SimpleNamespace(n=1000, k=2, layers=()), 1.0)
+    op = build_supra(SimpleNamespace(n=1000, k=2, layers=()), 1.0)
+    with pytest.raises(OperatorError, match="^supra operator: cannot allocate a 2000 x 2000 "):
+        op.laplacian
     net = random_network(np.random.default_rng(5), n=20, k=3)
     expected = build_supra(net, 1.0).laplacian  # fits: 28.8 kB
 
@@ -197,11 +207,13 @@ def test_supra_layer_split_eigenvalue_is_k_times_w():
 @pytest.mark.parametrize("n, k", [(10**5, 100), (10**7, 1000)])
 def test_build_rejects_operator_too_large_to_allocate(n, k):
     # stand-ins with only the sizes: the nk x nk allocation fails before any
-    # layer is read (10^14 doubles exceed the address space, 10^20 an index)
+    # layer is read (10^14 doubles exceed the address space, 10^20 an index),
+    # at the build of a dynamic operator and at the first read of a supra L
     net = SimpleNamespace(n=n, k=k, layers=())
     shape = f"{n * k} x {n * k}"
+    op = build_supra(net, 1.0)
     with pytest.raises(OperatorError, match=f"supra operator: cannot allocate a {shape}"):
-        build_supra(net, 1.0)
+        op.laplacian
     with pytest.raises(OperatorError, match=f"dynamic operator: cannot allocate a {shape}"):
         build_dynamic(net, SimpleNamespace(n=n, k=k))
 
@@ -548,13 +560,14 @@ def test_builders_equal_symmetrized_assembly_bitwise():
 
 
 @pytest.mark.parametrize("build", [
-    lambda net: build_supra(net, 1.0),
+    lambda net: build_supra(net, 1.0).laplacian,
     lambda net: build_dynamic(net, DynamicCoupling.identity(net.n, net.k)),
 ], ids=["supra", "dynamic"])
 def test_build_allocates_each_operator_matrix_once(build):
-    # the adjacency the builder fills and the Laplacian, which reuses its
+    # the adjacency the fill writes and the Laplacian, which reuses its
     # |S| scratch; layer-sized temporaries are 1/k^2 of a matrix each, so
-    # at k = 1 the builder may hold no layer-sized array beside the matrix
+    # at k = 1 the builder may hold no layer-sized array beside the matrix.
+    # A supra operator fills them at the first read of L
     for n, k in ((100, 4), (400, 1)):
         net = gen_er_multiplex(n, k, 0.3, RngSeed(1))
         tracemalloc.start()
@@ -565,6 +578,18 @@ def test_build_allocates_each_operator_matrix_once(build):
             tracemalloc.stop()
         m = n * k
         assert peak <= 2.2 * m * m * 8, (n, k, peak / (m * m * 8))
+
+
+def test_build_supra_allocates_nothing_operator_sized():
+    # the layers' total weights bound ||L||_inf, one number each
+    net = gen_er_multiplex(100, 4, 0.3, RngSeed(1))
+    tracemalloc.start()
+    try:
+        build_supra(net, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 100 * 8
 
 
 def test_supra_operator_leaves_the_callers_array_writable_and_unshared():
@@ -584,25 +609,65 @@ def test_supra_operator_leaves_the_callers_array_writable_and_unshared():
     asymmetric[1, 0] = 1.0
 
 
-@pytest.mark.parametrize("build", [
-    lambda net: build_supra(net, 1.0),
-    lambda net: build_dynamic(net, DynamicCoupling.identity(net.n, net.k)),
-], ids=["supra", "dynamic"])
-def test_built_operator_keeps_one_matrix(build):
-    # the Laplacian alone: the adjacency and its blocks are read back from
-    # it, and reading them caches nothing
-    op = build(gen_er_multiplex(20, 3, 0.3, RngSeed(1)))
+def held_arrays(op):
+    """The arrays an operator holds, those of its tuple fields included."""
+    values = [item for value in vars(op).values()
+              for item in (value if isinstance(value, tuple) else (value,))]
+    return [arr for arr in values if isinstance(arr, np.ndarray)]
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_built_operator_keeps_one_matrix(model):
+    # a supra operator keeps the network's own layers, by reference, and
+    # no nk x nk array until L is read; then L alone beside them.  A
+    # dynamic one keeps L from its build.  The adjacency and its blocks
+    # are read back from L, and reading them caches nothing
+    net = gen_er_multiplex(20, 3, 0.3, RngSeed(1))
+    if model == "supra":
+        op = build_supra(net, 1.0)
+        assert op.layers is net.layers and held_arrays(op) == list(net.layers)
+    else:
+        op = build_dynamic(net, DynamicCoupling.identity(net.n, net.k))
+        assert op.layers is None
     op.adjacency, op.block(0, 1)
-    arrays = [arr for arr in vars(op).values() if isinstance(arr, np.ndarray)]
-    assert sum(arr.nbytes for arr in arrays) == op.num_copies ** 2 * 8
+    matrices = [arr for arr in held_arrays(op) if arr.shape == op.shape]
+    assert [arr.nbytes for arr in matrices] == [op.num_copies ** 2 * 8]
+    assert matrices[0] is op.laplacian and not op.laplacian.flags.writeable
+    layers = [arr for arr in held_arrays(op) if arr.shape != op.shape]
+    assert all(any(arr is layer for layer in net.layers) for arr in layers)
+
+
+def test_supra_laplacian_is_filled_once_on_first_read(monkeypatch):
+    # laplacian, norm and exact are one read: the first of them fills all
+    # three, with the fill of a dense build and its one scan
+    net = gen_er_multiplex(20, 3, 0.3, RngSeed(1))
+    reference = SupraOperator(model="supra", n=20, k=3, coupling=1.0, adjacency=np.block(
+        [[symmetrize(net.layers[a]) if a == b else np.eye(20) for b in range(3)] for a in range(3)]))
+    scans = []
+    real = operators._checked_laplacian
+    monkeypatch.setattr(operators, "_checked_laplacian", lambda adj: scans.append(adj.shape) or real(adj))
+    for first in ("laplacian", "norm", "exact"):
+        op = build_supra(net, 1.0)
+        assert scans == []
+        getattr(op, first)
+        op.laplacian, op.norm, op.exact, op.adjacency
+        assert scans == [(60, 60)], first
+        del scans[:]
+        assert op.laplacian.tobytes() == reference.laplacian.tobytes()
+        assert (op.norm, op.exact) == (reference.norm, reference.exact) == (op.norm, True)
+    assert op.shape == (60, 60) and op.num_copies == 60
 
 
 def test_unpickled_arrays_stay_locked():
     rng = np.random.default_rng(25)
     net = random_network(rng, n=5, k=3)
     coupling = random_coupling(rng, 5, 3)
+    # a supra operator pickled before and after its L is first read
+    read = build_supra(net, 2.0)
+    read.laplacian
     for obj, arrays in ((net, lambda x: x.layers), (coupling, lambda x: (x.diag,)),
-                        (build_supra(net, 0.5), lambda x: (x.laplacian,)),
+                        (build_supra(net, 0.5), lambda x: (x.laplacian, *x.layers)),
+                        (read, lambda x: (x.laplacian, *x.layers)),
                         (build_dynamic(net, coupling), lambda x: (x.laplacian, x.coupling.diag))):
         copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
         name = type(obj).__name__

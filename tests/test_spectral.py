@@ -13,7 +13,7 @@ import mxspec
 
 from mxspec import operators, spectral
 from mxspec.core import DynamicCoupling, MultiplexNetwork
-from mxspec.errors import SpectralError
+from mxspec.errors import OperatorError, SpectralError
 from mxspec.experiments import overlap_coupling
 from mxspec.generators import (
     RngSeed,
@@ -39,6 +39,8 @@ from mxspec.spectral import (
     match_partitions,
     spectral_kway,
 )
+
+from conftest import report_physical_memory
 
 
 def block_clique_laplacian(sizes, bridges=()):
@@ -1057,7 +1059,9 @@ def hand_built_supra(net, w, coupling):
 
 def refused_supra_operators():
     """(name, operator, whether the certificate is reached, whether its
-    Cholesky runs) of supra operators the certificate must refuse."""
+    Cholesky runs) of supra operators the certificate must refuse.  The
+    hand-built ones, given their adjacency, have no layers and go to the
+    eigensolve without reaching it."""
     net, _ = gen_fixed_sbm_multiplex(30, 6, 0.0, RngSeed(1, ("refused",)))
     yield "p = 0", build_supra(net, 1.0), False, False
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
@@ -1072,11 +1076,11 @@ def refused_supra_operators():
     yield "k w above the community eigenvalue", build_supra(large, 5.0), True, True
     diag = np.full(30, 1.0)
     diag[7] = 1.5
-    yield "coupling not w I", hand_built_supra(net, 1.0, np.diag(diag)), True, False
+    yield "coupling not w I", hand_built_supra(net, 1.0, np.diag(diag)), False, False
     adj = build_supra(net, 1.0).adjacency.copy()
     adj[0, 1] += 1e-14  # within laplacian's symmetry tolerance, not exact
     inexact = operators.SupraOperator(model="supra", n=30, k=2, adjacency=adj, coupling=1.0)
-    yield "not exactly symmetric", inexact, True, False
+    yield "not exactly symmetric", inexact, False, False
 
 
 def test_refused_layer_split_falls_through_bitwise(monkeypatch):
@@ -1108,11 +1112,13 @@ def test_layer_split_refusals_are_the_ones_named():
     above = cases["k w above the community eigenvalue"]
     assert eig_sym(above.laplacian, 2).fiedler_value < above.layer_split_value() - 40
     assert not scipy.linalg.issymmetric(cases["not exactly symmetric"].laplacian)
-    # the hand-built operator certifies once its coupling is w I
+    # a hand-built operator has no layers, so it is refused even where its
+    # coupling is w I and its L is that of build_supra, whose layers certify
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
-    op = hand_built_supra(net, 1.0, np.eye(30))
-    np.testing.assert_array_equal(op.laplacian, build_supra(net, 1.0).laplacian)
-    assert spectral._certifies_layer_split(op)
+    op, built = hand_built_supra(net, 1.0, np.eye(30)), build_supra(net, 1.0)
+    assert op.layers is None and built.layers is net.layers
+    assert spectral._certifies_layer_split(built) and not spectral._certifies_layer_split(op)
+    np.testing.assert_array_equal(op.laplacian, built.laplacian)
 
 
 def test_an_operator_keeps_the_facts_eig_sym_would_scan():
@@ -1133,21 +1139,34 @@ def test_an_operator_keeps_the_facts_eig_sym_would_scan():
 
 
 def test_layer_split_window_covers_a_residual_beside_the_tolerance(monkeypatch):
-    # coupling node 7 by w (1 + 3e-8) leaves a block-sum residual r of about
-    # 1e-8, which passes 2 r <= tol; a window of tol + r alone would put
-    # r / gap near 0.05, above 1 / (k n) = 1 / 60, but 2 k n r makes it 1 / 120
+    # the radius r is at least 3 m eps ||L||_inf, which at m = 4000 puts
+    # r / (tol + r) above 1 / (k n): a window of tol + r alone would refuse
+    # every operator from m of about 3900 on, and 2 k n r makes r / gap
+    # 1 / (2 k n).  This one certifies from its layers, with no L built
+    net, _ = gen_fixed_sbm_multiplex(40, 100, 0.3, RngSeed(1, ("window",)))
+    op = build_supra(net, 0.01)
+    form = spectral._LayerForm(op)
+    least = 3 * op.num_copies * np.finfo(float).eps * form.norm_lo
+    assert least / (form.tol_hi + least) > 1.0 / op.num_copies
+    answers = certificate_spy(monkeypatch)
+    calls = counting_eig_sym(monkeypatch)
+    part, value, degenerate = fiedler_bipartition(op)
+    assert (answers, calls) == ([True], []) and "laplacian" not in vars(op)
+    np.testing.assert_array_equal(part.labels, np.arange(op.num_copies) >= op.n)
+    assert (value, degenerate) == (op.layer_split_value(), False)
+    # coupling node 7 by w (1 + 3e-8) leaves a block-sum residual of about
+    # 1e-8; such an operator is hand-built, has no layers, and takes the
+    # eigensolve, with its bare Laplacian's answer bit for bit
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
     diag = np.full(30, 1.0)
     diag[7] = 1.0 + 3e-8
     op = hand_built_supra(net, 1.0, np.diag(diag))
-    expected, _, expected_degenerate = fiedler_bipartition(op.laplacian)
-    answers = certificate_spy(monkeypatch)
-    calls = counting_eig_sym(monkeypatch)
-    part, value, degenerate = fiedler_bipartition(op)
-    assert (answers, calls) == ([True], [])
-    np.testing.assert_array_equal(part.labels, expected.labels)
-    assert degenerate is expected_degenerate is False
-    assert value == 2.0
+    expected = fiedler_bipartition(op.laplacian)
+    del answers[:], calls[:]
+    got = fiedler_bipartition(op)
+    assert (answers, calls) == ([], [60])
+    assert_bitwise_equal(got, expected, "residual")
+    np.testing.assert_array_equal(got[0].labels, np.arange(60) >= 30)
 
 
 def test_certified_layer_split_factors_each_layer_alone(monkeypatch):
@@ -1224,7 +1243,8 @@ def layer_split_sample():
     # -8 I + 10 (a symmetric permutation) has the block sums of w I at
     # w = 2 but |row| sums of 18.  An eigenvalue off S lies near 2.0, below
     # k w = 4; each layer's lambda_2 is above 9, so a bound on ||O||_inf
-    # read from the coupling, (k - 1) w, would pass every layer
+    # read from the coupling, (k - 1) w, would pass every layer.  Built
+    # from its adjacency, it has no layers, and takes the eigensolve
     net, _ = gen_fixed_sbm_multiplex(30, 2, 0.3, RngSeed(1, ("refused",)))
     swap = np.eye(30)[np.arange(30) ^ 1]
     yield "signed coupling", hand_built_supra(net, 2.0, 10.0 * swap - 8.0 * np.eye(30))
@@ -1326,6 +1346,104 @@ def test_an_operator_decides_as_its_bare_laplacian_bitwise(monkeypatch):
         assert_bitwise_equal(given, expected[3], f"{name}, system given")
     # certified, refused, and never reached (dynamic, or fallen apart)
     assert decisions == {(True,), (False,), ()}
+
+
+def laplacian_build_spy(monkeypatch):
+    """Route operators._checked_laplacian, the scan every L is made by,
+    through a wrapper; returns the order of each L it makes."""
+    builds = []
+    real = operators._checked_laplacian
+
+    def spied(adj):
+        builds.append(adj.shape[0])
+        return real(adj)
+
+    monkeypatch.setattr(operators, "_checked_laplacian", spied)
+    return builds
+
+
+def lazy_path_operators():
+    """(name, operator) of every supra and dynamic fixture above, fresh."""
+    yield from desk_supra_operators()
+    yield from forced_path_operators()
+    yield from ((name, op) for name, op, _, _ in refused_supra_operators())
+    yield from layer_split_sample()
+
+
+def test_a_fresh_operator_decides_as_its_laplacian_does(monkeypatch):
+    # decided from the layers, a build_supra operator builds no L on the
+    # component and certified paths, and one L on a refusal; its answer
+    # is the one after L is read, bit for bit, and that of its bare L, but
+    # for the Fiedler value k w of a certified split
+    builds = laplacian_build_spy(monkeypatch)
+    calls = counting_eig_sym(monkeypatch)
+    paths = set()
+    for (name, fresh), (_, read) in zip(lazy_path_operators(), lazy_path_operators(), strict=True):
+        bare = fiedler_bipartition(read.laplacian)
+        after = fiedler_bipartition(read)
+        del builds[:], calls[:]
+        lazy = fiedler_bipartition(fresh)
+        solved, degenerate = bool(calls), lazy[2]
+        path = "eigensolve" if solved else "components" if degenerate else "certified"
+        if fresh.layers is not None:
+            assert builds == ([fresh.num_copies] if solved else []), name
+            paths.add(path)
+        else:  # L made at the build, as a dynamic or hand-built operator's is
+            assert builds == [], name
+        assert_bitwise_equal(lazy, after, name)
+        assert lazy[0].labels.tobytes() == bare[0].labels.tobytes(), name
+        assert lazy[2] is bare[2], name
+        if path != "certified":
+            assert np.float64(lazy[1]).tobytes() == np.float64(bare[1]).tobytes(), name
+    assert paths == {"components", "certified", "eigensolve"}
+
+
+def test_a_certified_split_allocates_less_than_one_operator_matrix():
+    net, _ = gen_fixed_sbm_multiplex(100, 10, 0.3, RngSeed(1, ("memory",)))
+    tracemalloc.start()
+    try:
+        part, value, degenerate = fiedler_bipartition(build_supra(net, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(part.labels, np.arange(1000) >= 100)
+    assert (value, degenerate) == (10.0, False)
+    assert peak < 1000 * 1000 * 8, peak / (1000 * 1000 * 8)
+
+
+def test_a_split_past_memory_is_certified_or_refused_as_an_operator_error(monkeypatch):
+    # k = 100 layers of n = 100: L would be 763 MiB, above the 64 MiB the
+    # platform is made to report.  k w = 1 certifies from the layers; at
+    # k w = 500 a layer refuses, and the L the eigensolve needs is refused
+    net, _ = gen_fixed_sbm_multiplex(100, 100, 0.3, RngSeed(1, ("memory",)))
+    report_physical_memory(monkeypatch, 64 << 20)
+    part, value, degenerate = fiedler_bipartition(build_supra(net, 0.01))
+    np.testing.assert_array_equal(part.labels, np.arange(10**4) >= 100)
+    assert (value, degenerate) == (100 * 0.01, False)
+    with pytest.raises(OperatorError, match=r"^supra operator: cannot allocate a 10000 x 10000 "
+                                            r"float64 array \(0\.745 GiB\)$"):
+        fiedler_bipartition(build_supra(net, 5.0))
+
+
+def test_a_bare_matrix_is_scanned_once_a_bipartition(monkeypatch):
+    # whether the components or eig_sym read its facts first
+    block = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    _, tiny = block_clique_laplacian([4, 4])
+    tiny[3, 4] = tiny[4, 3] = 1e-13
+    cases = [("rows off zero", scipy.linalg.block_diag(block, block, 0.5 * block) + 1e-3 * np.eye(6), 1),
+             ("cliques", block_clique_laplacian([4, 3, 5])[0], 0),
+             ("tiny bridge", laplacian(tiny), 1),
+             ("bridged", block_clique_laplacian([5, 5], bridges=[(4, 5)])[0], 1)]
+    expected = [fiedler_bipartition(mat, eig_sym(mat, 2)) for _, mat, _ in cases]
+    scans = []
+    real = spectral._validated
+    monkeypatch.setattr(spectral, "_validated", lambda arr: scans.append(arr.shape) or real(arr))
+    calls = counting_eig_sym(monkeypatch)
+    for (name, mat, solves), reference in zip(cases, expected):
+        del scans[:], calls[:]
+        got = fiedler_bipartition(mat)
+        assert (len(scans), len(calls)) == (1, solves), name
+        assert_bitwise_equal(got, reference, name)
 
 
 def metamorphic_nets():
