@@ -7,11 +7,12 @@ through per-pair diagonal coupling matrices.  Either way the symmetric
 matrix S is filled and the operator keeps only its graph Laplacian
 `laplacian` (degree diagonal minus S), one nk x nk array, from which it
 reads `adjacency` back on demand, and the ||L||_inf and exactness that
-the scan checking S found.  The dynamic builder fills S at once; a supra
-operator keeps the network's layers and fills S on the first read of L,
-so that a bipartition its layers decide builds no nk x nk array.
-Spectral clustering reads the Laplacian and those two facts; cut
-analysis reads L and S.
+the scan checking S found.  Both builders keep the network's layers, by
+reference.  The dynamic builder fills S at once; a supra operator fills
+S on the first read of L, so that a bipartition its layers decide
+builds no nk x nk array.  Spectral clustering reads the Laplacian and
+those two facts, and its certified eigenvalue count reads the layers;
+cut analysis reads L and S.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ class SupraOperator(Locked):
     own locked n x n layers, by reference, and w, and builds L, `norm` and
     `exact` on their first read, by the fill and the scan above.  Until
     then it holds no nk x nk array, and `fiedler_bipartition` can decide
-    it from the layers alone.  `layers` is None on an operator given its
+    it from the layers alone.  `build_dynamic` keeps `layers` too, beside
+    an L made at the build.  `layers` is None on an operator given its
     adjacency.
     """
 
@@ -220,7 +222,8 @@ def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
 def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:
     """Dynamical-coupling operator: block (a, b) = (C^{a,b} A^b + (C^{b,a} A^a)^T) / 2,
     so the copy pair (i on a, j on b) carries half of c^{a,b}_i w^b(i,j) +
-    c^{b,a}_j w^a(j,i).  Summed once per pair a <= b, bit for bit `symmetrize`."""
+    c^{b,a}_j w^a(j,i).  Summed once per pair a <= b, bit for bit `symmetrize`.
+    The operator keeps the network's layers, by reference, beside L."""
     n, k = net.n, net.k
     if coupling.k != k or coupling.n != n:
         raise OperatorError(f"coupling shaped {coupling.diag.shape} does not match "
@@ -238,7 +241,9 @@ def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOper
                 half *= 0.5
                 if a != b:
                     blocks[b, :, a] = half.T
-    return SupraOperator(model="dynamic", n=n, k=k, adjacency=adj, coupling=coupling)
+    op = SupraOperator(model="dynamic", n=n, k=k, adjacency=adj, coupling=coupling)
+    op.__dict__["layers"] = net.layers
+    return op
 
 
 def connected_components(adjacency: np.ndarray, atol: float = 0.0) -> np.ndarray:

@@ -20,6 +20,10 @@ matrix, whose zero eigenvalue repeats, falls through to the subset
 solve.  Its eigenvalue count and the supra layer
 split's below are proved by Cholesky factorizations through one helper
 (`_cholesky_certifies`), which states the lemma and its error budget.
+On an operator that keeps its layers (`build_supra`, and `build_dynamic`
+with C = I) the count runs on an n x n Schur complement instead of the
+nk x nk L (`_schur_complement`), with the same exactness and O(k n^3)
+flops: no nk x nk factorization.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -207,10 +211,11 @@ def eig_sym(mat, count: int) -> EigenSystem:
     proof covers what `fiedler_bipartition` reads, so its labels, the
     zero and Fiedler multiplicities and `degenerate` are the subset
     solve's; the Fiedler value is the Ritz value, within its residual of
-    the exact one.  `spectral_kway` also reads the vectors' values, which
-    are the exact ones only to within the residuals, so its labels on
-    this path are not certified: for c >= 3 it keeps the higher order,
-    and c = 2 follows the Fiedler pair's.
+    the exact one.  An operator is handed down whole, so that a layered
+    one's count runs n x n.  `spectral_kway` also reads the vectors'
+    values, which are the exact ones only to within the residuals, so its
+    labels on this path are not certified: for c >= 3 it keeps the higher
+    order, and c = 2 follows the Fiedler pair's.
 
     `mat` is a matrix M or a `SupraOperator`, whose Laplacian is M.  An
     eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which bounds
@@ -226,7 +231,8 @@ def eig_sym(mat, count: int) -> EigenSystem:
     sym = arr if exact else 0.5 * (arr + arr.T)
     values = None
     if count + 1 < m and m >= (FIEDLER_LANCZOS_MIN if count <= 2 else LANCZOS_MIN):
-        values, vectors = _certified_lanczos(sym, count, norm, tol)
+        op = mat if exact and isinstance(mat, operators.SupraOperator) else None
+        values, vectors = _certified_lanczos(sym, count, norm, tol, op)
     size = max(count, SUBSET_MIN)
     try:
         if values is None and size < m:
@@ -293,12 +299,14 @@ def _validated(arr: np.ndarray) -> tuple[float, float, bool]:
     return norm, 1e-8 * max(1.0, norm), exact
 
 
-def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> tuple:
+def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float,
+                       op: operators.SupraOperator | None = None) -> tuple:
     """The lowest count + 1 Ritz pairs of the symmetric `sym` (m x m, with
     ||sym||_inf = `norm`), as (ascending values, vector columns), when
     they are proved to decide the zero count, the Fiedler multiplicity and
     every sign that `fiedler_bipartition` reads as the exact eigenpairs
-    do; else (None, None).
+    do; else (None, None).  `op` is the operator whose Laplacian `sym`
+    is, if any, for the count of step 2.
 
     1. ARPACK's implicitly restarted Lanczos (`eigsh`, which="SA") from
        a fixed start vector, m standard normal draws of numpy's default
@@ -311,7 +319,12 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
        tau V V^T (V the first count vectors, tau = ||A||_inf + |floor|)
        that succeeds, with mu just above floor = (theta_{count-1} +
        theta_count) / 2, proves that at most count eigenvalues lie at or
-       below floor (`_cholesky_certifies`, which states the lemma).
+       below floor (`_cholesky_certifies`, which states the lemma).  On a
+       `build_supra` operator, and on a `build_dynamic` one with C = I,
+       the same count is proved n x n instead, from the operator's
+       layers, through a Schur complement (`_schur_complement`); any
+       other input, or a layered one whose blocks it cannot prove
+       positive definite, is counted m x m.
     3. The first count Ritz values, each within r_j (plus rounding) of an
        eigenvalue, must lie more than the zero tolerance plus their
        residuals apart from each other, from floor, and from the zero
@@ -357,14 +370,42 @@ def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float) -> 
     beta = np.sqrt(2.0) * radius / gap
     if not (np.abs(np.abs(vectors[:, :count]) - ZERO_ENTRY_TOL) > beta).all():
         return None, None
-    return (values, vectors) if _cholesky_certifies(sym, norm, floor, vectors[:, :count]) else (None, None)
+    certified = _count_certifies(op, sym, norm, floor, vectors[:, :count])
+    return (values, vectors) if certified else (None, None)
+
+
+def _count_certifies(op, mat: np.ndarray, norm: float, floor: float, basis: np.ndarray) -> bool:
+    """Whether at most r eigenvalues of the m x m `mat`, the Laplacian of
+    `op` when `op` is given, lie at or below `floor`, r the number of
+    columns of `basis`: by `_schur_complement`'s n x n matrix when it
+    forms one, whose r lowest eigenvectors (one subset solve) are the
+    basis of `_cholesky_certifies`, and else by `_cholesky_certifies` on
+    `mat` with `basis`.
+
+    The n x n call takes twice ||X||_inf as its norm.  Its sigma then
+    lifts the r lowest eigenvalues of X, which can reach -||X||_inf,
+    above the floor by about ||X||_inf, where ||X||_inf itself would
+    leave them within rounding of it; the norm only widens the helper's
+    margins, so any bound at least ||X||_inf is sound."""
+    r = basis.shape[1]
+    schur = None if op is None else _schur_complement(op, mat, norm, floor, r)
+    if schur is None:
+        return _cholesky_certifies(mat, norm, floor, basis)
+    schur, error = schur
+    try:
+        lowest = linalg.eigh(schur, driver="evr", subset_by_index=[0, r - 1], check_finite=False)[1]
+    except np.linalg.LinAlgError:
+        return False
+    return _cholesky_certifies(schur, 2 * float(np.abs(schur).sum(axis=1).max()), error, lowest)
 
 
 def _cholesky_certifies(mat: np.ndarray, norm: float, floor: float, basis: np.ndarray) -> bool:
     """Whether one Cholesky factorization proves that at most r eigenvalues
     of the exactly symmetric m x m `mat` A, with ||A||_inf = `norm`, lie at
-    or below `floor`, given the m x r `basis` V.  Both spectral
-    certificates count eigenvalues by this lemma and its one error budget.
+    or below `floor`, given the m x r `basis` V.  Every spectral
+    certificate counts eigenvalues by this lemma and its one error budget:
+    the Lanczos count, m x m or on an n x n Schur complement, and each
+    layer of the supra split.
 
     It forms H = A - mu I + sigma V V^T, sigma = ||A||_inf + |floor|, in
     one m x m buffer, a copy of A with mu taken from its diagonal and
@@ -403,6 +444,149 @@ def _cholesky_certifies(mat: np.ndarray, norm: float, floor: float, basis: np.nd
     blas.dsyrk(sigma, basis, beta=1.0, c=shifted.T, overwrite_c=True)
     _, info = lapack.dpotrf(shifted.T, clean=False, overwrite_a=True)
     return info == 0
+
+
+def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
+                      floor: float, r: int) -> tuple[np.ndarray, float] | None:
+    """(the n x n matrix X, e) such that, when at most r eigenvalues of X
+    lie at or below e, at most r eigenvalues of the Laplacian `lap` of
+    `op`, with ||L||_inf = `norm`, lie at or below `floor`; or None, for
+    the m x m count.  `op` keeps its layers (n x n, k >= 2 of them), and
+    L is exactly symmetric.  O(k n^3) flops and a few n x n arrays.
+
+    With mu just above floor, L - mu I = G - U W U^T, G positive definite
+    and U W U^T of rank at most 2n.  Haynsworth's inertia additivity
+    (Linear Algebra Appl. 1, 1968) applied to [[G, U], [U^T, W^-1]] both
+    ways equates the number of eigenvalues <= 0 of L - mu I and of an n x
+    n Schur complement X, every G, W and X exactly the matrices named:
+
+    - Supra: G = blockdiag(G_a), G_a = L_aa - (mu - w) I with L_aa read
+      bit for bit from L's diagonal block a, and U W U^T = w J J^T, J =
+      1_k (x) I_n, as every off-diagonal block of L is exactly -w I.  X =
+      T = I / w - sum_a G_a^-1.  L_aa is about L_a + (k - 1) w I, whose
+      lowest eigenvalue is (k - 1) w, so G_a is positive only when floor
+      < k w.
+    - Dynamic with C = I: S = (J F^T + F J^T) / 2 with F the stack of
+      the A_a^T (each >= 0 with a zero diagonal), G = Delta = diag(L) -
+      mu, diagonal, and X = P = (2I - Z)^T D^-1 (2I - Z) - sum_a A_a
+      Delta_a^-1 A_a^T, with Z = sum_a Delta_a^-1 A_a^T (its diagonal 0)
+      and D = sum_a Delta_a^-1.
+
+    The budget, with u = eps / 2 and gamma_j = j u / (1 - j u) <= j eps
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3; no
+    underflow):
+
+    - The diagonal.  G_a = fl(L_aa - fl(mu - w)) (w = 0 for Delta) is
+      G_a exactly at a mu' within u |mu - w| of mu, plus a diagonal of
+      norm u max |L_ii - mu'|: L - mu I lies within u (2 |mu - w| +
+      ||L||_inf) of the G - U W U^T formed, which mu - floor = 2 eps
+      (||L||_inf + |floor| + w) covers, with the rounding of mu itself
+      (`_schur_shift`).
+    - The dynamic fill.  L holds S's blocks (A_b + A_a^T) / 2 as
+      fl(A_b + A_a^T) / 2, within u S, of 2-norm at most u ||L||_inf:
+      mu - floor adds eps ||L||_inf.  Supra reads no fill: L is G - w J
+      J^T as it stands.
+    - The inverses.  Each G_a is factored by `dpotrf`, inverted by
+      `dpotri` into X_a, and its residual R = fl(X_a G_a - I) taken,
+      within gamma_{n+1} (|X_a| |G_a| + I) of the exact one: ||X_a G_a -
+      I||_2 <= rho = ||R||_F + (n + 1) eps (||X_a||_inf ||G_a||_inf + 1).
+      With rho < 1, G_a^-1 = (I + X_a G_a - I)^-1 X_a has 2-norm at most
+      g = ||X_a||_inf / (1 - rho), and X_a - G_a^-1 = (X_a G_a - I)
+      G_a^-1 at most rho g.  The factorization puts every eigenvalue of
+      G_a above -(n + 1) n eps ||G_a||_inf (Higham thm 10.3, as in
+      `_cholesky_certifies`), and each has magnitude at least 1 / g, so
+      G_a is positive definite when (n + 1) n eps ||G_a||_inf g < 1.
+      Delta's inverses are reciprocals, inside the next item.
+    - Forming X.  T sums I / w and the k matrices -X_a: within (k + 1)
+      eps (1 / w + sum_a ||X_a||_inf).  P is one BLAS `dsyrk` of W =
+      D^-1/2 (2I - Z) and one with beta = 1 for each B_a = A_a
+      Delta_a^-1/2, all of them entries within gamma_{2k+4} (W) and
+      gamma_3 (B_a) of the exact ones, as are the reciprocals, square
+      roots and sums of positive terms that make them; each entry of P
+      sums (k + 1) n products through k + 1 more roundings, so P lies
+      within gamma_K (|W|^T |W| + sum_a B_a B_a^T), K = (k + 1) n + 5 k +
+      10, of 2-norm at most gamma_K (||W||_F^2 + sum_a ||B_a||_F^2);
+      K eps, twice K u, covers the higher orders and the rounding of the
+      norms.
+
+    e = sum_a rho g + (k + 1) eps (1 / w + sum_a ||X_a||_inf) for T, and
+    K eps (||W||_F^2 + sum_a ||B_a||_F^2) for P, bounds the distance of
+    the computed X from the exact one.  When at most r eigenvalues of X
+    lie at or below e, at most r of the exact X lie at or below 0 (Weyl),
+    as many of G - U W U^T, so eigenvalue r + 1 of L lies above mu less
+    the first two items, at least floor.
+
+    None when the count is not this: no layers, k = 1, r >= n, a dynamic
+    coupling other than C = I, supra at w = 0 or with floor >= k w, or a
+    G_a or Delta that is not proved positive definite."""
+    n, k = op.n, op.k
+    if op.layers is None or k < 2 or r >= n:
+        return None
+    eps = np.finfo(float).eps
+    # the strict lower triangle, where the Fortran-ordered inverses and
+    # `dsyrk` leave no result
+    lower = np.tri(n, k=-1, dtype=bool)
+    if op.model == "supra":
+        w = float(op.coupling)
+        if not (w > 0 and floor < k * w):
+            return None
+        shift = _schur_shift(op, norm, floor) - w
+        blocks = lap.reshape(k, n, k, n)
+        schur = np.zeros((n, n))
+        error, sizes = 0.0, 0.0
+        for a in range(k):
+            block = blocks[a, :, a].copy()
+            block.reshape(-1)[:: n + 1] -= shift
+            inverse, info = lapack.dpotrf(block.T, clean=False)  # a copy: block stays G_a
+            if info == 0:
+                inverse, info = lapack.dpotri(inverse, overwrite_c=True)
+            if info != 0:
+                return None
+            np.copyto(inverse, inverse.T, where=lower)
+            residual = inverse @ block
+            residual.reshape(-1)[:: n + 1] -= 1.0
+            residual = float(np.linalg.norm(residual))
+            size, spread = (float(np.abs(mat).sum(axis=1).max()) for mat in (inverse, block))
+            rho = residual + (n + 1) * eps * (size * spread + 1)
+            bound = size / (1 - rho) if rho < 1 else np.inf
+            if not (n + 1) * n * eps * spread * bound < 1:
+                return None
+            error += rho * bound
+            sizes += size
+            schur -= inverse
+        schur.reshape(-1)[:: n + 1] += 1.0 / w
+        return schur, error + (k + 1) * eps * (1.0 / w + sizes)
+    if not (op.coupling.diag == 1.0).all():
+        return None
+    delta = lap.diagonal() - _schur_shift(op, norm, floor)
+    if not (delta > 0).all():
+        return None
+    inv = (1.0 / delta).reshape(k, n)
+    outer = np.zeros((n, n))  # Z, then W
+    for a, layer in enumerate(op.layers):
+        outer += inv[a][:, None] * layer.T
+    np.negative(outer, out=outer)
+    outer.reshape(-1)[:: n + 1] += 2.0
+    outer *= np.sqrt(1.0 / inv.sum(axis=0))[:, None]
+    squares = float(np.dot(outer.reshape(-1), outer.reshape(-1)))
+    schur = blas.dsyrk(1.0, outer.T)  # W^T W, upper triangle, Fortran order
+    del outer
+    for a, layer in enumerate(op.layers):
+        scaled = layer * np.sqrt(inv[a])
+        squares += float(np.dot(scaled.reshape(-1), scaled.reshape(-1)))
+        schur = blas.dsyrk(-1.0, scaled.T, beta=1.0, c=schur, trans=1, overwrite_c=True)
+    np.copyto(schur, schur.T, where=lower)
+    return schur, ((k + 1) * n + 5 * k + 10) * eps * squares
+
+
+def _schur_shift(op: operators.SupraOperator, norm: float, floor: float) -> float:
+    """The mu of `_schur_complement`: floor + 2 eps (||L||_inf + |floor| +
+    w), for the rounding of the diagonal it forms (w = 0 for dynamic),
+    plus eps ||L||_inf for the dynamic fill's."""
+    eps = np.finfo(float).eps
+    if op.model == "supra":
+        return floor + 2 * eps * (norm + abs(floor) + float(op.coupling))
+    return floor + 2 * eps * (norm + abs(floor)) + eps * norm
 
 
 class _LayerForm:
@@ -564,11 +748,17 @@ def fiedler_bipartition(
     one of index 0 against the rest, instead of relying on an arbitrary
     nullspace basis.  A disconnected operator always takes this exit, but
     so does a connected one whose second eigenvalue is below the
-    tolerance, such as two blocks joined by weights far below ||L||_inf:
-    when those weights pass 1e-12 it is one component, and every entry
-    gets label 0.  When the Fiedler value is repeated, v is P e_a: the
-    projection onto its eigenspace of the first index a that the
-    eigenspace reaches, which is the same for every basis of it.
+    tolerance, such as two blocks joined by weights far below ||L||_inf.
+    When those weights pass 1e-12, the zero eigenvalue repeats more often
+    than there are components, and v is P e_a for the projector P onto
+    what the zero eigenspace holds beyond the components' indicator
+    vectors (`_beside_components`), so the blocks are split apart.  The
+    components decide where no row of P exceeds 1e-12, and where no
+    nonzero entry lies between them, as when the matrix falls apart
+    (below).  When the Fiedler value is repeated, v is P e_a for the
+    projector onto its eigenspace.  Either way a is the first index that
+    the projection reaches, and P e_a is the same for every basis of the
+    eigenspace.
 
     `lap` is a Laplacian matrix or a `SupraOperator`, whose Laplacian is
     split with the ||L||_inf and exactness its scan found, as `eig_sym`
@@ -595,7 +785,7 @@ def fiedler_bipartition(
         raise SpectralError("bipartition needs a matrix of size >= 2")
     comp = None
     if system is None:
-        if supra and lap.layers is not None:
+        if supra and lap.model == "supra" and lap.layers is not None:
             form = _LayerForm(lap)
             comp = form.components()
             if _falls_apart(lap, comp, form):
@@ -613,17 +803,48 @@ def fiedler_bipartition(
         system = eig_sym(lap, 2)
     if system.zero_multiplicity > 1:
         # edges are the off-diagonal entries; the diagonal adds only self-loops
+        matrix = lap.laplacian if supra else arr
         if comp is None:
-            comp = operators.connected_components(lap.laplacian if supra else arr, atol=ZERO_ENTRY_TOL)
-        return Partition(labels=comp != comp[0], c=2), 0.0, True
+            comp = operators.connected_components(matrix, atol=ZERO_ENTRY_TOL)
+        # a block diagonal matrix splits by its components, as one that
+        # falls apart does with no eigensolve
+        apart = comp.any() and not _joins(matrix, comp)
+        vec = None if apart else _anchored_projection(_beside_components(system, comp))
+        labels = comp != comp[0] if vec is None else vec < -ZERO_ENTRY_TOL
+        return Partition(labels=labels, c=2), 0.0, True
     basis = system.eigenvectors[:, system.fiedler_mask()]
-    if basis.shape[1] == 1:
-        vec = basis[:, 0]
-    else:
-        anchor = int(np.argmax(np.linalg.norm(basis, axis=1) > ZERO_ENTRY_TOL))
-        vec = basis @ basis[anchor]
+    vec = basis[:, 0] if basis.shape[1] == 1 else _anchored_projection(basis)
     labels = (vec < -ZERO_ENTRY_TOL).astype(int)
     return Partition(labels=labels, c=2), system.fiedler_value, False
+
+
+def _anchored_projection(basis: np.ndarray) -> np.ndarray | None:
+    """P e_a, P the projector onto the span of the orthonormal columns of
+    `basis` and a the first index whose row of it exceeds 1e-12 in norm,
+    which is the same for every orthonormal basis of that span; None when
+    no row does."""
+    reached = np.linalg.norm(basis, axis=1) > ZERO_ENTRY_TOL
+    if not reached.any():
+        return None
+    return basis @ basis[int(np.argmax(reached))]
+
+
+def _beside_components(system: EigenSystem, comp: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of what the zero eigenspace of `system` holds
+    beyond the components' indicator vectors (`comp` labels the c
+    components): the d - c leading left singular vectors of the zero
+    eigenvectors less their projection onto the indicators, when the zero
+    eigenvalue repeats d > c times, as on a connected operator whose
+    second eigenvalue lies below the zero tolerance.  No columns when d
+    <= c, as on a disconnected Laplacian."""
+    zero = system.eigenvectors[:, system.eigenvalues <= system.zero_tolerance]
+    count = int(comp.max()) + 1
+    if zero.shape[1] <= count:
+        return zero[:, :0]
+    means = np.zeros((count, zero.shape[1]))
+    np.add.at(means, comp, zero)
+    means /= np.bincount(comp, minlength=count)[:, None]
+    return np.linalg.svd(zero - means[comp], full_matrices=False)[0][:, : zero.shape[1] - count]
 
 
 def _falls_apart(lap, comp: np.ndarray, form: _LayerForm | None = None) -> bool:
@@ -661,10 +882,16 @@ def _falls_apart(lap, comp: np.ndarray, form: _LayerForm | None = None) -> bool:
                 return False
         return bool(form.spread * form.top <= 0.5 * form.tol_lo)
     arr, _, tol, _ = _facts(lap)
-    if ((arr != 0) & (comp[:, None] != comp)).any():
+    if _joins(arr, comp):
         return False
     rows = 0.5 * (arr.sum(axis=0) + arr.sum(axis=1))
     return bool(np.abs(rows).max() <= 0.5 * tol)
+
+
+def _joins(arr: np.ndarray, comp: np.ndarray) -> bool:
+    """Whether a nonzero entry of `arr` lies between two of the components
+    that `comp` labels."""
+    return bool(((arr != 0) & (comp[:, None] != comp)).any())
 
 
 def _kmeans_pp_init(points: np.ndarray, c: int, rngs: list) -> np.ndarray:

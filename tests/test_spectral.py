@@ -40,7 +40,7 @@ from mxspec.spectral import (
     spectral_kway,
 )
 
-from conftest import report_physical_memory
+from conftest import random_network, report_physical_memory
 
 
 def block_clique_laplacian(sizes, bridges=()):
@@ -431,6 +431,26 @@ def test_fiedler_value_is_zero_whenever_degenerate():
                 assert value == 0.0, name
             else:
                 assert value == system.fiedler_value > 0.0, name
+
+
+def test_cliques_joined_below_the_zero_tolerance_split_apart():
+    # one component at 1e-12, but lambda_2 (about 4e-10) lies below the
+    # zero tolerance: the zero eigenspace beside the constant vector splits
+    # the cliques, with degenerate True and the value 0.0, as the
+    # disconnected pair keeps its component split
+    _, adj = block_clique_laplacian([5, 5])
+    adj[4, 5] = adj[5, 4] = 1e-9
+    for name, lap in (("joined", laplacian(adj)), ("apart", block_clique_laplacian([5, 5])[0])):
+        system = eig_sym(lap, 2)
+        assert system.zero_multiplicity == 2, name
+        for part, value, degenerate in (fiedler_bipartition(lap), fiedler_bipartition(lap, system)):
+            np.testing.assert_array_equal(part.labels, [0] * 5 + [1] * 5)
+            assert (value, degenerate) == (0.0, True), name
+    # what the zero eigenspace holds beyond the components decides only
+    # when it is not empty: on the disconnected pair it is
+    disconnected = block_clique_laplacian([5, 5])[0]
+    comp = connected_components(disconnected, atol=spectral.ZERO_ENTRY_TOL)
+    assert spectral._beside_components(eig_sym(disconnected, 2), comp).shape == (10, 0)
 
 
 def test_kway_agrees_with_fiedler_on_two_cliques():
@@ -1385,7 +1405,7 @@ def test_a_fresh_operator_decides_as_its_laplacian_does(monkeypatch):
         lazy = fiedler_bipartition(fresh)
         solved, degenerate = bool(calls), lazy[2]
         path = "eigensolve" if solved else "components" if degenerate else "certified"
-        if fresh.layers is not None:
+        if fresh.model == "supra" and fresh.layers is not None:
             assert builds == ([fresh.num_copies] if solved else []), name
             paths.add(path)
         else:  # L made at the build, as a dynamic or hand-built operator's is
@@ -1557,7 +1577,11 @@ def reference_bipartition(lap, system=None):
     were before the one search at 1e-12: at atol 0 to split, with no
     eigensolve, a square matrix whose pattern falls apart there and whose
     rows vanish, then again at 1e-12 when an entry lies in (0, 1e-12] or
-    when a solve finds the zero eigenvalue repeated."""
+    when a solve finds the zero eigenvalue repeated.  A repeated zero
+    eigenvalue that a solve finds, or would find after the search at
+    1e-12, which such an entry keeps from falling apart, is split by the
+    zero eigenspace beside the components (`beside_components_row`),
+    unless no nonzero entry lies between the components at 1e-12."""
     op = None
     if isinstance(lap, operators.SupraOperator):
         op, lap = lap, lap.laplacian
@@ -1579,8 +1603,29 @@ def reference_bipartition(lap, system=None):
         tiny = ((arr != 0) & (np.abs(arr) <= spectral.ZERO_ENTRY_TOL)).any()
         if comp is None or tiny:
             comp = connected_components(arr, atol=spectral.ZERO_ENTRY_TOL)
-        return Partition(labels=comp != comp[0], c=2), 0.0, True
+        if system is None and tiny:  # where the search at 1e-12 does not fall apart
+            system = eig_sym(arr, 2)
+        apart = comp.any() and not ((arr != 0) & (comp[:, None] != comp)).any()
+        row = None if system is None or apart else beside_components_row(system, comp)
+        labels = comp != comp[0] if row is None else row < -spectral.ZERO_ENTRY_TOL
+        return Partition(labels=labels, c=2), 0.0, True
     return fiedler_bipartition(arr, system)  # the Fiedler vector's signs
+
+
+def beside_components_row(system, comp):
+    """Row a of P_Z - P_C, P_Z the projector onto the zero eigenspace of
+    `system` and P_C the one onto the indicator vectors of the components
+    `comp`, for the first row a of norm above 1e-12; None when no row
+    reaches it, or when the zero eigenvalue repeats no more often than
+    there are components."""
+    zero = system.eigenvectors[:, system.eigenvalues <= system.zero_tolerance]
+    if zero.shape[1] <= comp.max() + 1:
+        return None
+    indicators = (comp[:, None] == np.arange(comp.max() + 1)).astype(float)
+    indicators /= np.linalg.norm(indicators, axis=0)
+    projector = zero @ zero.T - indicators @ indicators.T
+    reached = np.linalg.norm(projector, axis=1) > spectral.ZERO_ENTRY_TOL
+    return projector[int(np.argmax(reached))] if reached.any() else None
 
 
 def linked_block_laplacian(rng, inside, between):
@@ -1646,3 +1691,232 @@ def test_one_search_decides_as_the_two_did():
         system = eig_sym(matrix, 2)
         assert_bitwise_equal(fiedler_bipartition(lap, system), reference_bipartition(lap, system),
                              f"{name}, system given")
+
+
+# --- the count of a layered operator, through its n x n Schur complement ----
+
+def count_spy(monkeypatch):
+    """Route spectral._count_certifies through a wrapper; returns the list
+    of (op, matrix, norm, floor, basis, answer) of its calls."""
+    calls = []
+    real = spectral._count_certifies
+
+    def spied(op, mat, norm, floor, basis):
+        calls.append((op, mat, norm, floor, basis.copy(), real(op, mat, norm, floor, basis)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(spectral, "_count_certifies", spied)
+    return calls
+
+
+def lemma_spy(monkeypatch):
+    """Route spectral._cholesky_certifies through a wrapper; returns the
+    order of each matrix it counts."""
+    orders = []
+    real = spectral._cholesky_certifies
+
+    def spied(mat, *args):
+        orders.append(mat.shape[0])
+        return real(mat, *args)
+
+    monkeypatch.setattr(spectral, "_cholesky_certifies", spied)
+    return orders
+
+
+def near_tie_supra():
+    """Fixed-SBM supra n = 100, k = 6, p = 0.3, w = 5: lambda_2 = 29.19
+    beside the layer split's 30, and a T whose lowest eigenvalue is
+    -||T||_inf to nine digits."""
+    net, _ = gen_fixed_sbm_multiplex(100, 6, 0.3, RngSeed(3))
+    return build_supra(net, 5.0)
+
+
+def schur_sample():
+    """(name, operator) of desk-shaped nets whose certified Lanczos solve
+    reaches its count, at m from 200: supra at k = 3, 6, 10 above the
+    community eigenvalue, dynamic with C = I at k = 2, 5, 6, the near tie,
+    and a directed weighted net in both models."""
+    for k in (3, 6, 10):
+        net, _ = gen_fixed_sbm_multiplex(100, k, 0.1, RngSeed(3, ("agree", k, 0.1)))
+        yield f"fixed-sbm supra k={k}", build_supra(net, 5.0)
+        net = gen_er_multiplex(100, k, 0.1, RngSeed(3, ("agree-er", k, 0.1)))
+        yield f"er supra k={k}", build_supra(net, 5.0)
+    for k in (2, 5, 6):
+        net, _ = gen_fixed_sbm_multiplex(100, k, 0.3, RngSeed(3, ("agree-d", k, 0.3)))
+        yield f"fixed-sbm dynamic k={k}", build_dynamic(net, DynamicCoupling.identity(100, k))
+    yield "near tie", near_tie_supra()
+    net = random_network(np.random.default_rng(11), n=40, k=4)
+    yield "directed supra", build_supra(net, 20.0)
+    yield "directed dynamic", build_dynamic(net, DynamicCoupling.identity(40, 4))
+
+
+def test_structured_count_answers_as_the_dense_count(monkeypatch):
+    # the m x m count is the reference: on every net of the sample the n x
+    # n count proves what it proves, and both refuse to put one eigenvalue
+    # below a floor that two lie below
+    monkeypatch.setattr(spectral, "FIEDLER_LANCZOS_MIN", 0)
+    calls = count_spy(monkeypatch)
+    for name, op in schur_sample():
+        del calls[:]
+        eig_sym(op, 2)
+        assert len(calls) == 1, name
+        _, lap, norm, floor, basis, answer = calls[0]
+        assert lap is op.laplacian, name
+        assert spectral._schur_complement(op, lap, norm, floor, 2) is not None, name
+        assert answer is spectral._cholesky_certifies(lap, norm, floor, basis) is True, name
+        values, vectors = scipy.linalg.eigh(lap, subset_by_index=[0, 2])
+        above, lowest = 0.5 * (values[1] + values[2]), vectors[:, :1]
+        assert spectral._schur_complement(op, lap, norm, above, 1) is not None, name
+        assert spectral._count_certifies(op, lap, norm, above, lowest) is False, name
+        assert spectral._cholesky_certifies(lap, norm, above, lowest) is False, name
+
+
+def test_structured_count_factors_nothing_of_the_operator_order(monkeypatch):
+    monkeypatch.setattr(spectral, "FIEDLER_LANCZOS_MIN", 0)
+    orders = lemma_spy(monkeypatch)
+    sizes = factorization_spy(monkeypatch)
+    for name, op in schur_sample():
+        op.laplacian
+        del orders[:], sizes[:]
+        system = eig_sym(op, 2)
+        assert len(system.eigenvalues) == 3, name
+        assert orders == [op.n], name
+        # supra factors each G_a and the lemma's matrix, dynamic the lemma's
+        assert sizes == [op.n] * (op.k + 1 if op.model == "supra" else 1), name
+
+
+def test_count_is_dense_where_the_layered_form_does_not_hold(monkeypatch):
+    monkeypatch.setattr(spectral, "FIEDLER_LANCZOS_MIN", 0)
+    net, _ = gen_fixed_sbm_multiplex(100, 2, 0.3, RngSeed(1, ("dispatch",)))
+    supra = build_supra(net, 1.0)  # k w = 2, simple, is the Fiedler value
+    cases = {
+        "supra k=2, floor >= k w": supra,
+        "dynamic, overlap coupling": build_dynamic(net, overlap_coupling(0.5, 0.9, 100)),
+        "given its adjacency": hand_built_supra(net, 1.0, np.eye(100)),
+        "bare": supra.laplacian,
+    }
+    calls = count_spy(monkeypatch)
+    orders = lemma_spy(monkeypatch)
+    sizes = factorization_spy(monkeypatch)
+    for name, mat in cases.items():
+        del calls[:], orders[:], sizes[:]
+        system = eig_sym(mat, 2)
+        assert len(system.eigenvalues) == 3 and [call[-1] for call in calls] == [True], name
+        assert orders == sizes == [200], name
+        if name.startswith("supra"):
+            assert calls[0][3] >= supra.layer_split_value(), name
+
+
+def lanczos_peak(monkeypatch, mat):
+    """The bytes that eig_sym(mat, 2) allocates at the most beyond what it
+    is handed, L read."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        system = eig_sym(mat, 2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(system.eigenvalues) == 3
+    return peak
+
+
+def test_structured_count_allocates_a_few_layer_sized_arrays(monkeypatch):
+    # the dense count copies L: m^2 floats.  The structured one, with L
+    # read, holds a few n x n arrays, and eigsh its Lanczos basis
+    nets = {"supra": (100, 10), "dynamic": (100, 6)}
+    for model, (n, k) in nets.items():
+        net, _ = gen_fixed_sbm_multiplex(n, k, 0.1 if model == "supra" else 0.3, RngSeed(3, ("memory",)))
+        op = build_supra(net, 5.0) if model == "supra" else build_dynamic(net, DynamicCoupling.identity(n, k))
+        m = op.num_copies
+        assert m >= spectral.FIEDLER_LANCZOS_MIN
+        op.laplacian
+        structured = lanczos_peak(monkeypatch, op)
+        dense = lanczos_peak(monkeypatch, op.laplacian)
+        assert structured < 0.2 * m * m * 8, (model, structured / (m * m * 8))
+        assert dense > m * m * 8, (model, dense / (m * m * 8))
+
+
+def longdouble_inverse(mat):
+    """The inverse of a small nonsingular matrix by Gauss-Jordan
+    elimination with partial pivoting in numpy's long double."""
+    n = len(mat)
+    aug = np.hstack([np.asarray(mat, dtype=np.longdouble), np.eye(n, dtype=np.longdouble)])
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(aug[col:, col])))
+        aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] /= aug[col, col]
+        others = np.arange(n) != col
+        aug[others] -= aug[others, col, None] * aug[col]
+    return aug[:, n:]
+
+
+LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                 reason="long double is no wider than double here")
+
+
+@LONG_DOUBLE
+def test_supra_schur_bound_covers_its_inverses():
+    # floor just below k w makes each G_a nearly singular, so the error of
+    # its inverse, which the residuals bound, outweighs that of summing T
+    net, _ = gen_fixed_sbm_multiplex(12, 3, 0.5, RngSeed(4, ("inverse",)))
+    op = build_supra(net, 1.0)
+    n, k, w = op.n, op.k, op.coupling
+    lap, norm = op.laplacian, op.norm
+    floor = k * w - 1e-7
+    schur, error = spectral._schur_complement(op, lap, norm, floor, 1)
+    shift = spectral._schur_shift(op, norm, floor) - w
+    exact = np.eye(n, dtype=np.longdouble) / w
+    sizes = 0.0
+    for a in range(k):
+        block = lap.reshape(k, n, k, n)[a, :, a].copy()
+        block.reshape(-1)[:: n + 1] -= shift
+        inverse = longdouble_inverse(block)
+        exact -= inverse
+        sizes += float(np.abs(inverse).sum(axis=1).max())
+    actual = np.linalg.norm((schur - exact).astype(float), 2)
+    eps = np.finfo(float).eps
+    assert actual > 1e3 * (k + 1) * eps * (1 / w + sizes)
+    assert actual <= error
+
+
+@LONG_DOUBLE
+def test_dynamic_schur_bound_covers_its_forming():
+    net = random_network(np.random.default_rng(5), n=12, k=3)
+    op = build_dynamic(net, DynamicCoupling.identity(12, 3))
+    n, k = op.n, op.k
+    lap, norm = op.laplacian, op.norm
+    floor = 0.5 * float(lap.diagonal().min())
+    schur, error = spectral._schur_complement(op, lap, norm, floor, 1)
+    delta = lap.diagonal() - spectral._schur_shift(op, norm, floor)
+    inv = (1 / delta.astype(np.longdouble)).reshape(k, n)
+    layers = [layer.astype(np.longdouble) for layer in op.layers]
+    outer = 2 * np.eye(n, dtype=np.longdouble) - sum(inv[a][:, None] * layers[a].T for a in range(k))
+    exact = outer.T @ (outer / inv.sum(axis=0)[:, None])
+    exact -= sum(layers[a] @ (inv[a][:, None] * layers[a].T) for a in range(k))
+    assert np.linalg.norm((schur - exact).astype(float), 2) <= error
+
+
+@LONG_DOUBLE
+def test_schur_shift_covers_the_diagonal_and_the_dynamic_fill():
+    # L holds the dynamic fill's sums fl(A_b + A_a^T) / 2; mu - floor
+    # pays for them beside the diagonal that the count forms
+    eps = np.finfo(float).eps
+    net = random_network(np.random.default_rng(6), n=12, k=3)
+    for op in (build_supra(net, 2.0), build_dynamic(net, DynamicCoupling.identity(12, 3))):
+        op.laplacian
+        n, k, norm = op.n, op.k, op.norm
+        floor = 0.25 * norm
+        mu = spectral._schur_shift(op, norm, floor)
+        w = op.coupling if op.model == "supra" else 0.0
+        diagonal = 2 * eps * (norm + abs(floor) + w)
+        fill = 0.0
+        if op.model == "dynamic":
+            layers = [layer.astype(np.longdouble) for layer in op.layers]
+            exact = np.block([[(layers[b] + layers[a].T) / 2 for b in range(k)] for a in range(k)])
+            stored = -op.laplacian.astype(np.longdouble)
+            np.fill_diagonal(stored, 0)
+            assert np.linalg.norm((stored - exact).astype(float), 2) <= 0.5 * eps * norm
+            fill = eps * norm
+        # mu, as rounded, within half an eps of mu of the exact sum
+        assert (mu - floor) + 0.5 * eps * abs(mu) >= diagonal + fill, op.model
