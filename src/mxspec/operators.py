@@ -8,11 +8,10 @@ matrix S is filled and the operator keeps only its graph Laplacian
 `laplacian` (degree diagonal minus S), one nk x nk array, from which it
 reads `adjacency` back on demand, and the ||L||_inf and exactness that
 the scan checking S found.  Both builders keep the network's layers, by
-reference.  The dynamic builder fills S at once; a supra operator fills
-S on the first read of L, so that a bipartition its layers decide
-builds no nk x nk array.  Spectral clustering reads the Laplacian and
-those two facts, and its certified eigenvalue count reads the layers;
-cut analysis reads L and S.
+reference, and the coupling, and fill S on the first read of L, so that
+a bipartition or an eigensolve their layers decide builds no nk x nk
+array.  Spectral clustering reads the layers, and L and those two facts
+only where the layers do not decide; cut analysis reads L and S.
 """
 
 from __future__ import annotations
@@ -74,10 +73,10 @@ def _checked_laplacian(sym: np.ndarray) -> tuple[np.ndarray, float, bool]:
 
 
 class _Filled:
-    """`laplacian`, `norm` or `exact` of a supra operator kept as its
-    layers: the first read of any of them fills the instance's dictionary
-    with all three (`SupraOperator._fill`), which then shadows this
-    descriptor, so a later read is a plain attribute read."""
+    """`laplacian`, `norm` or `exact` of an operator kept as its layers:
+    the first read of any of them fills the instance's dictionary with all
+    three (`SupraOperator._fill`), which then shadows this descriptor, so
+    a later read is a plain attribute read."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -104,13 +103,12 @@ class SupraOperator(Locked):
     whether L is exactly symmetric, which the spectral functions read
     instead of scanning L again: an operator is validated once.
 
-    `build_supra` makes the other kind: it keeps `layers`, the network's
-    own locked n x n layers, by reference, and w, and builds L, `norm` and
-    `exact` on their first read, by the fill and the scan above.  Until
-    then it holds no nk x nk array, and `fiedler_bipartition` can decide
-    it from the layers alone.  `build_dynamic` keeps `layers` too, beside
-    an L made at the build.  `layers` is None on an operator given its
-    adjacency.
+    `build_supra` and `build_dynamic` make the other kind: it keeps
+    `layers`, the network's own locked n x n layers, by reference, and the
+    coupling, and builds L, `norm` and `exact` on their first read, by the
+    fill and the scan above.  Until then it holds no nk x nk array, and
+    `eig_sym` and `fiedler_bipartition` can decide it from the layers
+    alone.  `layers` is None on an operator given its adjacency.
     """
 
     model: str
@@ -139,23 +137,38 @@ class SupraOperator(Locked):
 
     def _fill(self, adj: np.ndarray | None = None) -> None:
         """Keep L, `norm` and `exact` from `_checked_laplacian`'s one scan
-        of S: the given adjacency, or that of a supra operator kept as its
-        layers, filled here with the symmetrized layers on the diagonal
-        blocks and w I between every pair of distinct layers."""
+        of S: the given adjacency, or that of an operator kept as its
+        layers, filled here.  Supra puts the symmetrized layers on the
+        diagonal blocks and w I between every pair of distinct layers;
+        dynamic puts (C^{a,b} A^b + (C^{b,a} A^a)^T) / 2 in block (a, b),
+        summed once per pair a <= b, bit for bit `symmetrize`."""
         if adj is None:
-            n, k, w = self.n, self.k, self.coupling
-            adj = zeros((n * k, n * k), "supra operator", OperatorError)
+            n, k, layers = self.n, self.k, self.layers
+            adj = zeros((n * k, n * k), f"{self.model} operator", OperatorError)
             blocks = adj.reshape(k, n, k, n)  # blocks[a, :, b] is layer block (a, b)
-            eye = np.eye(n) * w if k > 1 else None  # at k = 1 it would be operator-sized
             with np.errstate(over="ignore"):  # a sum past the float range stays inf, for the scan
-                for a in range(k):
-                    for b in range(k):
-                        if a != b:
-                            blocks[a, :, b] = eye
-                    # symmetrize(A^a) formed in its block: (A + A^T), then * 0.5
-                    diag = blocks[a, :, a]
-                    np.add(self.layers[a], self.layers[a].T, out=diag)
-                    diag *= 0.5
+                if self.model == "supra":
+                    eye = np.eye(n) * self.coupling if k > 1 else None  # at k = 1 it would be operator-sized
+                    for a in range(k):
+                        for b in range(k):
+                            if a != b:
+                                blocks[a, :, b] = eye
+                        # symmetrize(A^a) formed in its block: (A + A^T), then * 0.5
+                        diag = blocks[a, :, a]
+                        np.add(layers[a], layers[a].T, out=diag)
+                        diag *= 0.5
+                else:
+                    coupling = self.coupling.diag
+                    for a in range(k):
+                        for b in range(a, k):
+                            # diagonal C^{a,b} times A^b scales rows of A^b; the half
+                            # sum is formed in its block, in the order 0.5 * (P + Q^T)
+                            half = blocks[a, :, b]
+                            np.multiply(coupling[a, b][:, None], layers[b], out=half)
+                            half += (coupling[b, a][:, None] * layers[a]).T
+                            half *= 0.5
+                            if a != b:
+                                blocks[b, :, a] = half.T
         lap, norm, exact = _checked_laplacian(adj)
         lap.flags.writeable = False
         self.__dict__.update(laplacian=lap, norm=norm, exact=exact)
@@ -205,44 +218,48 @@ def build_supra(net: MultiplexNetwork, w: float) -> SupraOperator:
     weights bound ||L||_inf, and where that bound is not finite L is built
     now, and refused, or kept, as it would be on its first read."""
     w = float(check_weights(w, "supra inter-layer weight w"))
-    n, k = net.n, net.k
-    op = object.__new__(SupraOperator)
-    op.__dict__.update(model="supra", n=n, k=k, coupling=w, layers=net.layers)
     # every weight is >= 0, so the degree D_i of a copy is at most its
-    # layer's total weight plus (k - 1) w, up to the (n^2 + 1) u of that
-    # total and of symmetrizing, and ||L||_inf, as the scan sums it, is at
-    # most 2 D_i (1 + 2 (nk + n) eps); 4 (nk + n^2) eps covers all three
-    with np.errstate(over="ignore"):
-        total = max((float(layer.sum()) for layer in net.layers), default=0.0)
-    if not np.isfinite(2 * (total + (k - 1) * w) * (1 + 4 * (n * k + n * n) * _EPS)):
-        op._fill()
-    return op
+    # layer's total weight plus (k - 1) w
+    return _layered(net, "supra", w, lambda total: total + (net.k - 1) * w)
 
 
 def build_dynamic(net: MultiplexNetwork, coupling: DynamicCoupling) -> SupraOperator:
     """Dynamical-coupling operator: block (a, b) = (C^{a,b} A^b + (C^{b,a} A^a)^T) / 2,
     so the copy pair (i on a, j on b) carries half of c^{a,b}_i w^b(i,j) +
-    c^{b,a}_j w^a(j,i).  Summed once per pair a <= b, bit for bit `symmetrize`.
-    The operator keeps the network's layers, by reference, beside L."""
+    c^{b,a}_j w^a(j,i).
+
+    It keeps the network's layers and the coupling, and fills L on its
+    first read, as `build_supra` does, with the same refusals: here the
+    layers' total weights and the coupling's largest entry bound
+    ||L||_inf."""
     n, k = net.n, net.k
     if coupling.k != k or coupling.n != n:
         raise OperatorError(f"coupling shaped {coupling.diag.shape} does not match "
                             f"network (k={k}, n={n})")
-    adj = zeros((n * k, n * k), "dynamic operator", OperatorError)
-    blocks = adj.reshape(k, n, k, n)
-    with np.errstate(over="ignore"):  # a sum past the float range stays inf, for `laplacian`
-        for a in range(k):
-            for b in range(a, k):
-                # diagonal C^{a,b} times A^b scales rows of A^b; the half
-                # sum is formed in its block, in the order 0.5 * (P + Q^T)
-                half = blocks[a, :, b]
-                np.multiply(coupling.diag[a, b][:, None], net.layers[b], out=half)
-                half += (coupling.diag[b, a][:, None] * net.layers[a]).T
-                half *= 0.5
-                if a != b:
-                    blocks[b, :, a] = half.T
-    op = SupraOperator(model="dynamic", n=n, k=k, adjacency=adj, coupling=coupling)
-    op.__dict__["layers"] = net.layers
+    # the degree of copy (a, i), half of sum_b c^{a,b}_i r_b(i) plus
+    # sum_b (c^{b,a} A^a)'s column i, is at most k c_max times the largest
+    # layer total
+    top = float(coupling.diag.max())
+    return _layered(net, "dynamic", coupling, lambda total: k * top * total)
+
+
+def _layered(net: MultiplexNetwork, model: str, coupling, degree) -> SupraOperator:
+    """An operator of `model` kept as the network's layers, whose L is
+    filled on its first read; `degree` maps the largest layer total weight
+    to a bound on every copy's degree D_i.  Every weight is >= 0, so
+    ||L||_inf, as the scan sums it, is at most 2 D_i (1 + 2 (nk + n) eps)
+    and every partial sum of the fill at most 2 D_i, up to the (n^2 + 1) u
+    of the layer total and the few roundings of forming an entry; 4 (nk +
+    n^2) eps covers them all.  Where that bound is not finite, L is filled
+    now, and refused, or kept."""
+    n, k = net.n, net.k
+    op = object.__new__(SupraOperator)
+    op.__dict__.update(model=model, n=n, k=k, coupling=coupling, layers=net.layers)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan: not finite, so filled
+        total = max((float(layer.sum()) for layer in net.layers), default=0.0)
+        bound = 2 * degree(total) * (1 + 4 * (n * k + n * n) * _EPS)
+    if not np.isfinite(bound):
+        op._fill()
     return op
 
 

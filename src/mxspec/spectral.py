@@ -6,8 +6,8 @@ c-way clustering embeds each row into the first c eigenvectors (trivial one
 included) and runs seeded Lloyd k-means with k-means++ initialization.
 
 Each takes a matrix or a built `SupraOperator`.  An operator is
-validated once, by the scan that makes its L (at the build, or at a
-`build_supra` operator's first read of L), and its ||L||_inf and
+validated once, by the scan that makes its L (at its first read of L,
+or at the build of one given its adjacency), and its ||L||_inf and
 exactness are read from it (`_facts`); a bare matrix is checked by
 `_validated`, with eig_sym's messages, once a call, where it first
 needs those facts.  Both read only the lowest eigenpairs, which
@@ -20,10 +20,12 @@ matrix, whose zero eigenvalue repeats, falls through to the subset
 solve.  Its eigenvalue count and the supra layer
 split's below are proved by Cholesky factorizations through one helper
 (`_cholesky_certifies`), which states the lemma and its error budget.
-On an operator that keeps its layers (`build_supra`, and `build_dynamic`
-with C = I) the count runs on an n x n Schur complement instead of the
-nk x nk L (`_schur_complement`), with the same exactness and O(k n^3)
-flops: no nk x nk factorization.
+An operator that keeps its layers (`build_supra`, `build_dynamic`)
+takes the Lanczos path from them (`_LayerForm`): each product
+multiplies through its k n x n layers, and the count runs on an n x n
+Schur complement (`_schur_complement`; supra, and dynamic with C = I),
+with the same exactness and O(k n^3) flops, so a certified solve fills
+no nk x nk L.
 
 Disconnected operators are degenerate for the relaxation: the zero
 eigenvalue is multiple and any eigenbasis of the nullspace is
@@ -62,13 +64,13 @@ operator constructed from its adjacency, k = 1, and any failed check go
 to `eig_sym` unchanged.  On fixed-SBM nets at n = 100 over the desk
 grid (p = 0.1-1.0, w in {0.1, 1, 2, 5}, one net a point; BLAS at one
 thread, a shared 2-core host, best of 5, two runs) the build and the
-bipartition take a median of 0.28-0.41 ms on the 39 certified points at
-k = 2, 0.65-0.97 ms on the 36 at k = 6 (m = 600) and 1.02-1.08 ms on the
-32 at k = 10 (m = 1000), where building L first and deciding from it
-took 0.52-0.58, 5.1-6.9 and 10.9-11.3 ms.  A refused point fills L after
-the layer work and keeps its cost, most of it the eigensolve: 11.8-16.3
-ms at k = 6 (4 points) and 34.9-36.9 ms at k = 10 (8 points), against
-13.0-15.8 and 39.0-41.3 ms.
+bipartition take a median of 0.28-0.29 ms on the 39 certified points at
+k = 2, 0.63-0.64 ms on the 36 at k = 6 (m = 600) and 1.05 ms on the 32
+at k = 10 (m = 1000), where building L first and deciding from it took
+0.52-0.58, 5.1-6.9 and 10.9-11.3 ms.  A refused point goes to
+`eig_sym`, whose Lanczos path also reads the layers: 4.2-4.4 ms at k =
+6 (4 points) and 5.9-6.2 ms at k = 10 (8 points), where filling L and
+solving it took 10.4 and 25.1-27.6 ms.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ FIEDLER_LANCZOS_MIN = 500
 # Runs that did not certify stopped by convergence after 48-205 products;
 # a run that reaches the cap makes about 340
 LANCZOS_MAXITER = 20
-# ARPACK's relative residual target: the certificates need residuals far
-# below the gaps, not at rounding level, and a run takes about a third
-# fewer products than at tol = 0 (machine precision)
+# ARPACK's relative residual target, on the operator shifted by a bound
+# on its norm, so about this times ||A||_inf: the certificates need
+# residuals far below the gaps, not at rounding level
 LANCZOS_TOL = 1e-10
 
 
@@ -211,11 +213,15 @@ def eig_sym(mat, count: int) -> EigenSystem:
     proof covers what `fiedler_bipartition` reads, so its labels, the
     zero and Fiedler multiplicities and `degenerate` are the subset
     solve's; the Fiedler value is the Ritz value, within its residual of
-    the exact one.  An operator is handed down whole, so that a layered
-    one's count runs n x n.  `spectral_kway` also reads the vectors'
-    values, which are the exact ones only to within the residuals, so its
-    labels on this path are not certified: for c >= 3 it keeps the higher
-    order, and c = 2 follows the Fiedler pair's.
+    the exact one.  An operator that keeps its layers (`build_supra`,
+    `build_dynamic`) takes the path from its layers (`_LayerForm`), whose
+    products multiply through the k layers: a certified solve reads
+    nothing of L, and its zero tolerance is the upper bound `tol_hi`,
+    which decides as the exact one does.  Only a refusal reads L, for the
+    subset solve.  `spectral_kway` also reads the vectors' values, which
+    are the exact ones only to within the residuals, so its labels on this
+    path are not certified: for c >= 3 it keeps the higher order, and c =
+    2 follows the Fiedler pair's.
 
     `mat` is a matrix M or a `SupraOperator`, whose Laplacian is M.  An
     eigenvalue counts as zero up to 1e-8 max(1, ||M||_inf), which bounds
@@ -226,13 +232,18 @@ def eig_sym(mat, count: int) -> EigenSystem:
     checked here (`_validated`).  A LAPACK failure raises SpectralError."""
     if count < 1:
         raise SpectralError(f"eigenpair count must be >= 1, got {count}")
-    arr, norm, tol, exact = _facts(mat)
-    m = arr.shape[0]
-    sym = arr if exact else 0.5 * (arr + arr.T)
+    layered = isinstance(mat, operators.SupraOperator) and mat.layers is not None
     values = None
-    if count + 1 < m and m >= (FIEDLER_LANCZOS_MIN if count <= 2 else LANCZOS_MIN):
-        op = mat if exact and isinstance(mat, operators.SupraOperator) else None
-        values, vectors = _certified_lanczos(sym, count, norm, tol, op)
+    if layered and _tries_lanczos(mat.num_copies, count):
+        form = _LayerForm(mat)
+        values, vectors = _certified_lanczos(form, count)
+        tol = form.tol_hi
+    if values is None:
+        arr, norm, tol, exact = _facts(mat)
+        m = arr.shape[0]
+        sym = arr if exact else 0.5 * (arr + arr.T)
+        if not layered and _tries_lanczos(m, count):
+            values, vectors = _certified_lanczos(_Dense(sym, norm, tol), count)
     size = max(count, SUBSET_MIN)
     try:
         if values is None and size < m:
@@ -254,6 +265,12 @@ def eig_sym(mat, count: int) -> EigenSystem:
     leading = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.where(leading < -ZERO_ENTRY_TOL, -1.0, 1.0)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, zero_tolerance=tol)
+
+
+def _tries_lanczos(m: int, count: int) -> bool:
+    """Whether `eig_sym(mat, count)` of order m tries the certified
+    Lanczos path first."""
+    return count + 1 < m and m >= (FIEDLER_LANCZOS_MIN if count <= 2 else LANCZOS_MIN)
 
 
 def _facts(mat) -> tuple[np.ndarray, float, float, bool]:
@@ -299,88 +316,123 @@ def _validated(arr: np.ndarray) -> tuple[float, float, bool]:
     return norm, 1e-8 * max(1.0, norm), exact
 
 
-def _certified_lanczos(sym: np.ndarray, count: int, norm: float, tol: float,
-                       op: operators.SupraOperator | None = None) -> tuple:
-    """The lowest count + 1 Ritz pairs of the symmetric `sym` (m x m, with
-    ||sym||_inf = `norm`), as (ascending values, vector columns), when
-    they are proved to decide the zero count, the Fiedler multiplicity and
-    every sign that `fiedler_bipartition` reads as the exact eigenpairs
-    do; else (None, None).  `op` is the operator whose Laplacian `sym`
-    is, if any, for the count of step 2.
+class _Dense:
+    """The certified Lanczos path's view of an exactly symmetric m x m
+    matrix A, with ||A||_inf = `norm` and zero tolerance `tol`: products
+    by BLAS `dsymv`, which reads one triangle of A, residuals by one
+    matrix product, and the count m x m."""
 
-    1. ARPACK's implicitly restarted Lanczos (`eigsh`, which="SA") from
-       a fixed start vector, m standard normal draws of numpy's default
-       generator seeded 0, with at most LANCZOS_MAXITER restarts and a
-       relative residual target of LANCZOS_TOL, each product a BLAS
-       `dsymv` that reads one triangle of A, gives Ritz pairs
-       (theta_j, v_j) and their residual norms
-       r_j = ||A v_j - theta_j v_j||.  The same input gives the same bits.
+    offset = 0.0
+
+    def __init__(self, sym: np.ndarray, norm: float, tol: float):
+        self.sym, self.m = sym, sym.shape[0]
+        self.norm_hi, self.tol_lo, self.tol_hi = norm, tol, tol
+        # sym is exactly symmetric, so sym.T is the same matrix: whichever
+        # of the two is Fortran-ordered reaches dsymv without a copy
+        self.upper = sym.T if sym.flags.c_contiguous else np.asfortranarray(sym)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        return blas.dsymv(1.0, self.upper, x) if x.ndim == 1 else self.sym @ x
+
+    def matrix(self) -> tuple[np.ndarray, float]:
+        return self.sym, self.norm_hi
+
+
+def _certified_lanczos(form, count: int) -> tuple:
+    """The lowest count + 1 Ritz pairs of the exactly symmetric m x m
+    matrix A of `form`, as (ascending values, vector columns), when they
+    are proved to decide the zero count, the Fiedler multiplicity and
+    every sign that `fiedler_bipartition` reads as the exact eigenpairs
+    do; else (None, None).  `form` is a `_Dense` matrix, or the
+    `_LayerForm` of an operator that keeps its layers, whose A is the L
+    that its first read would fill: either gives the products, a bound
+    norm_hi >= ||A||_inf, an interval [tol_lo, tol_hi] that holds eig_sym's
+    zero tolerance, and the count of step 2.
+
+    1. ARPACK's implicitly restarted Lanczos (`eigsh`, which="SA") on
+       A' + norm_hi I, from a fixed start vector, m standard normal draws
+       of numpy's default generator seeded 0, with at most
+       LANCZOS_MAXITER restarts and a relative residual target of
+       LANCZOS_TOL, gives Ritz pairs (theta_j + norm_hi, v_j), and the
+       same products the residual norms r_j = ||A' v_j - theta_j v_j||.
+       For a matrix A' is A, each product a BLAS `dsymv` that reads one
+       triangle of it; for a layered form A' is the matrix that its
+       layer-wise product applies, within the form's `offset` of A in
+       2-norm, with the product's rounding, so that r_j + offset bounds
+       ||A v_j - theta_j v_j||.  The shift leaves the Krylov spaces as
+       they are and lifts every eigenvalue to at least 0, so ARPACK's
+       stopping test, a residual within LANCZOS_TOL of the Ritz value (of
+       eps^(2/3) at 0), asks about LANCZOS_TOL ||A||_inf of each pair: a
+       zero eigenvalue, which unshifted must reach 1e-21, can meet it,
+       and a run no longer stops with the pairs above it converged and
+       that one left out.  The same input gives the same bits.
     2. Count certificate: a Cholesky factorization of A - mu I +
        tau V V^T (V the first count vectors, tau = ||A||_inf + |floor|)
        that succeeds, with mu just above floor = (theta_{count-1} +
        theta_count) / 2, proves that at most count eigenvalues lie at or
        below floor (`_cholesky_certifies`, which states the lemma).  On a
-       `build_supra` operator, and on a `build_dynamic` one with C = I,
-       the same count is proved n x n instead, from the operator's
-       layers, through a Schur complement (`_schur_complement`); any
-       other input, or a layered one whose blocks it cannot prove
-       positive definite, is counted m x m.
-    3. The first count Ritz values, each within r_j (plus rounding) of an
-       eigenvalue, must lie more than the zero tolerance plus their
-       residuals apart from each other, from floor, and from the zero
-       threshold.  Then each of them pins exactly one eigenvalue, the
-       count lowest are all accounted for, and the zero count, the
-       Fiedler value's index and its multiplicity of 1 are what a
-       backward-stable dense solver decides.
+       layered form the same count is proved n x n instead, from the
+       layers, through a Schur complement (`_schur_complement`); where it
+       forms none, A is counted m x m, and a layered form fills L for it
+       (`_count_certifies`).
+    3. The first count Ritz values, each within r_j + offset (plus
+       rounding) of an eigenvalue, must lie more than tol_hi plus their
+       radii apart from each other and from floor, and beyond their radii
+       on one side of the whole interval [tol_lo, tol_hi].  Then each of
+       them pins exactly one eigenvalue, the count lowest are all
+       accounted for, and the zero count, the Fiedler value's index and
+       its multiplicity of 1 are what a backward-stable dense solver
+       decides, at every zero tolerance in the interval.
     4. Sign certificate (Davis-Kahan sin theta): with delta_j the
        distance from theta_j to every other possible eigenvalue, the unit
-       eigenvector lies within beta_j = sqrt2 (r_j + m eps ||A||_inf) /
-       delta_j of +-v_j.  Every entry must satisfy ||v_ij| - 1e-12| >
-       beta_j, so each one's side of the +-1e-12 thresholds that sign
-       fixing and `fiedler_bipartition` read is that of the exact vector.
+       eigenvector lies within beta_j = sqrt2 (r_j + offset + m eps
+       norm_hi) / delta_j of +-v_j.  Every entry must satisfy ||v_ij| -
+       1e-12| > beta_j, so each one's side of the +-1e-12 thresholds that
+       sign fixing and `fiedler_bipartition` read is that of the exact
+       vector.
 
     The last pair only witnesses the gap above floor; its vector is a Ritz
     vector and is not certified.  The checks run cheapest first."""
-    m = sym.shape[0]
-    # sym is exactly symmetric, so sym.T is the same matrix: whichever of the
-    # two is Fortran-ordered reaches dsymv without a copy
-    upper = sym.T if sym.flags.c_contiguous else np.asfortranarray(sym)
-    product = LinearOperator((m, m), matvec=lambda x: blas.dsymv(1.0, upper, x), dtype=float)
+    m, shift = form.m, form.norm_hi
+    product = LinearOperator((m, m), matvec=lambda x: form.product(x) + shift * x, dtype=float)
     try:
         values, vectors = eigsh(product, k=count + 1, which="SA", tol=LANCZOS_TOL,
                                 maxiter=LANCZOS_MAXITER, v0=np.random.default_rng(0).standard_normal(m))
     except (ArpackNoConvergence, ArpackError):
         return None, None
     order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
+    values, vectors = values[order] - shift, vectors[:, order]
     if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
         return None, None
-    residuals = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
+    residuals = np.linalg.norm(form.product(vectors) - vectors * values, axis=0)
     # rounding in a residual, and a dense solver's eigenvalue error
-    slack = m * np.finfo(float).eps * norm
+    slack = m * np.finfo(float).eps * form.norm_hi
     floor = 0.5 * (values[count - 1] + values[count])
-    theta, radius = values[:count], residuals[:count] + slack
+    theta, radius = values[:count], residuals[:count] + form.offset + slack
     apart = np.abs(theta[:, None] - theta) - radius  # [j, i]: theta_j to eigenvalue i
     np.fill_diagonal(apart, np.inf)
     gap = np.minimum(apart.min(axis=1), floor - theta)
     # the dense eigenvalue j lies within radius_j + slack of theta_j
-    if not ((gap - radius - 2 * slack > tol).all()
-            and (np.abs(theta - tol) > radius + slack).all() and theta[-1] > tol):
+    beyond = radius + slack
+    if not ((gap - radius - 2 * slack > form.tol_hi).all()
+            and ((theta - form.tol_hi > beyond) | (form.tol_lo - theta > beyond)).all()
+            and theta[-1] > form.tol_hi):
         return None, None
     beta = np.sqrt(2.0) * radius / gap
     if not (np.abs(np.abs(vectors[:, :count]) - ZERO_ENTRY_TOL) > beta).all():
         return None, None
-    certified = _count_certifies(op, sym, norm, floor, vectors[:, :count])
+    certified = _count_certifies(form, floor, vectors[:, :count])
     return (values, vectors) if certified else (None, None)
 
 
-def _count_certifies(op, mat: np.ndarray, norm: float, floor: float, basis: np.ndarray) -> bool:
-    """Whether at most r eigenvalues of the m x m `mat`, the Laplacian of
-    `op` when `op` is given, lie at or below `floor`, r the number of
-    columns of `basis`: by `_schur_complement`'s n x n matrix when it
-    forms one, whose r lowest eigenvectors (one subset solve) are the
-    basis of `_cholesky_certifies`, and else by `_cholesky_certifies` on
-    `mat` with `basis`.
+def _count_certifies(form, floor: float, basis: np.ndarray) -> bool:
+    """Whether at most r eigenvalues of the m x m matrix of `form` (a
+    `_Dense` matrix or a `_LayerForm`, as for `_certified_lanczos`) lie at
+    or below `floor`, r the number of columns of `basis`: by
+    `_schur_complement`'s n x n matrix when a layered form forms one,
+    whose r lowest eigenvectors (one subset solve) are the basis of
+    `_cholesky_certifies`, and else by `_cholesky_certifies` on the m x m
+    matrix with `basis`, which a layered form fills (its operator's L).
 
     The n x n call takes twice ||X||_inf as its norm.  Its sigma then
     lifts the r lowest eigenvalues of X, which can reach -||X||_inf,
@@ -388,9 +440,9 @@ def _count_certifies(op, mat: np.ndarray, norm: float, floor: float, basis: np.n
     leave them within rounding of it; the norm only widens the helper's
     margins, so any bound at least ||X||_inf is sound."""
     r = basis.shape[1]
-    schur = None if op is None else _schur_complement(op, mat, norm, floor, r)
+    schur = _schur_complement(form, floor, r) if isinstance(form, _LayerForm) else None
     if schur is None:
-        return _cholesky_certifies(mat, norm, floor, basis)
+        return _cholesky_certifies(*form.matrix(), floor, basis)
     schur, error = schur
     try:
         lowest = linalg.eigh(schur, driver="evr", subset_by_index=[0, r - 1], check_finite=False)[1]
@@ -446,29 +498,30 @@ def _cholesky_certifies(mat: np.ndarray, norm: float, floor: float, basis: np.nd
     return info == 0
 
 
-def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
-                      floor: float, r: int) -> tuple[np.ndarray, float] | None:
+def _schur_complement(form: _LayerForm, floor: float, r: int) -> tuple[np.ndarray, float] | None:
     """(the n x n matrix X, e) such that, when at most r eigenvalues of X
-    lie at or below e, at most r eigenvalues of the Laplacian `lap` of
-    `op`, with ||L||_inf = `norm`, lie at or below `floor`; or None, for
-    the m x m count.  `op` keeps its layers (n x n, k >= 2 of them), and
-    L is exactly symmetric.  O(k n^3) flops and a few n x n arrays.
+    lie at or below e, at most r eigenvalues of the L of an operator that
+    keeps its layers (n x n, k >= 2 of them) lie at or below `floor`; or
+    None, for the m x m count.  It reads the layers alone, through `form`
+    (`_LayerForm`), whose L' lies within rho max D^ of the L that the
+    operator's first read would fill.  O(k n^3) flops and a few n x n
+    arrays.
 
-    With mu just above floor, L - mu I = G - U W U^T, G positive definite
+    With mu just above floor, L' - mu I = G - U W U^T, G positive definite
     and U W U^T of rank at most 2n.  Haynsworth's inertia additivity
     (Linear Algebra Appl. 1, 1968) applied to [[G, U], [U^T, W^-1]] both
-    ways equates the number of eigenvalues <= 0 of L - mu I and of an n x
+    ways equates the number of eigenvalues <= 0 of L' - mu I and of an n x
     n Schur complement X, every G, W and X exactly the matrices named:
 
-    - Supra: G = blockdiag(G_a), G_a = L_aa - (mu - w) I with L_aa read
-      bit for bit from L's diagonal block a, and U W U^T = w J J^T, J =
-      1_k (x) I_n, as every off-diagonal block of L is exactly -w I.  X =
-      T = I / w - sum_a G_a^-1.  L_aa is about L_a + (k - 1) w I, whose
-      lowest eigenvalue is (k - 1) w, so G_a is positive only when floor
-      < k w.
-    - Dynamic with C = I: S = (J F^T + F J^T) / 2 with F the stack of
-      the A_a^T (each >= 0 with a zero diagonal), G = Delta = diag(L) -
-      mu, diagonal, and X = P = (2I - Z)^T D^-1 (2I - Z) - sum_a A_a
+    - Supra: G = blockdiag(G_a), G_a = B_a - (mu - w) I with B_a =
+      diag(D^_a) - S_a formed from the layers (`_LayerForm.block`), and
+      U W U^T = w J J^T, J = 1_k (x) I_n, as every off-diagonal block of
+      L' is exactly -w I.  X = T = I / w - sum_a G_a^-1.  B_a is about
+      L_a + (k - 1) w I, whose lowest eigenvalue is (k - 1) w, so G_a is
+      positive only when floor < k w.
+    - Dynamic with C = I: S' = (J F^T + F J^T) / 2 with F the stack of
+      the A_a^T (each >= 0 with a zero diagonal), G = Delta = D^ - mu,
+      diagonal, and X = P = (2I - Z)^T D^-1 (2I - Z) - sum_a A_a
       Delta_a^-1 A_a^T, with Z = sum_a Delta_a^-1 A_a^T (its diagonal 0)
       and D = sum_a Delta_a^-1.
 
@@ -476,16 +529,14 @@ def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3; no
     underflow):
 
-    - The diagonal.  G_a = fl(L_aa - fl(mu - w)) (w = 0 for Delta) is
-      G_a exactly at a mu' within u |mu - w| of mu, plus a diagonal of
-      norm u max |L_ii - mu'|: L - mu I lies within u (2 |mu - w| +
-      ||L||_inf) of the G - U W U^T formed, which mu - floor = 2 eps
-      (||L||_inf + |floor| + w) covers, with the rounding of mu itself
-      (`_schur_shift`).
-    - The dynamic fill.  L holds S's blocks (A_b + A_a^T) / 2 as
-      fl(A_b + A_a^T) / 2, within u S, of 2-norm at most u ||L||_inf:
-      mu - floor adds eps ||L||_inf.  Supra reads no fill: L is G - w J
-      J^T as it stands.
+    - The layers.  ||L - L'||_2 <= rho max D^ (`_LayerForm`: the rounding
+      of L's diagonal, and for dynamic that of its fill), which mu -
+      floor adds (`_schur_shift`).
+    - The diagonal.  G_a = fl(B_a - fl(mu - w)) (w = 0 for Delta) is G_a
+      exactly at a mu' within u |mu - w| of mu, plus a diagonal of norm u
+      max |D^_i - mu'|: L' - mu I lies within u (2 |mu - w| + norm_hi) of
+      the G - U W U^T formed, which 2 eps (norm_hi + |floor| + w) in mu -
+      floor covers, with the rounding of mu itself.
     - The inverses.  Each G_a is factored by `dpotrf`, inverted by
       `dpotri` into X_a, and its residual R = fl(X_a G_a - I) taken,
       within gamma_{n+1} (|X_a| |G_a| + I) of the exact one: ||X_a G_a -
@@ -513,30 +564,29 @@ def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
     K eps (||W||_F^2 + sum_a ||B_a||_F^2) for P, bounds the distance of
     the computed X from the exact one.  When at most r eigenvalues of X
     lie at or below e, at most r of the exact X lie at or below 0 (Weyl),
-    as many of G - U W U^T, so eigenvalue r + 1 of L lies above mu less
-    the first two items, at least floor.
+    as many of G - U W U^T, so eigenvalue r + 1 of L' lies above mu less
+    the diagonal's rounding, and that of L above mu less the first two
+    items, at least floor.
 
-    None when the count is not this: no layers, k = 1, r >= n, a dynamic
-    coupling other than C = I, supra at w = 0 or with floor >= k w, or a
-    G_a or Delta that is not proved positive definite."""
-    n, k = op.n, op.k
-    if op.layers is None or k < 2 or r >= n:
+    None when the count is not this: k = 1, r >= n, a dynamic coupling
+    other than C = I, supra at w = 0 or with floor >= k w, or a G_a or
+    Delta that is not proved positive definite."""
+    n, k = form.n, form.k
+    if k < 2 or r >= n:
         return None
     eps = np.finfo(float).eps
     # the strict lower triangle, where the Fortran-ordered inverses and
     # `dsyrk` leave no result
     lower = np.tri(n, k=-1, dtype=bool)
-    if op.model == "supra":
-        w = float(op.coupling)
+    if form.model == "supra":
+        w = form.w
         if not (w > 0 and floor < k * w):
             return None
-        shift = _schur_shift(op, norm, floor) - w
-        blocks = lap.reshape(k, n, k, n)
+        shift = _schur_shift(form, floor) - w
         schur = np.zeros((n, n))
         error, sizes = 0.0, 0.0
         for a in range(k):
-            block = blocks[a, :, a].copy()
-            block.reshape(-1)[:: n + 1] -= shift
+            block = form.block(a, shift)
             inverse, info = lapack.dpotrf(block.T, clean=False)  # a copy: block stays G_a
             if info == 0:
                 inverse, info = lapack.dpotri(inverse, overwrite_c=True)
@@ -556,14 +606,14 @@ def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
             schur -= inverse
         schur.reshape(-1)[:: n + 1] += 1.0 / w
         return schur, error + (k + 1) * eps * (1.0 / w + sizes)
-    if not (op.coupling.diag == 1.0).all():
+    if not (form.coupling == 1.0).all():
         return None
-    delta = lap.diagonal() - _schur_shift(op, norm, floor)
+    delta = form.degrees - _schur_shift(form, floor)
     if not (delta > 0).all():
         return None
-    inv = (1.0 / delta).reshape(k, n)
+    inv = 1.0 / delta
     outer = np.zeros((n, n))  # Z, then W
-    for a, layer in enumerate(op.layers):
+    for a, layer in enumerate(form.layers):
         outer += inv[a][:, None] * layer.T
     np.negative(outer, out=outer)
     outer.reshape(-1)[:: n + 1] += 2.0
@@ -571,7 +621,7 @@ def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
     squares = float(np.dot(outer.reshape(-1), outer.reshape(-1)))
     schur = blas.dsyrk(1.0, outer.T)  # W^T W, upper triangle, Fortran order
     del outer
-    for a, layer in enumerate(op.layers):
+    for a, layer in enumerate(form.layers):
         scaled = layer * np.sqrt(inv[a])
         squares += float(np.dot(scaled.reshape(-1), scaled.reshape(-1)))
         schur = blas.dsyrk(-1.0, scaled.T, beta=1.0, c=schur, trans=1, overwrite_c=True)
@@ -579,48 +629,111 @@ def _schur_complement(op: operators.SupraOperator, lap: np.ndarray, norm: float,
     return schur, ((k + 1) * n + 5 * k + 10) * eps * squares
 
 
-def _schur_shift(op: operators.SupraOperator, norm: float, floor: float) -> float:
-    """The mu of `_schur_complement`: floor + 2 eps (||L||_inf + |floor| +
+def _schur_shift(form: _LayerForm, floor: float) -> float:
+    """The mu of `_schur_complement`: floor + 2 eps (norm_hi + |floor| +
     w), for the rounding of the diagonal it forms (w = 0 for dynamic),
-    plus eps ||L||_inf for the dynamic fill's."""
-    eps = np.finfo(float).eps
-    if op.model == "supra":
-        return floor + 2 * eps * (norm + abs(floor) + float(op.coupling))
-    return floor + 2 * eps * (norm + abs(floor)) + eps * norm
+    plus rho max D^, the distance of L from the L' of the layers."""
+    return floor + 2 * np.finfo(float).eps * (form.norm_hi + abs(floor) + form.w) + form.spread * form.top
 
 
 class _LayerForm:
-    """What the layer-form proofs read of a `build_supra` operator with n
-    nodes, k layers and weight w, from its layers alone, with nothing of
-    size nk x nk.
+    """What the layer-form proofs and the layer-wise product read of an
+    operator that keeps its layers (`build_supra`, `build_dynamic`), with
+    n nodes and k layers, from its layers alone, with nothing of size nk
+    x nk.
 
-    The L that the operator's first read would build is exactly
-    symmetric: -S_a(i, j) inside layer a's block (S_a = symmetrize(A_a),
-    non-negative with a zero diagonal), -w between the copies (a, i) and
-    (b, i), and 0 elsewhere.  Each diagonal entry d is the sum of the m
-    entries of its row of S as the scan rounds it, against the exact
-    degree D = s + (k - 1) w, s the row sums of S_a.  With u = eps / 2
-    and gamma_j = j u / (1 - j u), |d - D| <= gamma_{m-1} D, as every term
-    is >= 0.  `degrees` holds D summed from the layers, D^ = fl(s) +
-    fl((k - 1) w), within gamma_{n+1} D of D, so `spread` rho = (m + n)
-    eps bounds both |d - D| and |d - D^| by rho D^, with room for the
-    higher orders.  The scan's ||L||_inf sums D + d over a row with m - 1
-    roundings more, so it lies within 2 max D^ (1 -+ 2 rho), `norm_lo`
-    and `norm_hi`, and eig_sym's zero tolerance 1e-8 max(1, ||L||_inf),
-    monotone in it as rounded, within `tol_lo` and `tol_hi`."""
+    The L that the operator's first read would fill is exactly symmetric,
+    diag(d) - S, each diagonal entry d the sum of the m entries of its row
+    of S as the scan rounds it.  Beside it stands L' = diag(D^) - S', of
+    the layers: `degrees` holds D^, the degrees summed from the layers,
+    and S' the exact S of the model.  With u = eps / 2 and gamma_j = j u /
+    (1 - j u), every term being >= 0:
+
+    - Supra (weight w): S holds S_a = symmetrize(A_a), non-negative with a
+      zero diagonal, in its diagonal block a and w I in every other, and
+      S' = S bit for bit.  The exact degree is D = s + (k - 1) w, s the
+      row sums of S_a, D^ = fl(s) + fl((k - 1) w) lies within gamma_{n+1}
+      D of it and d within gamma_{m-1} D, so `spread` rho = (m + n) eps
+      bounds both |d - D| and |d - D^| by rho D^, with room for the higher
+      orders.
+    - Dynamic (coupling C): S' holds (C^{a,b} A_b + (C^{b,a} A_a)^T) / 2
+      in block (a, b) exactly, and L each entry rounded through two
+      products and a sum, within gamma_2 S'.  D^ = (sum_b c^{a,b} r_b +
+      A_a^T sum_b c^{b,a}) / 2, r_b the row sums of A_b, lies within
+      gamma_{n+k} of the exact degree D and d within gamma_{m-1} +
+      gamma_2, and ||S - S'||_2 <= ||S - S'||_inf <= gamma_2 max D: S is
+      rounded once more than supra's, and rho = (m + n + k + 3) eps bounds
+      |d - D^| plus that by rho max D^, with room for the higher orders.
+
+    Either way ||L - L'||_2 <= rho max D^.  The scan's ||L||_inf sums d
+    and a row of S with m - 1 roundings more, so it lies within 2 max D^
+    (1 -+ 2 rho), `norm_lo` and `norm_hi`, and eig_sym's zero tolerance
+    1e-8 max(1, ||L||_inf), monotone in it as rounded, within `tol_lo`
+    and `tol_hi`."""
 
     def __init__(self, op: operators.SupraOperator):
-        self.n, self.k, self.w = op.n, op.k, op.coupling
-        self.syms = [operators.symmetrize(layer) for layer in op.layers]
-        self.sums = np.array([sym.sum(axis=1) for sym in self.syms])
-        self.degrees = self.sums + (self.k - 1) * self.w
-        self.spread = (self.n * self.k + self.n) * np.finfo(float).eps
+        n, k = op.n, op.k
+        self.op, self.n, self.k, self.m, self.model = op, n, k, n * k, op.model
+        eps = np.finfo(float).eps
+        if op.model == "supra":
+            self.w = op.coupling
+            self.syms = np.empty((k, n, n))
+            for sym, layer in zip(self.syms, op.layers):
+                np.add(layer, layer.T, out=sym)
+            self.syms *= 0.5  # symmetrize(A_a), bit for bit, in one stack
+            self.sums = np.array([sym.sum(axis=1) for sym in self.syms])
+            self.degrees = self.sums + (k - 1) * self.w
+            self.spread = (self.m + n) * eps
+            # whether a -w links the copies of a node in L's pattern at 1e-12
+            self.tiled = k == 1 or self.w > ZERO_ENTRY_TOL
+        else:
+            self.w = 0.0  # no clique between the copies
+            self.layers, self.coupling = op.layers, op.coupling.diag  # [a, b, i]: c^{a,b}_i
+            into = np.einsum("abi,bi->ai", self.coupling, [layer.sum(axis=1) for layer in self.layers])
+            self.degrees = 0.5 * (into + self._transposed(self.coupling.sum(axis=0)))
+            self.spread = (self.m + n + k + 3) * eps
         self.top = float(self.degrees.max())
         self.norm_lo = 2 * self.top * (1 - 2 * self.spread)
         self.norm_hi = 2 * self.top * (1 + 2 * self.spread)
         self.tol_lo, self.tol_hi = (1e-8 * max(1.0, norm) for norm in (self.norm_lo, self.norm_hi))
-        # whether a -w links the copies of a node in L's pattern at 1e-12
-        self.tiled = self.k == 1 or self.w > ZERO_ENTRY_TOL
+        # ||L - L'||_2, and the rounding of `product`: each entry sums at
+        # most n + k + 3 rounded terms, of magnitude (D^ + S') |x| in all,
+        # whose 2-norm is at most 2 max D^ ||x||
+        self.offset = (self.spread + (n + k + 3) * eps) * self.top
+
+    def _transposed(self, stack: np.ndarray) -> np.ndarray:
+        """A_a^T x_a for every layer a of a dynamic form, x stacked k x n
+        (x p)."""
+        return np.array([layer.T @ part for layer, part in zip(self.layers, stack)])
+
+    def block(self, a: int, shift: float = 0.0) -> np.ndarray:
+        """B_a - shift I, in a new array, B_a = diag(D^_a) - S_a the
+        diagonal block a of a supra L', whose off-diagonal entries are L's
+        bit for bit."""
+        block = np.subtract(0.0, self.syms[a])  # -S_a, its zero diagonal +0.0
+        np.fill_diagonal(block, self.degrees[a] - shift)
+        return block
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """L' x, for x of m rows, multiplied through the k layers.  Supra:
+        y_a = B_a x_a - w (sum_b x_b - x_a), B_a x_a = D^_a o x_a - S_a x_a
+        one batched matmul over the stacked S_a.  Dynamic, any coupling:
+        y_a = D^_a o x_a - [sum_b c^{a,b} o (A_b x_b) + A_a^T (sum_b c^{b,a}
+        o x_b)] / 2, two matrix products a layer."""
+        stack = x.reshape(self.k, self.n, -1)
+        if self.model == "supra":
+            out = self.degrees[:, :, None] * stack - self.syms @ stack
+            out -= self.w * (stack.sum(axis=0) - stack)
+        else:
+            applied = np.array([layer @ part for layer, part in zip(self.layers, stack)])
+            mixed = np.einsum("abi,bip->aip", self.coupling, applied)
+            mixed += self._transposed(np.einsum("bai,bip->aip", self.coupling, stack))
+            out = self.degrees[:, :, None] * stack - 0.5 * mixed
+        return out.reshape(x.shape)
+
+    def matrix(self) -> tuple[np.ndarray, float]:
+        """The operator's L and ||L||_inf, filled on the first read."""
+        return self.op.laplacian, self.op.norm
 
     def components(self) -> np.ndarray:
         """The labels `operators.connected_components` gives L's pattern
@@ -727,10 +840,8 @@ def _certifies_layer_split(op: operators.SupraOperator, form: _LayerForm | None 
     # floor + off, and the rounding of the diagonal that L holds
     bound = (value + window + slack) + ((k - 1) * form.w + slack) + form.spread * form.top
     unit = np.full((n, 1), 1.0 / np.sqrt(n))
-    for sym, sums, degrees in zip(form.syms, form.sums, form.degrees):
-        block = np.subtract(0.0, sym)  # -S_a, its zero diagonal +0.0
-        np.fill_diagonal(block, degrees)
-        if not _cholesky_certifies(block, float((degrees + sums).max()), bound, unit):
+    for a, (sums, degrees) in enumerate(zip(form.sums, form.degrees)):
+        if not _cholesky_certifies(form.block(a), float((degrees + sums).max()), bound, unit):
             return False
     return True
 
@@ -773,10 +884,13 @@ def fiedler_bipartition(
     connected one is tried by `_certifies_layer_split`, which, when it
     proves the split that the eigensolve would lead to, returns layer 0
     against the rest with Fiedler value k w (the dense solve's is within
-    its rounding of k w) and no eigensolve.  Only a refusal reads L.  Any
-    other input is decomposed by `eig_sym`, and a degenerate eigensolve
-    reuses the components; a bare matrix is scanned once, by `_validated`,
-    whichever of the two reads it first.
+    its rounding of k w) and no eigensolve.  A refusal goes to `eig_sym`,
+    whose certified Lanczos path also reads the layers, and reads L only
+    when that refuses too.  Any other input is decomposed by `eig_sym`,
+    and a degenerate eigensolve reuses the components; a `build_dynamic`
+    operator's pattern is searched on its L, which that fills, and a bare
+    matrix is scanned once, by `_validated`, whichever of the two reads it
+    first.
     """
     supra = isinstance(lap, operators.SupraOperator)
     arr = None if supra else np.asarray(lap, dtype=float)
@@ -978,11 +1092,11 @@ def spectral_kway(lap, c: int, seed) -> Partition:
     seeds derived deterministically from the RngSeed `seed`, and keeps the
     first with the lowest within-cluster sum of squares.  `lap` is a
     Laplacian matrix or a `SupraOperator`, as for `eig_sym`."""
-    arr = lap.laplacian if isinstance(lap, operators.SupraOperator) else np.asarray(lap, dtype=float)
+    shape = lap.shape if isinstance(lap, operators.SupraOperator) else np.shape(lap)
     if c < 2:
         raise SpectralError(f"cluster count must be >= 2, got {c}")
-    if arr.ndim == 2 and c > len(arr):  # any other shape eig_sym rejects
-        raise SpectralError(f"cannot form {c} clusters from {len(arr)} elements")
+    if len(shape) == 2 and c > shape[0]:  # any other shape eig_sym rejects
+        raise SpectralError(f"cannot form {c} clusters from {shape[0]} elements")
     system = eig_sym(lap, c)
     points = np.ascontiguousarray(system.eigenvectors[:, :c])
     rngs = [_restart_rng(seed, restart) for restart in range(RESTARTS)]

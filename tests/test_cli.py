@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mxspec import cli, cuts, experiments, spectral
+from mxspec import cli, cuts, experiments, operators, spectral
 from mxspec.cli import main
 from mxspec.core import DynamicCoupling, MultiplexNetwork, load_network, save_network
 from mxspec.generators import RngSeed, gen_fixed_sbm_multiplex
@@ -324,6 +324,29 @@ def test_cluster_bipartition_makes_one_eigensolve(tmp_path, monkeypatch, model):
         labels = [int(row.split(",")[-1]) for row in lines[2:]]
         lifted = np.tile(part.labels, net.k) if model == "aggregate" else part.labels
         assert labels == lifted.tolist()
+
+
+@pytest.mark.parametrize("model, weight, certified", [
+    ("supra", "5.0", True), ("dynamic", None, True), ("supra", "0.5", False)])
+def test_a_certified_cluster_reads_nothing_of_the_laplacian(tmp_path, monkeypatch, model, weight, certified):
+    # m = 600, past FIEDLER_LANCZOS_MIN: the certified Lanczos solve and the
+    # bipartition from its system read the layers alone, and the scan
+    # that makes L never runs.  At k w = 3, below the community
+    # eigenvalue, the Fiedler value is five-fold, the certificate refuses,
+    # and the subset solve fills L once
+    net_path, out = tmp_path / "net.mpx", tmp_path / "a.csv"
+    assert run("generate", "--type", "sbm-fixed", "--n", "100", "--k", "6",
+               "--p", "0.1", "--seed", "5", "--out", str(net_path)) == 0
+    assert 100 * 6 >= spectral.FIEDLER_LANCZOS_MIN
+    scans = []
+    real = operators._checked_laplacian
+    monkeypatch.setattr(operators, "_checked_laplacian", lambda adj: scans.append(adj.shape) or real(adj))
+    flags = ["--supra-weight", weight] if weight else []
+    assert run("cluster", "--input", str(net_path), "--model", model, *flags,
+               "--clusters", "2", "--out", str(out)) == 0
+    assert scans == ([] if certified else [(600, 600)])
+    meta = out.read_text().splitlines()[0]
+    assert meta.endswith(" degenerate=0 fiedler_multiplicity=" + ("1" if certified else "5"))
 
 
 @pytest.mark.parametrize("model", ["supra", "dynamic"])

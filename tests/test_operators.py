@@ -107,8 +107,11 @@ def test_build_refuses_a_row_whose_weights_sum_past_the_float_range():
     layer = np.zeros((3, 3))
     layer[0, 1:] = layer[1:, 0] = 1e308
     net = MultiplexNetwork(n=3, k=2, layers=(layer, np.zeros((3, 3))))
+    # and a unit weight that a coupling entry of 1e308 scales past it
+    unit = MultiplexNetwork(n=3, k=2, layers=(np.eye(3)[[1, 2, 0]], np.eye(3)[[2, 0, 1]]))
     for build in (lambda: build_supra(net, 1.0),
                   lambda: build_dynamic(net, DynamicCoupling.identity(3, 2)),
+                  lambda: build_dynamic(unit, DynamicCoupling(np.full((2, 2, 3), 1e308))),
                   lambda: SupraOperator(model="supra", n=3, k=1, adjacency=layer, coupling=1.0)):
         with pytest.raises(OperatorError, match="^operator Laplacian: the weights sum past the "
                                                 "float range$") as refused:
@@ -206,16 +209,16 @@ def test_supra_layer_split_eigenvalue_is_k_times_w():
 
 @pytest.mark.parametrize("n, k", [(10**5, 100), (10**7, 1000)])
 def test_build_rejects_operator_too_large_to_allocate(n, k):
-    # stand-ins with only the sizes: the nk x nk allocation fails before any
-    # layer is read (10^14 doubles exceed the address space, 10^20 an index),
-    # at the build of a dynamic operator and at the first read of a supra L
+    # stand-ins with only the sizes (and, for the coupling, a largest
+    # entry): the nk x nk allocation fails before any layer is read (10^14
+    # doubles exceed the address space, 10^20 an index), at the first read
+    # of either operator's L
     net = SimpleNamespace(n=n, k=k, layers=())
     shape = f"{n * k} x {n * k}"
-    op = build_supra(net, 1.0)
-    with pytest.raises(OperatorError, match=f"supra operator: cannot allocate a {shape}"):
-        op.laplacian
-    with pytest.raises(OperatorError, match=f"dynamic operator: cannot allocate a {shape}"):
-        build_dynamic(net, SimpleNamespace(n=n, k=k))
+    for model, op in (("supra", build_supra(net, 1.0)),
+                      ("dynamic", build_dynamic(net, SimpleNamespace(n=n, k=k, diag=np.ones(1))))):
+        with pytest.raises(OperatorError, match=f"{model} operator: cannot allocate a {shape}"):
+            op.laplacian
 
 
 def test_build_dynamic_example():
@@ -483,19 +486,23 @@ def test_load_coupling_errors(tmp_path):
 
 
 def test_build_dynamic_holds_three_operator_sized_arrays_at_most():
-    # the builder's matrix, which the operator keeps, and the Laplacian:
-    # two (three while the operator copied the matrix); the tighter bound
-    # is test_build_allocates_each_operator_matrix_once's
+    # the build keeps the layers and allocates nothing operator-sized; the
+    # first read of L fills the matrix and the Laplacian: two (three while
+    # the operator copied the matrix); the tighter bound is
+    # test_build_allocates_each_operator_matrix_once's
     n, k = 100, 4
     net = gen_er_multiplex(n, k, 0.3, RngSeed(1))
     coupling = DynamicCoupling.identity(n, k)
     tracemalloc.start()
     try:
-        build_dynamic(net, coupling)
+        op = build_dynamic(net, coupling)
+        built = tracemalloc.get_traced_memory()[1]
+        op.laplacian
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     m = n * k
+    assert built < n * n * 8
     assert peak <= 3.2 * m * m * 8
 
 
@@ -561,13 +568,13 @@ def test_builders_equal_symmetrized_assembly_bitwise():
 
 @pytest.mark.parametrize("build", [
     lambda net: build_supra(net, 1.0).laplacian,
-    lambda net: build_dynamic(net, DynamicCoupling.identity(net.n, net.k)),
+    lambda net: build_dynamic(net, DynamicCoupling.identity(net.n, net.k)).laplacian,
 ], ids=["supra", "dynamic"])
 def test_build_allocates_each_operator_matrix_once(build):
     # the adjacency the fill writes and the Laplacian, which reuses its
     # |S| scratch; layer-sized temporaries are 1/k^2 of a matrix each, so
     # at k = 1 the builder may hold no layer-sized array beside the matrix.
-    # A supra operator fills them at the first read of L
+    # Either operator fills them at the first read of L
     for n, k in ((100, 4), (400, 1)):
         net = gen_er_multiplex(n, k, 0.3, RngSeed(1))
         tracemalloc.start()
@@ -618,16 +625,17 @@ def held_arrays(op):
 
 @pytest.mark.parametrize("model", ["supra", "dynamic"])
 def test_built_operator_keeps_one_matrix(model):
-    # both keep the network's own layers, by reference.  A supra operator
-    # holds no nk x nk array until L is read, then L alone beside them; a
-    # dynamic one keeps L from its build.  The adjacency and its blocks
-    # are read back from L, and reading them caches nothing
+    # both keep the network's own layers, by reference, and hold no nk x
+    # nk array until L is read, then L alone beside them (and a dynamic
+    # coupling's table).  The adjacency and its blocks are read back from
+    # L, and reading them caches nothing
     net = gen_er_multiplex(20, 3, 0.3, RngSeed(1))
     if model == "supra":
         op = build_supra(net, 1.0)
         assert held_arrays(op) == list(net.layers)
     else:
         op = build_dynamic(net, DynamicCoupling.identity(net.n, net.k))
+        assert held_arrays(op) == list(net.layers) and op.coupling.diag.shape == (3, 3, 20)
     assert op.layers is net.layers
     op.adjacency, op.block(0, 1)
     matrices = [arr for arr in held_arrays(op) if arr.shape == op.shape]
@@ -656,6 +664,50 @@ def test_supra_laplacian_is_filled_once_on_first_read(monkeypatch):
         assert op.laplacian.tobytes() == reference.laplacian.tobytes()
         assert (op.norm, op.exact) == (reference.norm, reference.exact) == (op.norm, True)
     assert op.shape == (60, 60) and op.num_copies == 60
+
+
+def test_dynamic_laplacian_is_filled_once_on_first_read(monkeypatch):
+    # as a supra one's: the first read fills all three, bit for bit the
+    # eager build's, which filled the symmetrized C^{a,b} A^b assembly and
+    # scanned it once
+    rng = np.random.default_rng(26)
+    net = random_network(rng, n=20, k=3)
+    coupling = random_coupling(rng, 20, 3)
+    raw = np.block([[coupling.diag[a, b][:, None] * net.layers[b] for b in range(3)] for a in range(3)])
+    reference = SupraOperator(model="dynamic", n=20, k=3, coupling=coupling, adjacency=symmetrize(raw))
+    scans = []
+    real = operators._checked_laplacian
+    monkeypatch.setattr(operators, "_checked_laplacian", lambda adj: scans.append(adj.shape) or real(adj))
+    for first in ("laplacian", "norm", "exact"):
+        op = build_dynamic(net, coupling)
+        assert scans == [] and "laplacian" not in vars(op)
+        getattr(op, first)
+        op.laplacian, op.norm, op.exact, op.adjacency
+        assert scans == [(60, 60)], first
+        del scans[:]
+        assert op.laplacian.tobytes() == reference.laplacian.tobytes()
+        assert not op.laplacian.flags.writeable
+        assert np.float64(op.norm).tobytes() == np.float64(reference.norm).tobytes()
+        assert op.exact is reference.exact is True
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_an_unread_operator_copies_unread_and_locked(model):
+    # pickle and deepcopy keep the layers and the coupling, locked, and no
+    # L: the copy fills its own on its first read, the original's bits
+    rng = np.random.default_rng(27)
+    net = random_network(rng, n=5, k=3)
+    coupling = random_coupling(rng, 5, 3)
+    build = (lambda: build_supra(net, 0.5)) if model == "supra" else (lambda: build_dynamic(net, coupling))
+    op = build()
+    copies = [pickle.loads(pickle.dumps(op, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.deepcopy(op)]:
+        assert "laplacian" not in vars(other) and "laplacian" not in vars(op)
+        held = held_arrays(other) + ([other.coupling.diag] if model == "dynamic" else [])
+        assert len(held) == (3 if model == "supra" else 4)
+        assert not any(arr.flags.writeable for arr in held)
+        assert other.laplacian.tobytes() == build().laplacian.tobytes()
+        assert not other.laplacian.flags.writeable
 
 
 def test_unpickled_arrays_stay_locked():

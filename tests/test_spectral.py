@@ -924,9 +924,11 @@ def test_eig_sym_searches_no_components(monkeypatch, connected):
 
 def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
     # exact eigenpairs 0, 2 and 3, as a Lanczos run that never saw
-    # eigenvalue 1 would return them: only the Cholesky count can tell
+    # eigenvalue 1 would return them, of the operator it runs on, A +
+    # ||A||_inf I: only the Cholesky count can tell
     lap = lanczos_net_laplacian("dynamic", 1)
     dense = dense_eig_sym(monkeypatch, lap, 4)
+    shift = np.abs(lap).sum(axis=1).max()
     keep = [0, 2, 3]
     factorizations = []
     real_potrf = spectral.lapack.dpotrf
@@ -937,7 +939,7 @@ def test_lanczos_count_certificate_rejects_a_missed_eigenvalue(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "eigsh", lambda *args, **kwargs: (
-            dense.eigenvalues[keep], dense.eigenvectors[:, keep].copy()))
+            dense.eigenvalues[keep] + shift, dense.eigenvectors[:, keep].copy()))
         patch.setattr(spectral.lapack, "dpotrf", potrf)
         system = eig_sym(lap, 2)
     assert len(factorizations) == 1 and factorizations[0] > 0
@@ -1390,32 +1392,59 @@ def lazy_path_operators():
     yield from layer_split_sample()
 
 
+def layered_lanczos_spy(monkeypatch):
+    """Route spectral._certified_lanczos through a wrapper; returns the
+    list of its answers (whether it certified) on a layer form."""
+    answers = []
+    real = spectral._certified_lanczos
+
+    def spied(form, count):
+        values, vectors = real(form, count)
+        if isinstance(form, spectral._LayerForm):
+            answers.append(values is not None)
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_certified_lanczos", spied)
+    return answers
+
+
 def test_a_fresh_operator_decides_as_its_laplacian_does(monkeypatch):
-    # decided from the layers, a build_supra operator builds no L on the
-    # component and certified paths, and one L on a refusal; its answer
-    # is the one after L is read, bit for bit, and that of its bare L, but
-    # for the Fiedler value k w of a certified split
+    # decided from the layers, a built operator builds no L on the
+    # component and certified split paths, nor on an eigensolve that the
+    # certified Lanczos path settles from the layers, and one L on any
+    # other eigensolve; a dynamic one, whose components are searched on L,
+    # builds it once, and a hand-built one holds it from its construction.
+    # Its answer is the one after L is read, bit for bit, and that of its
+    # bare L, but for the Fiedler value k w of a certified split and the
+    # Ritz value of a layered Lanczos solve, within the zero tolerance
     builds = laplacian_build_spy(monkeypatch)
     calls = counting_eig_sym(monkeypatch)
+    layered = layered_lanczos_spy(monkeypatch)
     paths = set()
     for (name, fresh), (_, read) in zip(lazy_path_operators(), lazy_path_operators(), strict=True):
         bare = fiedler_bipartition(read.laplacian)
         after = fiedler_bipartition(read)
-        del builds[:], calls[:]
+        del builds[:], calls[:], layered[:]
         lazy = fiedler_bipartition(fresh)
         solved, degenerate = bool(calls), lazy[2]
-        path = "eigensolve" if solved else "components" if degenerate else "certified"
-        if fresh.model == "supra" and fresh.layers is not None:
-            assert builds == ([fresh.num_copies] if solved else []), name
-            paths.add(path)
-        else:  # L made at the build, as a dynamic or hand-built operator's is
+        path = ("lanczos" if layered == [True] else "eigensolve") if solved else \
+            "components" if degenerate else "certified"
+        if fresh.layers is None:
             assert builds == [], name
+        elif fresh.model == "supra":
+            assert builds == ([fresh.num_copies] if path == "eigensolve" else []), name
+        else:
+            assert builds == [fresh.num_copies], name
+        paths.add((fresh.model, path))
         assert_bitwise_equal(lazy, after, name)
         assert lazy[0].labels.tobytes() == bare[0].labels.tobytes(), name
         assert lazy[2] is bare[2], name
-        if path != "certified":
+        if path == "lanczos":
+            assert abs(lazy[1] - bare[1]) <= 1e-8 * max(1.0, read.norm), name
+        elif path != "certified":
             assert np.float64(lazy[1]).tobytes() == np.float64(bare[1]).tobytes(), name
-    assert paths == {"components", "certified", "eigensolve"}
+    assert {path for model, path in paths if model == "supra"} == {
+        "components", "certified", "eigensolve", "lanczos"}
 
 
 def test_a_certified_split_allocates_less_than_one_operator_matrix():
@@ -1434,12 +1463,20 @@ def test_a_certified_split_allocates_less_than_one_operator_matrix():
 def test_a_split_past_memory_is_certified_or_refused_as_an_operator_error(monkeypatch):
     # k = 100 layers of n = 100: L would be 763 MiB, above the 64 MiB the
     # platform is made to report.  k w = 1 certifies from the layers; at
-    # k w = 500 a layer refuses, and the L the eigensolve needs is refused
+    # k w = 500 a layer refuses, and the certified Lanczos path decides the
+    # eigensolve from the layers, with no L either.  A refused Lanczos
+    # certificate needs the L of the subset solve, which is refused
     net, _ = gen_fixed_sbm_multiplex(100, 100, 0.3, RngSeed(1, ("memory",)))
     report_physical_memory(monkeypatch, 64 << 20)
     part, value, degenerate = fiedler_bipartition(build_supra(net, 0.01))
     np.testing.assert_array_equal(part.labels, np.arange(10**4) >= 100)
     assert (value, degenerate) == (100 * 0.01, False)
+    builds = laplacian_build_spy(monkeypatch)
+    answers = certificate_spy(monkeypatch)
+    part, value, degenerate = fiedler_bipartition(build_supra(net, 5.0))
+    assert (answers, builds) == ([False], [])
+    assert not degenerate and 0 < value < 100 * 5.0 and part.used_clusters == 2
+    monkeypatch.setattr(spectral, "_count_certifies", lambda *args: False)
     with pytest.raises(OperatorError, match=r"^supra operator: cannot allocate a 10000 x 10000 "
                                             r"float64 array \(0\.745 GiB\)$"):
         fiedler_bipartition(build_supra(net, 5.0))
@@ -1697,12 +1734,12 @@ def test_one_search_decides_as_the_two_did():
 
 def count_spy(monkeypatch):
     """Route spectral._count_certifies through a wrapper; returns the list
-    of (op, matrix, norm, floor, basis, answer) of its calls."""
+    of (form, floor, basis, answer) of its calls."""
     calls = []
     real = spectral._count_certifies
 
-    def spied(op, mat, norm, floor, basis):
-        calls.append((op, mat, norm, floor, basis.copy(), real(op, mat, norm, floor, basis)))
+    def spied(form, floor, basis):
+        calls.append((form, floor, basis.copy(), real(form, floor, basis)))
         return calls[-1][-1]
 
     monkeypatch.setattr(spectral, "_count_certifies", spied)
@@ -1760,14 +1797,15 @@ def test_structured_count_answers_as_the_dense_count(monkeypatch):
         del calls[:]
         eig_sym(op, 2)
         assert len(calls) == 1, name
-        _, lap, norm, floor, basis, answer = calls[0]
-        assert lap is op.laplacian, name
-        assert spectral._schur_complement(op, lap, norm, floor, 2) is not None, name
+        form, floor, basis, answer = calls[0]
+        assert isinstance(form, spectral._LayerForm) and form.op is op, name
+        lap, norm = op.laplacian, op.norm
+        assert spectral._schur_complement(form, floor, 2) is not None, name
         assert answer is spectral._cholesky_certifies(lap, norm, floor, basis) is True, name
         values, vectors = scipy.linalg.eigh(lap, subset_by_index=[0, 2])
         above, lowest = 0.5 * (values[1] + values[2]), vectors[:, :1]
-        assert spectral._schur_complement(op, lap, norm, above, 1) is not None, name
-        assert spectral._count_certifies(op, lap, norm, above, lowest) is False, name
+        assert spectral._schur_complement(form, above, 1) is not None, name
+        assert spectral._count_certifies(form, above, lowest) is False, name
         assert spectral._cholesky_certifies(lap, norm, above, lowest) is False, name
 
 
@@ -1804,7 +1842,7 @@ def test_count_is_dense_where_the_layered_form_does_not_hold(monkeypatch):
         assert len(system.eigenvalues) == 3 and [call[-1] for call in calls] == [True], name
         assert orders == sizes == [200], name
         if name.startswith("supra"):
-            assert calls[0][3] >= supra.layer_split_value(), name
+            assert calls[0][1] >= supra.layer_split_value(), name
 
 
 def lanczos_peak(monkeypatch, mat):
@@ -1862,15 +1900,14 @@ def test_supra_schur_bound_covers_its_inverses():
     net, _ = gen_fixed_sbm_multiplex(12, 3, 0.5, RngSeed(4, ("inverse",)))
     op = build_supra(net, 1.0)
     n, k, w = op.n, op.k, op.coupling
-    lap, norm = op.laplacian, op.norm
+    form = spectral._LayerForm(op)
     floor = k * w - 1e-7
-    schur, error = spectral._schur_complement(op, lap, norm, floor, 1)
-    shift = spectral._schur_shift(op, norm, floor) - w
+    schur, error = spectral._schur_complement(form, floor, 1)
+    shift = spectral._schur_shift(form, floor) - w
     exact = np.eye(n, dtype=np.longdouble) / w
     sizes = 0.0
     for a in range(k):
-        block = lap.reshape(k, n, k, n)[a, :, a].copy()
-        block.reshape(-1)[:: n + 1] -= shift
+        block = form.block(a, shift)
         inverse = longdouble_inverse(block)
         exact -= inverse
         sizes += float(np.abs(inverse).sum(axis=1).max())
@@ -1885,11 +1922,11 @@ def test_dynamic_schur_bound_covers_its_forming():
     net = random_network(np.random.default_rng(5), n=12, k=3)
     op = build_dynamic(net, DynamicCoupling.identity(12, 3))
     n, k = op.n, op.k
-    lap, norm = op.laplacian, op.norm
-    floor = 0.5 * float(lap.diagonal().min())
-    schur, error = spectral._schur_complement(op, lap, norm, floor, 1)
-    delta = lap.diagonal() - spectral._schur_shift(op, norm, floor)
-    inv = (1 / delta.astype(np.longdouble)).reshape(k, n)
+    form = spectral._LayerForm(op)
+    floor = 0.5 * float(form.degrees.min())
+    schur, error = spectral._schur_complement(form, floor, 1)
+    delta = form.degrees - spectral._schur_shift(form, floor)
+    inv = 1 / delta.astype(np.longdouble)
     layers = [layer.astype(np.longdouble) for layer in op.layers]
     outer = 2 * np.eye(n, dtype=np.longdouble) - sum(inv[a][:, None] * layers[a].T for a in range(k))
     exact = outer.T @ (outer / inv.sum(axis=0)[:, None])
@@ -1899,24 +1936,182 @@ def test_dynamic_schur_bound_covers_its_forming():
 
 @LONG_DOUBLE
 def test_schur_shift_covers_the_diagonal_and_the_dynamic_fill():
-    # L holds the dynamic fill's sums fl(A_b + A_a^T) / 2; mu - floor
-    # pays for them beside the diagonal that the count forms
+    # L holds the rounded degrees d, and a dynamic one its fill's sums
+    # fl(A_b + A_a^T) / 2; rho max D^ bounds its distance from the L' the
+    # layers form (exact in long double, the degrees D^ on its diagonal),
+    # and mu - floor pays for it beside the diagonal that the count forms
     eps = np.finfo(float).eps
     net = random_network(np.random.default_rng(6), n=12, k=3)
     for op in (build_supra(net, 2.0), build_dynamic(net, DynamicCoupling.identity(12, 3))):
-        op.laplacian
-        n, k, norm = op.n, op.k, op.norm
-        floor = 0.25 * norm
-        mu = spectral._schur_shift(op, norm, floor)
-        w = op.coupling if op.model == "supra" else 0.0
-        diagonal = 2 * eps * (norm + abs(floor) + w)
-        fill = 0.0
-        if op.model == "dynamic":
-            layers = [layer.astype(np.longdouble) for layer in op.layers]
+        form = spectral._LayerForm(op)
+        n, k = op.n, op.k
+        floor = 0.25 * form.norm_hi
+        mu = spectral._schur_shift(form, floor)
+        layers = [layer.astype(np.longdouble) for layer in op.layers]
+        if op.model == "supra":
+            exact = np.block([[form.syms[a].astype(np.longdouble) if a == b else op.coupling * np.eye(n)
+                               for b in range(k)] for a in range(k)])
+        else:
             exact = np.block([[(layers[b] + layers[a].T) / 2 for b in range(k)] for a in range(k)])
-            stored = -op.laplacian.astype(np.longdouble)
-            np.fill_diagonal(stored, 0)
-            assert np.linalg.norm((stored - exact).astype(float), 2) <= 0.5 * eps * norm
-            fill = eps * norm
+        formed = np.diag(form.degrees.reshape(-1).astype(np.longdouble)) - exact
+        distance = np.linalg.norm((op.laplacian - formed).astype(float), 2)
+        assert distance <= form.spread * form.top, op.model
+        diagonal = 2 * eps * (form.norm_hi + abs(floor) + form.w)
         # mu, as rounded, within half an eps of mu of the exact sum
-        assert (mu - floor) + 0.5 * eps * abs(mu) >= diagonal + fill, op.model
+        assert (mu - floor) + 0.5 * eps * abs(mu) >= diagonal + distance, op.model
+
+
+# --- the certified Lanczos path on the layers --------------------------------
+
+def product_sample():
+    """(name, operator) of supra at w = 0 and w > 0 and of dynamic with C =
+    I and with random couplings, on a planted and on a directed weighted
+    net."""
+    rng = np.random.default_rng(30)
+    planted, _ = gen_fixed_sbm_multiplex(30, 4, 0.3, RngSeed(30, ("product",)))
+    directed = random_network(rng, n=25, k=3)
+    for label, net in (("planted", planted), ("directed", directed)):
+        yield f"{label} supra w=0", build_supra(net, 0.0)
+        yield f"{label} supra w=2", build_supra(net, 2.0)
+        yield f"{label} dynamic C=I", build_dynamic(net, DynamicCoupling.identity(net.n, net.k))
+        yield f"{label} dynamic random C", build_dynamic(net, DynamicCoupling(rng.random((net.k, net.k, net.n)) * 3))
+
+
+def exact_layer_laplacian(op, form):
+    """The L' of `form` in long double: the degrees D^ summed from the
+    layers on the diagonal, less the supra S (w I between layers) or the
+    dynamic S', (C^{a,b} A_b + (C^{b,a} A_a)^T) / 2 in block (a, b), both
+    exact."""
+    n, k = op.n, op.k
+    layers = [layer.astype(np.longdouble) for layer in op.layers]
+    if op.model == "supra":
+        blocks = [[(layers[a] + layers[a].T) / 2 if a == b else op.coupling * np.eye(n, dtype=np.longdouble)
+                   for b in range(k)] for a in range(k)]
+    else:
+        c = op.coupling.diag.astype(np.longdouble)
+        blocks = [[(c[a, b][:, None] * layers[b] + (c[b, a][:, None] * layers[a]).T) / 2
+                   for b in range(k)] for a in range(k)]
+    return np.diag(form.degrees.reshape(-1).astype(np.longdouble)) - np.block(blocks)
+
+
+@LONG_DOUBLE
+def test_layered_product_is_the_laplacian_product_within_its_bound(monkeypatch):
+    # formed from the layers alone, with no scan of L: within `offset`
+    # ||x|| of L x, which bounds ||L - L'||_2 and the product's rounding,
+    # and ||L||_inf, which the scan finds, within [norm_lo, norm_hi]
+    builds = laplacian_build_spy(monkeypatch)
+    rng = np.random.default_rng(31)
+    for name, op in product_sample():
+        form = spectral._LayerForm(op)
+        block = rng.standard_normal((op.num_copies, 3))
+        vector = rng.standard_normal(op.num_copies)
+        products = form.product(block), form.product(vector)
+        assert builds == [], name
+        assert products[0].shape == block.shape and products[1].shape == vector.shape, name
+        lap = op.laplacian.astype(np.longdouble)
+        for got, x in zip(products, (block, vector)):
+            error = np.linalg.norm((got - lap @ x).astype(float), axis=0)
+            assert (error <= form.offset * np.linalg.norm(x, axis=0)).all(), name
+        distance = np.linalg.norm((op.laplacian - exact_layer_laplacian(op, form)).astype(float), 2)
+        assert distance <= form.spread * form.top, name
+        assert form.norm_lo <= op.norm <= form.norm_hi, name
+        del builds[:]
+
+
+def missed_ritz_set(op, keep):
+    """The exact eigenpairs of the operator's L at the indices `keep`, as a
+    Lanczos run that never saw the others would return them, and the floor
+    between the last two."""
+    values, vectors = scipy.linalg.eigh(op.laplacian, subset_by_index=[0, max(keep)])
+    ritz, basis = values[keep], vectors[:, keep]
+    return ritz, basis[:, :-1], 0.5 * (ritz[-2] + ritz[-1])
+
+
+def test_count_refuses_a_ritz_set_that_missed_an_eigenvalue():
+    # on fixed-SBM supra n = 100, k = 2, p = 0.3, w = 1 (eigenvalues 0, 2 =
+    # k w, 28.1, 31.4) ARPACK once returned 0, 28.1 and 31.4: with the floor
+    # between 28.1 and 31.4 three eigenvalues lie below it, and the count
+    # of two refuses.  There the floor is above k w, so the layered form
+    # forms no Schur complement and counts its L m x m, as the bare matrix
+    # does.  At w = 20 (0, 29.0, 40 = k w) a set that missed 0 puts the
+    # floor below k w, and the n x n Schur count refuses it
+    net, _ = gen_fixed_sbm_multiplex(100, 2, 0.3, RngSeed(2, ("dispatch",)))
+    for w, keep, schur in ((1.0, [0, 2, 3], False), (20.0, [1, 2], True)):
+        op = build_supra(net, w)
+        ritz, basis, floor = missed_ritz_set(op, keep)
+        if w == 1.0:
+            assert 28.0 < ritz[1] < 28.2 < 31.3 < ritz[2] < 31.5
+        assert ritz[-2] < op.layer_split_value() <= ritz[-1] if schur else floor > op.layer_split_value()
+        form = spectral._LayerForm(op)
+        assert (spectral._schur_complement(form, floor, basis.shape[1]) is not None) is schur, w
+        assert spectral._count_certifies(form, floor, basis) is False, w
+        dense = spectral._Dense(op.laplacian, op.norm, 1e-8 * op.norm)
+        assert spectral._count_certifies(dense, floor, basis) is False, w
+
+
+# (n, k) of the m = 10^4 nets: supra (w = 5) and dynamic with C = I
+SCALE_NETS = {"supra": (200, 50), "dynamic": (400, 25)}
+# (n, k) of cluster-large's m = 2000 nets
+CLUSTER_NETS = {"supra": (200, 10), "dynamic": (400, 5)}
+
+
+def scale_operator(model, n, k):
+    net, _ = gen_fixed_sbm_multiplex(n, k, 0.1, RngSeed(1, ("scale", model, n, k)))
+    return build_supra(net, 5.0) if model == "supra" else build_dynamic(net, DynamicCoupling.identity(n, k))
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_a_layered_operator_past_dense_certifies_in_less_than_one_matrix(monkeypatch, model):
+    # m = 10^4: L would be 800 MB.  The certified Lanczos path and the
+    # bipartition from its system read nothing of it
+    n, k = SCALE_NETS[model]
+    op = scale_operator(model, n, k)
+    m = op.num_copies
+    builds = laplacian_build_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        system = eig_sym(op, 2)
+        part, value, degenerate = fiedler_bipartition(op, system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert builds == [] and len(system.eigenvalues) == 3
+    assert (system.zero_multiplicity, system.fiedler_multiplicity, degenerate) == (1, 1, False)
+    assert value == system.fiedler_value > 0 and part.used_clusters == 2
+    assert peak < m * m * 8, peak / (m * m * 8)
+
+
+def residual_radius(lap, system):
+    """||L v - theta v|| of the Fiedler pair of `system`, plus twice the
+    m eps ||L||_inf of rounding and a dense solver's error."""
+    vec = system.eigenvectors[:, system.fiedler_mask()][:, 0]
+    slack = len(lap) * np.finfo(float).eps * np.abs(lap).sum(axis=1).max()
+    return np.linalg.norm(lap @ vec - system.fiedler_value * vec) + 2 * slack
+
+
+@pytest.mark.parametrize("model", ["supra", "dynamic"])
+def test_a_layered_solve_decides_as_the_bare_matrix(monkeypatch, model):
+    # cluster-large's shapes: the certified path decides from the layers
+    # what it decides from the bare L, and the two Ritz values lie within
+    # their radii of the one exact eigenvalue.  spectral_kway's count-4
+    # solve gives the same labels, which at c >= 3 are not certified
+    n, k = CLUSTER_NETS[model]
+    op = scale_operator(model, n, k)
+    builds = laplacian_build_spy(monkeypatch)
+    layered = layered_lanczos_spy(monkeypatch)
+    system = eig_sym(op, 2)
+    split = fiedler_bipartition(op, system)
+    assert (builds, layered) == ([], [True])
+    lap = op.laplacian
+    bare = eig_sym(lap, 2)
+    bare_split = fiedler_bipartition(lap, bare)
+    assert len(bare.eigenvalues) == len(system.eigenvalues) == 3
+    np.testing.assert_array_equal(split[0].labels, bare_split[0].labels)
+    assert split[2] is bare_split[2] is False
+    assert system.zero_multiplicity == bare.zero_multiplicity == 1
+    assert system.fiedler_multiplicity == bare.fiedler_multiplicity == 1
+    assert abs(system.fiedler_value - bare.fiedler_value) <= (
+        residual_radius(lap, system) + residual_radius(lap, bare))
+    assert op.num_copies >= spectral.LANCZOS_MIN
+    np.testing.assert_array_equal(spectral_kway(op, 4, RngSeed(7)).labels,
+                                  spectral_kway(lap, 4, RngSeed(7)).labels)
